@@ -6,17 +6,17 @@
 // the three concurrency analyzers (lockcheck, atomiccheck, lifecycle),
 // and the three error-and-resource analyzers (errflow, closecheck,
 // exhaustcheck) over the repository and fails on any finding.
-// `tdcache-lint -list` prints the roster.
 //
-// Two invocation modes:
+//	tdcache-lint ./...   # lint every package, test files included
+//	tdcache-lint -list   # print the roster
 //
-//	tdcache-lint ./...                          # standalone, from module root
-//	go vet -vettool=$(which tdcache-lint) ./... # as a vet tool
-//
-// Standalone mode loads and type-checks packages itself (offline, pure
-// stdlib); vet mode speaks the cmd/go unitchecker protocol — the go
-// command hands the tool a JSON config per package with pre-built
-// export data, which is faster and composes with go vet's caching.
+// Patterns resolve as cmd/go resolves them: "./..." from
+// internal/core lints internal/core and below. The tool loads and
+// type-checks packages itself (offline, pure stdlib), each package
+// together with its _test.go files, and prints one
+// `file:line:col: [rule] message` line per finding with the file
+// relative to the module root. It exits 1 when there are findings and
+// 2 on a usage error.
 //
 // Findings are suppressed line-by-line with
 //
@@ -28,11 +28,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"tdcache/internal/analysis/atomiccheck"
@@ -75,32 +74,49 @@ var analyzers = []*framework.Analyzer{
 }
 
 func main() {
-	progname := filepath.Base(os.Args[0])
-	args := os.Args[1:]
+	dir, err := os.Getwd()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tdcache-lint:", err)
+		os.Exit(1)
+	}
+	os.Exit(run(dir, os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	// The go command probes vet tools before use: -V=full must print a
-	// version line usable as a build ID, and -flags must dump the
-	// tool's flag schema as JSON.
-	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "--V=full") {
-		fmt.Printf("%s version devel comments-go-here buildID=devel\n", progname)
-		return
+// run is the whole command: it lints the patterns in args, resolved
+// against dir, writes findings to stdout and problems to stderr, and
+// returns the exit code.
+func run(dir string, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tdcache-lint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "print the analyzer roster and exit")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: tdcache-lint [-list] packages (e.g. ./...)")
+		fs.PrintDefaults()
 	}
-	if len(args) == 1 && (args[0] == "-flags" || args[0] == "--flags") {
-		fmt.Println("[]")
-		return
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		// Unitchecker mode: `go vet -vettool=...` invokes the tool once
-		// per package with a config file.
-		unitcheck(args[0])
-		return
+	if *list {
+		fmt.Fprint(stdout, roster())
+		return 0
 	}
-	if len(args) == 1 && (args[0] == "-list" || args[0] == "--list") {
-		os.Stdout.WriteString(roster())
-		return
+	if fs.NArg() == 0 {
+		fs.Usage()
+		return 2
 	}
-
-	standalone(args)
+	findings, err := driver.Lint(dir, fs.Args(), analyzers)
+	if err != nil {
+		fmt.Fprintln(stderr, "tdcache-lint:", err)
+		return 1
+	}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
+	}
+	if len(findings) > 0 {
+		fmt.Fprintf(stderr, "tdcache-lint: %d finding(s)\n", len(findings))
+		return 1
+	}
+	return 0
 }
 
 // roster renders the analyzer list with one-line docs, one rule per
@@ -129,171 +145,4 @@ func roster() string {
 		fmt.Fprintf(&b, "%-*s  %s\n", width, a.Name, strings.TrimRight(doc, " ,"))
 	}
 	return b.String()
-}
-
-// finding is the machine-readable form of one diagnostic — the
-// engine's rendered wire type, whose file is module-root-relative so
-// baselines are stable across checkouts.
-type finding = driver.Diag
-
-// findingKey identifies a finding for baseline matching. Line and
-// column are deliberately excluded so unrelated edits that shift a
-// suppressed legacy finding do not break the baseline.
-func findingKey(f finding) string { return f.Rule + "\x00" + f.File + "\x00" + f.Message }
-
-// standalone loads packages from directory patterns and reports every
-// surviving finding, exiting 1 if any is not covered by the baseline.
-func standalone(args []string) {
-	fs := flag.NewFlagSet("tdcache-lint", flag.ExitOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	baselineFile := fs.String("baseline", "", "JSON findings file; only findings absent from it fail the run")
-	cacheDir := fs.String("cache", "", "content-addressed result cache directory (empty disables caching)")
-	jobs := fs.Int("j", 0, "parallel analysis workers (0 = GOMAXPROCS, 1 = sequential)")
-	statsFile := fs.String("stats", "", "write per-package/per-analyzer run statistics JSON to this file")
-	benchFile := fs.String("bench", "", "self-benchmark (cold vs warm vs -j1) and write JSON to this file")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-json] [-baseline file] [-cache dir] [-j n] [-stats file] [-bench file] ./... (run from inside the module)\n", fs.Name())
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		fs.Usage()
-		os.Exit(2)
-	}
-
-	baseline := make(map[string]int)
-	if *baselineFile != "" {
-		var err error
-		baseline, err = loadBaseline(*baselineFile)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	cwd, err := os.Getwd()
-	if err != nil {
-		fatal(err)
-	}
-	root, err := driver.FindModuleRoot(cwd)
-	if err != nil {
-		fatal(err)
-	}
-	if *benchFile != "" {
-		if err := runBench(root, patterns, *benchFile); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	res, err := lint(root, patterns, *cacheDir, *jobs)
-	if err != nil {
-		fatal(err)
-	}
-	if *statsFile != "" {
-		if err := writeJSONFile(*statsFile, res.Stats); err != nil {
-			fatal(err)
-		}
-	}
-	findings := res.Diags
-	if findings == nil {
-		findings = []finding{}
-	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(findings); err != nil {
-			fatal(err)
-		}
-	}
-	fresh := filterNew(findings, baseline)
-	if !*jsonOut {
-		for _, f := range fresh {
-			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Rule, f.Message)
-		}
-	}
-	if len(fresh) > 0 {
-		fmt.Fprintf(os.Stderr, "tdcache-lint: %d new finding(s)\n", len(fresh))
-		os.Exit(1)
-	}
-}
-
-// loadBaseline reads a -json findings file into a key multiset.
-func loadBaseline(path string) (map[string]int, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var old []finding
-	if err := json.Unmarshal(data, &old); err != nil {
-		return nil, fmt.Errorf("parsing baseline %s: %w", path, err)
-	}
-	baseline := make(map[string]int)
-	for _, f := range old {
-		baseline[findingKey(f)]++
-	}
-	return baseline, nil
-}
-
-// lint runs the engine over the patterns with the standalone lane's
-// configuration: the full roster, suppression audit on.
-func lint(root string, patterns []string, cacheDir string, jobs int) (*driver.RunResult, error) {
-	// The standalone lane sees full source for every package, so live
-	// suppressions are provably live here; enable the allowcheck audit.
-	return driver.Lint(root, driver.Options{
-		Patterns:  patterns,
-		Analyzers: analyzers,
-		Jobs:      jobs,
-		CacheDir:  cacheDir,
-		Audit:     true,
-	})
-}
-
-// collect runs the full suite over the patterns (resolved against the
-// module containing dir) and returns every finding with module-root-
-// relative file paths. The result is never nil, so it always encodes
-// as a JSON array.
-func collect(dir string, patterns []string) ([]finding, error) {
-	root, err := driver.FindModuleRoot(dir)
-	if err != nil {
-		return nil, err
-	}
-	res, err := lint(root, patterns, "", 0)
-	if err != nil {
-		return nil, err
-	}
-	if res.Diags == nil {
-		return []finding{}, nil
-	}
-	return res.Diags, nil
-}
-
-// filterNew returns the findings not absorbed by the baseline multiset
-// (each baseline entry suppresses at most one identical finding).
-func filterNew(findings []finding, baseline map[string]int) []finding {
-	fresh := []finding{}
-	for _, f := range findings {
-		if n := baseline[findingKey(f)]; n > 0 {
-			baseline[findingKey(f)] = n - 1
-			continue
-		}
-		fresh = append(fresh, f)
-	}
-	return fresh
-}
-
-// writeJSONFile writes v as indented JSON to path.
-func writeJSONFile(path string, v any) error {
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tdcache-lint:", err)
-	os.Exit(1)
 }

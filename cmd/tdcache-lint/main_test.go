@@ -1,9 +1,7 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"bytes"
 	"strings"
 	"testing"
 
@@ -11,72 +9,19 @@ import (
 )
 
 // TestRepositoryIsLintClean is the suite's own regression test: the
-// tree must stay free of determinism findings. It repeats what the CI
-// lint job does, so a violation fails `go test ./...` locally too —
-// this is what keeps the fig6b map-order sum and the cpu.L2 Reset
-// annotations from regressing.
+// tree, test files included, must stay free of findings. It goes
+// through run, the same entry point as the CLI and the CI lint job, so
+// a violation fails `go test ./...` locally too — this is what keeps
+// the fig6b map-order sum and the cpu.L2 Reset annotations from
+// regressing.
 func TestRepositoryIsLintClean(t *testing.T) {
 	root, err := driver.FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	loader, err := driver.NewModuleLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := loader.Expand([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := loader.Context()
-	ctx.AuditSuppressions = true
-	for _, path := range paths {
-		pkg, err := loader.Load(path)
-		if err != nil {
-			t.Fatalf("loading %s: %v", path, err)
-		}
-		diags, err := driver.Run(analyzers, pkg, ctx)
-		if err != nil {
-			t.Fatalf("running suite on %s: %v", path, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s", d.String(loader.Fset))
-		}
-	}
-}
-
-// TestCollectMatchesCheckedInBaseline is the -json / -baseline
-// contract: a full-repo collect must produce a finding list that
-// round-trips through JSON and is fully absorbed by the checked-in
-// (empty) baseline — i.e. CI's machine-readable lane agrees with the
-// human one above.
-func TestCollectMatchesCheckedInBaseline(t *testing.T) {
-	findings, err := collect(".", []string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := json.Marshal(findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back []finding
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatalf("-json output does not round-trip: %v", err)
-	}
-	if len(back) != len(findings) {
-		t.Fatalf("round-trip lost findings: %d != %d", len(back), len(findings))
-	}
-
-	root, err := driver.FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := loadBaseline(filepath.Join(root, "cmd/tdcache-lint/baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range filterNew(findings, baseline) {
-		t.Errorf("finding not covered by baseline: %s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Rule, f.Message)
+	var stdout, stderr bytes.Buffer
+	if code := run(root, []string{"./..."}, &stdout, &stderr); code != 0 {
+		t.Errorf("tdcache-lint ./... exited %d\n%s%s", code, stdout.String(), stderr.String())
 	}
 }
 
@@ -99,9 +44,6 @@ func TestRosterListsAllAnalyzers(t *testing.T) {
 		if a.Doc == "" {
 			t.Errorf("analyzer %s has no doc", a.Name)
 		}
-		if a.Version == "" {
-			t.Errorf("analyzer %s has no Version; the cache key needs one", a.Name)
-		}
 	}
 
 	lines := strings.Split(strings.TrimRight(roster(), "\n"), "\n")
@@ -118,45 +60,30 @@ func TestRosterListsAllAnalyzers(t *testing.T) {
 	}
 }
 
-// TestBaselineFiltering pins the suppression-diff semantics: matching
-// is by (rule, file, message) — line/column shifts do not un-suppress —
-// and each baseline entry absorbs exactly one occurrence.
-func TestBaselineFiltering(t *testing.T) {
-	old := []finding{
-		{Rule: "unitflow", File: "a.go", Line: 10, Col: 2, Message: "magic scale factor"},
-		{Rule: "floatcmp", File: "b.go", Line: 3, Col: 9, Message: "float == comparison"},
+// TestFlagSurface pins the command line: -list is the only flag, and
+// any other flag, go vet's tool probes included, is a usage error.
+func TestFlagSurface(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"-json", "./..."},
+		{"-baseline", "b.json", "./..."},
+		{"-cache", "/tmp/c", "./..."},
+		{"-j", "1", "./..."},
+		{"-stats", "s.json", "./..."},
+		{"-bench", "b.json", "./..."},
+		{"-V=full"},
+		{"-flags"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(".", args, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%q) exited %d, want 2 (usage error)", args, code)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%q) wrote to stdout: %q", args, stdout.String())
+		}
 	}
-	data, err := json.Marshal(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	baseline, err := loadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	now := []finding{
-		// Same finding, shifted by an unrelated edit: suppressed.
-		{Rule: "unitflow", File: "a.go", Line: 42, Col: 7, Message: "magic scale factor"},
-		// Second occurrence of a baselined single occurrence: new.
-		{Rule: "floatcmp", File: "b.go", Line: 3, Col: 9, Message: "float == comparison"},
-		{Rule: "floatcmp", File: "b.go", Line: 8, Col: 1, Message: "float == comparison"},
-		// Different rule on a baselined file: new.
-		{Rule: "mapiter", File: "a.go", Line: 10, Col: 2, Message: "map iteration"},
-	}
-	fresh := filterNew(now, baseline)
-	if len(fresh) != 2 {
-		t.Fatalf("filterNew returned %d fresh findings, want 2: %+v", len(fresh), fresh)
-	}
-	if fresh[0].Rule != "floatcmp" || fresh[1].Rule != "mapiter" {
-		t.Errorf("wrong findings survived: %+v", fresh)
-	}
-
-	if got := filterNew(nil, nil); len(got) != 0 {
-		t.Errorf("filterNew(nil, nil) = %+v, want empty", got)
+	var stdout, stderr bytes.Buffer
+	if code := run(".", []string{"-list"}, &stdout, &stderr); code != 0 || stdout.String() != roster() {
+		t.Errorf("run(-list) = %d, %q; want 0 and the roster", code, stdout.String())
 	}
 }

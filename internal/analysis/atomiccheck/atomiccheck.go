@@ -23,9 +23,7 @@
 // every future access honest.
 //
 // Scope: fields only (locals are single-goroutine until they escape,
-// and escaping locals are lifecycle's and -race's problem). Cross-
-// package atomic-op indexing degrades to unknown under vet mode;
-// the standalone tdcache-lint lane is authoritative.
+// and escaping locals are lifecycle's and -race's problem).
 package atomiccheck
 
 import (
@@ -40,8 +38,7 @@ import (
 
 // Analyzer is the atomiccheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "atomiccheck",
-	Version: "1",
+	Name: "atomiccheck",
 	Doc: "fields accessed via sync/atomic (by address or typed atomics) must never be accessed plainly, " +
 		"and //guard: mutex-guarded fields must not also be atomic (mixed discipline)",
 	Run: run,
@@ -241,13 +238,14 @@ func (st *state) scanPackage(ps *framework.PackageSyntax) {
 }
 
 // opsFor resolves a field's atomic-op sites, scanning its declaring
-// package on demand (silent degrade without cross-package syntax).
+// package on demand (nothing for packages without syntax, such as the
+// standard library).
 func (st *state) opsFor(fv *types.Var, pass *framework.Pass) []opSite {
 	if ops := st.ops[fv]; ops != nil {
 		return ops
 	}
 	pkg := fv.Pkg()
-	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] || pass.Imported == nil {
+	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] {
 		return nil
 	}
 	if ps := pass.Imported(pkg.Path()); ps != nil {

@@ -35,10 +35,7 @@
 // value is nil there — and discharges the obligation, as does an empty
 // return for a fact that still has a companion error.
 //
-// Under `go vet -vettool` the driver cannot supply imported syntax, so
-// foreign module-local helpers degrade to the escape treatment:
-// strictly fewer findings than the standalone lane, never different
-// ones. _test.go files are exempt like every other rule in the suite.
+// _test.go files are exempt like every other rule in the suite.
 package closecheck
 
 import (
@@ -53,8 +50,7 @@ import (
 
 // Analyzer is the closecheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "closecheck",
-	Version: "1",
+	Name: "closecheck",
 	Doc: "values with a release obligation (files, response bodies, listeners, temp dirs, module Closers) " +
 		"must be released on every path, after their companion error is checked, and exactly once",
 	Run: run,
@@ -195,13 +191,14 @@ func summarize(info *types.Info, fd *ast.FuncDecl) []paramEffect {
 }
 
 // summaryFor returns fn's parameter summary, lazily scanning its
-// declaring package; nil when the syntax is unavailable (vet mode).
+// declaring package; nil when the package has no syntax (the standard
+// library).
 func (st *state) summaryFor(fn *types.Func, pass *framework.Pass) []paramEffect {
 	if eff, ok := st.summaries[fn.Origin()]; ok {
 		return eff
 	}
 	pkg := fn.Pkg()
-	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] || pass.Imported == nil {
+	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] {
 		return st.summaries[fn.Origin()]
 	}
 	if ps := pass.Imported(pkg.Path()); ps != nil {

@@ -27,8 +27,7 @@ import (
 
 // Analyzer is the detrand rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "detrand",
-	Version: "1",
+	Name: "detrand",
 	Doc: "forbid ambient entropy (math/rand, crypto/rand, time.Now) in simulator packages; " +
 		"all randomness must come from the seeded tdcache/internal/stats.RNG",
 	Run: run,

@@ -9,23 +9,13 @@
 // "source" compiler importer. Both paths are hermetic: no network, no
 // GOPATH, no build cache.
 //
-// On top of the loader sits the incremental parallel engine (Lint in
-// engine.go): it derives the package import DAG (dag.go), schedules
-// type-checking and analysis of independent packages concurrently on
-// the deterministic slotted pool from internal/sweep, and replays
-// prior results from a content-addressed on-disk cache (cache.go) so a
-// warm run is O(changed packages) instead of O(module).
-//
-// The Loader itself is safe for concurrent Load calls: package results
-// are singleflight-memoized per import path, the position table is the
-// (internally synchronized) shared token.FileSet, and the GOROOT
-// source importer is serialized behind its own mutex. One shared
-// FileSet — rather than one per package — is deliberate: analyzers
-// compare raw token.Pos values across packages (DeclaredWithin,
-// fact anchors), which is only sound when every file lives in a single
-// position space. Rendered positions (file:line:col) are independent
-// of FileSet insertion order, so parallel runs print byte-identical
-// diagnostics anyway.
+// Lint is the whole pipeline, one package at a time: expand the
+// patterns, load each package with its test files in sorted order,
+// run every analyzer over it, and return the findings sorted by
+// position. One shared token.FileSet — rather than one per package —
+// is deliberate: analyzers compare raw token.Pos values across
+// packages (DeclaredWithin, fact anchors), which is only sound when
+// every file lives in a single position space.
 package driver
 
 import (
@@ -39,7 +29,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 
 	"tdcache/internal/analysis/framework"
 )
@@ -50,7 +39,9 @@ type Package struct {
 	Path string
 	// Dir is the directory its files were read from.
 	Dir string
-	// Files are the non-test syntax trees, parsed with comments.
+	// Files are the syntax trees, parsed with comments. A package
+	// returned by Load has only non-test files; a unit returned by
+	// LoadTests may also hold _test.go files.
 	Files []*ast.File
 	// Types and Info are the type-checker's results.
 	Types *types.Package
@@ -67,9 +58,7 @@ type Package struct {
 //
 // Standard-library paths resolve through the source importer in both
 // modes. The same Loader must be reused across Load calls so
-// mutually-importing packages share one type universe. Load is safe
-// for concurrent use: each path is checked exactly once (singleflight)
-// and other callers block until the first finishes.
+// mutually-importing packages share one type universe.
 type Loader struct {
 	Fset *token.FileSet
 
@@ -77,25 +66,11 @@ type Loader struct {
 	ModulePath string
 	SrcRoot    string
 
-	mu sync.Mutex
-	//guard:mu
-	entries map[string]*pkgEntry
-	//guard:mu
-	ctx *Context
-
-	// stdMu serializes the GOROOT source importer, which keeps its own
-	// unsynchronized package cache.
-	stdMu sync.Mutex
-	//guard:stdMu
-	std types.ImporterFrom
-}
-
-// pkgEntry is the singleflight slot for one import path: the first
-// loader goroutine owns it and closes done when pkg/err are final.
-type pkgEntry struct {
-	done chan struct{}
-	pkg  *Package
-	err  error
+	// pkgs memoizes successful loads; failures are not memoized, so a
+	// later load (from a non-cyclic chain) retries.
+	pkgs map[string]*Package
+	std  types.Importer
+	ctx  *Context
 }
 
 // NewModuleLoader returns a loader for the module rooted at dir (the
@@ -174,33 +149,14 @@ func (l *Loader) dirFor(path string) string {
 }
 
 // Load returns the type-checked package for an import path inside the
-// loader's tree.
+// loader's tree, without its test files.
 func (l *Loader) Load(path string) (*Package, error) {
 	return l.load(path, nil)
 }
 
-// Loaded returns the already-loaded package for path without loading
-// anything, or nil. It does not block on loads in flight.
-func (l *Loader) Loaded(path string) *Package {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e := l.entries[path]
-	if e == nil {
-		return nil
-	}
-	select {
-	case <-e.done:
-		return e.pkg
-	default:
-		return nil
-	}
-}
-
 // load is Load with the in-progress import stack threaded through for
-// cycle detection. The stack is per-recursion (one type-check descends
-// through its imports on a single goroutine), so a cycle always shows
-// up as a repeated path within one stack; cross-goroutine waits only
-// occur on acyclic entries and therefore terminate.
+// cycle detection: a cycle shows up as a repeated path within one
+// stack.
 func (l *Loader) load(path string, stack []string) (*Package, error) {
 	for i, p := range stack {
 		if p == path {
@@ -208,63 +164,109 @@ func (l *Loader) load(path string, stack []string) (*Package, error) {
 				strings.Join(stack[i:], " -> "), path)
 		}
 	}
-	l.mu.Lock()
-	if e, ok := l.entries[path]; ok {
-		l.mu.Unlock()
-		<-e.done
-		return e.pkg, e.err
+	if pkg := l.pkgs[path]; pkg != nil {
+		return pkg, nil
 	}
-	e := &pkgEntry{done: make(chan struct{})}
-	if l.entries == nil {
-		l.entries = make(map[string]*pkgEntry)
-	}
-	l.entries[path] = e
-	l.mu.Unlock()
-
 	dir := l.dirFor(path)
 	if dir == "" {
-		e.err = fmt.Errorf("driver: %s is not inside the loaded tree", path)
-	} else {
-		e.pkg, e.err = l.check(path, dir, append(stack, path))
+		return nil, fmt.Errorf("driver: %s is not inside the loaded tree", path)
 	}
-	if e.err != nil {
-		// Un-memoize failures so a later load (after the tree is fixed,
-		// or from a non-cyclic chain) retries instead of replaying the
-		// stale error.
-		l.mu.Lock()
-		delete(l.entries, path)
-		l.mu.Unlock()
+	names, _, err := goFiles(dir)
+	if err != nil {
+		return nil, err
 	}
-	close(e.done)
-	return e.pkg, e.err
+	files, err := l.parse(dir, names)
+	if err != nil {
+		return nil, err
+	}
+	pkg, err := l.check(path, dir, files, append(stack, path))
+	if err != nil {
+		return nil, err
+	}
+	if l.pkgs == nil {
+		l.pkgs = make(map[string]*Package)
+	}
+	l.pkgs[path] = pkg
+	return pkg, nil
 }
 
-// sourceFiles lists the non-test Go files of dir in sorted order.
-func sourceFiles(dir string) ([]string, error) {
+// LoadTests returns the units `go vet` analyzes for the package at
+// path. The first is the package with its in-package _test.go files
+// type-checked in, or the package as Load returns it when it has none.
+// It is followed by the external x_test package, when there is one.
+// Test units are not memoized: importers, the x_test package included,
+// always see the package without its test files, so an external test
+// cannot use identifiers declared in in-package test files.
+func (l *Loader) LoadTests(path string) ([]*Package, error) {
+	pkg, err := l.Load(path)
+	if err != nil {
+		return nil, err
+	}
+	names, tests, err := goFiles(pkg.Dir)
+	if err != nil {
+		return nil, err
+	}
+	if len(tests) == 0 {
+		return []*Package{pkg}, nil
+	}
+	testFiles, err := l.parse(pkg.Dir, tests)
+	if err != nil {
+		return nil, err
+	}
+	var internal, external []*ast.File
+	for _, f := range testFiles {
+		if f.Name.Name == pkg.Types.Name() {
+			internal = append(internal, f)
+		} else {
+			external = append(external, f)
+		}
+	}
+	units := []*Package{pkg}
+	if len(internal) > 0 {
+		// Re-parse the package's own files so the test unit shares no
+		// syntax with the memoized package importers see.
+		own, err := l.parse(pkg.Dir, names)
+		if err != nil {
+			return nil, err
+		}
+		units[0], err = l.check(path, pkg.Dir, append(own, internal...), nil)
+		if err != nil {
+			return nil, err
+		}
+	}
+	if len(external) > 0 {
+		xtest, err := l.check(path+"_test", pkg.Dir, external, nil)
+		if err != nil {
+			return nil, err
+		}
+		units = append(units, xtest)
+	}
+	return units, nil
+}
+
+// goFiles lists the Go files of dir in sorted order, split into
+// non-test and _test.go files. Hidden files are skipped.
+func goFiles(dir string) (srcs, tests []string, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var names []string
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
-			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
-			continue
+		switch {
+		case e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasPrefix(name, "."):
+		case strings.HasSuffix(name, "_test.go"):
+			tests = append(tests, name)
+		default:
+			srcs = append(srcs, name)
 		}
-		names = append(names, name)
 	}
-	sort.Strings(names)
-	return names, nil
+	return srcs, tests, nil
 }
 
-// check parses and type-checks the package in dir.
-func (l *Loader) check(path, dir string, stack []string) (*Package, error) {
-	names, err := sourceFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []*ast.File
+// parse parses the named files of dir with comments.
+func (l *Loader) parse(dir string, names []string) ([]*ast.File, error) {
+	files := make([]*ast.File, 0, len(names))
 	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
@@ -272,6 +274,12 @@ func (l *Loader) check(path, dir string, stack []string) (*Package, error) {
 		}
 		files = append(files, f)
 	}
+	return files, nil
+}
+
+// check type-checks files as the package path. stack is the import
+// chain that led here, for cycle detection.
+func (l *Loader) check(path, dir string, files []*ast.File, stack []string) (*Package, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("driver: no Go files in %s", dir)
 	}
@@ -293,8 +301,8 @@ func (l *Loader) check(path, dir string, stack []string) (*Package, error) {
 
 // loaderImporter adapts a Loader to types.Importer for one check,
 // carrying the in-progress import stack so cycles are reported as
-// errors instead of deadlocking the singleflight table. Paths outside
-// the tree fall back to the GOROOT source importer.
+// errors instead of recursing forever. Paths outside the tree fall
+// back to the GOROOT source importer.
 type loaderImporter struct {
 	l     *Loader
 	stack []string
@@ -311,110 +319,100 @@ func (li *loaderImporter) Import(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return li.l.importStd(path)
-}
-
-// importStd resolves a standard-library import through the shared
-// GOROOT source importer, serialized because the importer keeps an
-// unsynchronized internal package cache.
-func (l *Loader) importStd(path string) (*types.Package, error) {
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
-	if l.std == nil {
-		l.std = importer.ForCompiler(l.Fset, "source", nil).(types.ImporterFrom)
+	if li.l.std == nil {
+		li.l.std = importer.ForCompiler(li.l.Fset, "source", nil)
 	}
-	pkg, err := l.std.Import(path)
+	pkg, err := li.l.std.Import(path)
 	if err != nil {
 		return nil, fmt.Errorf("driver: importing %s: %w", path, err)
 	}
 	return pkg, nil
 }
 
-// Expand resolves command-line patterns ("./...", "./internal/core",
-// "internal/...") into import paths within the module, skipping
-// testdata, vendor, and hidden directories. Only module mode supports
-// patterns. The skip applies below the walk root only: a pattern that
-// names a skipped directory explicitly ("./testdata/...") still
-// expands, matching cmd/go's behavior.
-func (l *Loader) Expand(patterns []string) ([]string, error) {
+// Expand resolves command-line patterns into import paths within the
+// module, sorted and deduplicated. As with cmd/go, an absolute pattern
+// names that directory, and a pattern that is "." or ".." or starts
+// with "./" or "../" names a directory relative to dir (the working
+// directory). Any other pattern ("internal/core", "...") is relative
+// to the module root. A
+// trailing "/..." (or a bare "...") matches every package below,
+// skipping testdata, vendor, underscore and hidden directories. The
+// skip applies below the walk root only: a pattern that names a
+// skipped directory explicitly ("./testdata/...") still expands.
+// Only module mode supports patterns.
+func (l *Loader) Expand(dir string, patterns []string) ([]string, error) {
 	if l.ModuleRoot == "" {
 		return nil, fmt.Errorf("driver: patterns need a module loader")
 	}
 	seen := make(map[string]bool)
 	var out []string
-	add := func(rel string) {
-		rel = filepath.ToSlash(rel)
+	add := func(dir string) error {
+		rel, err := filepath.Rel(l.ModuleRoot, dir)
+		if err != nil {
+			return err
+		}
 		path := l.ModulePath
-		if rel != "." && rel != "" {
-			path += "/" + rel
+		if rel != "." {
+			path += "/" + filepath.ToSlash(rel)
 		}
 		if !seen[path] {
 			seen[path] = true
 			out = append(out, path)
 		}
+		return nil
 	}
 	for _, pat := range patterns {
-		pat = filepath.ToSlash(strings.TrimPrefix(pat, "./"))
-		if pat == "" {
-			pat = "."
+		base := l.ModuleRoot
+		switch {
+		case filepath.IsAbs(pat):
+			base = ""
+		case pat == "." || pat == ".." || strings.HasPrefix(pat, "./") || strings.HasPrefix(pat, "../"):
+			base = dir
 		}
-		if rest, ok := strings.CutSuffix(pat, "/..."); ok || pat == "..." {
-			base := l.ModuleRoot
-			if ok && rest != "" && rest != "." {
-				base = filepath.Join(l.ModuleRoot, filepath.FromSlash(rest))
+		rest, wild := strings.CutSuffix(pat, "...")
+		if wild && rest != "" && !strings.HasSuffix(rest, "/") {
+			rest, wild = pat, false
+		}
+		target := filepath.Join(base, filepath.FromSlash(rest))
+		if rel, err := filepath.Rel(l.ModuleRoot, target); err != nil ||
+			rel == ".." || strings.HasPrefix(rel, ".."+string(filepath.Separator)) {
+			return nil, fmt.Errorf("driver: %s is outside the module at %s", pat, l.ModuleRoot)
+		}
+		if !wild {
+			if !hasGoFiles(target) {
+				return nil, fmt.Errorf("driver: no Go files in %s", target)
 			}
-			err := filepath.WalkDir(base, func(p string, d os.DirEntry, err error) error {
-				if err != nil {
-					return err
-				}
-				if !d.IsDir() {
-					return nil
-				}
-				name := d.Name()
-				if p != base && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
-					name == "testdata" || name == "vendor") {
-					return filepath.SkipDir
-				}
-				if hasGoFiles(p) {
-					rel, err := filepath.Rel(l.ModuleRoot, p)
-					if err != nil {
-						return err
-					}
-					add(rel)
-				}
-				return nil
-			})
-			if err != nil {
+			if err := add(target); err != nil {
 				return nil, fmt.Errorf("driver: expanding %s: %w", pat, err)
 			}
 			continue
 		}
-		dir := filepath.Join(l.ModuleRoot, filepath.FromSlash(pat))
-		if !hasGoFiles(dir) {
-			return nil, fmt.Errorf("driver: no Go files in %s", dir)
-		}
-		rel, err := filepath.Rel(l.ModuleRoot, dir)
+		err := filepath.WalkDir(target, func(p string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			name := d.Name()
+			if p != target && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") ||
+				name == "testdata" || name == "vendor") {
+				return filepath.SkipDir
+			}
+			if hasGoFiles(p) {
+				return add(p)
+			}
+			return nil
+		})
 		if err != nil {
 			return nil, fmt.Errorf("driver: expanding %s: %w", pat, err)
 		}
-		add(rel)
 	}
 	sort.Strings(out)
 	return out, nil
 }
 
+// hasGoFiles reports whether dir holds a non-test Go file.
 func hasGoFiles(dir string) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") &&
-			!strings.HasSuffix(e.Name(), "_test.go") && !strings.HasPrefix(e.Name(), ".") {
-			return true
-		}
-	}
-	return false
+	srcs, _, err := goFiles(dir)
+	return err == nil && len(srcs) > 0
 }
 
 // Context carries the run-wide state shared by every Run call of one
@@ -422,46 +420,18 @@ func hasGoFiles(dir string) bool {
 // syntax for fact extraction, and the cross-package fact memo.
 type Context struct {
 	Fset *token.FileSet
-	// Imported returns the syntax of an imported package, or nil when
-	// the driver cannot supply it (the vet unitchecker protocol ships
-	// only export data). May itself be nil.
+	// Imported returns the syntax of an imported package, or nil for
+	// packages outside the loader's tree (the standard library).
 	Imported func(path string) *framework.PackageSyntax
 	// Facts is the shared cross-package fact memo.
 	Facts *framework.FactStore
 	// AuditSuppressions enables the allowcheck hygiene pass after
 	// filtering: stale `//lint:allow` directives (nothing suppressed)
 	// and surviving directives whose reason names no proof test become
-	// findings. Only the standalone lint lane sets it — it needs the
-	// complete view (every analyzer, cross-package syntax available);
-	// in vet mode, where analyzers degrade to intra-package facts, a
-	// live directive could look stale. analysistest leaves it off so
-	// single-analyzer fixture runs are not judged by suite-wide rules.
+	// findings. Lint sets it, since it runs the whole roster;
+	// analysistest leaves it off so single-analyzer fixture runs are
+	// not judged by suite-wide rules.
 	AuditSuppressions bool
-
-	// lockMu guards the lazily-built per-analyzer lock table below.
-	lockMu sync.Mutex
-	//guard:lockMu
-	analyzerMu map[string]*sync.Mutex
-}
-
-// analyzerLock returns the mutex serializing runs of one analyzer
-// across packages. Analyzers share run-wide state (call graphs, fact
-// scans) through FactStore.Shared without internal locking; holding
-// this lock during each Run is what lets the engine analyze different
-// packages concurrently while every individual analyzer still sees the
-// sequential world it was written for.
-func (c *Context) analyzerLock(name string) *sync.Mutex {
-	c.lockMu.Lock()
-	defer c.lockMu.Unlock()
-	if c.analyzerMu == nil {
-		c.analyzerMu = make(map[string]*sync.Mutex)
-	}
-	mu := c.analyzerMu[name]
-	if mu == nil {
-		mu = new(sync.Mutex)
-		c.analyzerMu[name] = mu
-	}
-	return mu
 }
 
 // Context returns a run context backed by this loader: imported
@@ -470,8 +440,6 @@ func (c *Context) analyzerLock(name string) *sync.Mutex {
 // once per loader and reused, keeping the fact store shared across
 // packages.
 func (l *Loader) Context() *Context {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.ctx == nil {
 		l.ctx = &Context{
 			Fset:  l.Fset,
@@ -490,28 +458,15 @@ func (l *Loader) Context() *Context {
 
 // Run executes every analyzer over pkg and returns the diagnostics
 // that survive `//lint:allow` suppression, in position order
-// (file, line, column, rule) with exact duplicates removed. The
-// ordering and dedup contract is unconditional so the standalone, vet,
-// and analysistest lanes — and cached replays of any of them — agree
-// byte for byte.
+// (file, line, column, rule) with exact duplicates removed.
 func Run(analyzers []*framework.Analyzer, pkg *Package, ctx *Context) ([]framework.Diagnostic, error) {
-	return runAnalyzers(analyzers, pkg, ctx, nil)
-}
-
-// runAnalyzers is Run with an optional per-analyzer timing sink (the
-// engine's -stats plumbing). Each analyzer runs under its run-wide
-// lock; see Context.analyzerLock.
-func runAnalyzers(analyzers []*framework.Analyzer, pkg *Package, ctx *Context,
-	timing func(analyzer string, seconds float64)) ([]framework.Diagnostic, error) {
-
 	var diags []framework.Diagnostic
 	sink := func(d framework.Diagnostic) { diags = append(diags, d) }
 	for _, a := range analyzers {
 		pass := framework.NewPass(a, ctx.Fset, pkg.Files, pkg.Types, pkg.Info, sink)
 		pass.Imported = ctx.Imported
 		pass.Facts = ctx.Facts
-		err := runOneAnalyzer(a, pass, ctx, timing)
-		if err != nil {
+		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("driver: %s on %s: %w", a.Name, pkg.Path, err)
 		}
 	}
@@ -531,17 +486,88 @@ func runAnalyzers(analyzers []*framework.Analyzer, pkg *Package, ctx *Context,
 	return framework.DedupeDiagnostics(ctx.Fset, out), nil
 }
 
-// runOneAnalyzer runs a single analyzer under its lock, timing it.
-func runOneAnalyzer(a *framework.Analyzer, pass *framework.Pass, ctx *Context,
-	timing func(string, float64)) error {
+// Finding is one diagnostic with its file rendered relative to the
+// module root (slash-separated), so output does not depend on where
+// the module is checked out.
+type Finding struct {
+	Rule    string
+	File    string
+	Line    int
+	Col     int
+	Message string
+}
 
-	mu := ctx.analyzerLock(a.Name)
-	mu.Lock()
-	defer mu.Unlock()
-	start := nowMonotonic()
-	err := a.Run(pass)
-	if timing != nil {
-		timing(a.Name, nowMonotonic()-start)
+// String formats a finding as file:line:col: [rule] message.
+func (f Finding) String() string {
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Rule, f.Message)
+}
+
+// Lint runs analyzers over the packages the patterns name (Expand,
+// relative to dir, in the module containing dir) and returns the
+// findings sorted by file, line, column, rule and message. Each
+// package is analyzed with its test files (LoadTests) and with the
+// suppression audit on. Packages under a testdata directory are
+// analyzer fixtures, not code, and are skipped even when a pattern
+// names them.
+func Lint(dir string, patterns []string, analyzers []*framework.Analyzer) ([]Finding, error) {
+	dir, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, fmt.Errorf("driver: resolving %s: %w", dir, err)
 	}
-	return err
+	root, err := FindModuleRoot(dir)
+	if err != nil {
+		return nil, err
+	}
+	loader, err := NewModuleLoader(root)
+	if err != nil {
+		return nil, err
+	}
+	paths, err := loader.Expand(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	ctx := loader.Context()
+	ctx.AuditSuppressions = true
+	var out []Finding
+	for _, path := range paths {
+		if strings.Contains(path, "/testdata/") {
+			continue
+		}
+		units, err := loader.LoadTests(path)
+		if err != nil {
+			return nil, err
+		}
+		for _, unit := range units {
+			diags, err := Run(analyzers, unit, ctx)
+			if err != nil {
+				return nil, err
+			}
+			for _, d := range diags {
+				pos := loader.Fset.Position(d.Pos)
+				file, err := filepath.Rel(root, pos.Filename)
+				if err != nil {
+					return nil, fmt.Errorf("driver: rendering %s: %w", pos.Filename, err)
+				}
+				out = append(out, Finding{Rule: d.Rule, File: filepath.ToSlash(file),
+					Line: pos.Line, Col: pos.Column, Message: d.Message})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Line != b.Line {
+			return a.Line < b.Line
+		}
+		if a.Col != b.Col {
+			return a.Col < b.Col
+		}
+		if a.Rule != b.Rule {
+			return a.Rule < b.Rule
+		}
+		return a.Message < b.Message
+	})
+	return out, nil
 }

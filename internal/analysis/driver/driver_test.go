@@ -43,11 +43,12 @@ func TestModuleLoaderLoadsInternalPackage(t *testing.T) {
 }
 
 func TestExpandSkipsTestdata(t *testing.T) {
-	loader, err := NewModuleLoader(moduleRoot(t))
+	root := moduleRoot(t)
+	loader, err := NewModuleLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := loader.Expand([]string{"./..."})
+	paths, err := loader.Expand(root, []string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +73,12 @@ func TestExpandSkipsTestdata(t *testing.T) {
 }
 
 func TestExpandSinglePackagePattern(t *testing.T) {
-	loader, err := NewModuleLoader(moduleRoot(t))
+	root := moduleRoot(t)
+	loader, err := NewModuleLoader(root)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, err := loader.Expand([]string{"./internal/stats"})
+	paths, err := loader.Expand(root, []string{"./internal/stats"})
 	if err != nil {
 		t.Fatal(err)
 	}

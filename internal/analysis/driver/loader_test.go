@@ -1,10 +1,11 @@
 package driver
 
 // Loader-level coverage: go.mod parsing, import-cycle reporting,
-// pattern expansion edge cases, the stdlib fallback, and the
-// unconditional sort+dedupe contract of Run.
+// pattern expansion edge cases, the stdlib fallback, test-file
+// loading, and the unconditional sort+dedupe contract of Run.
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,25 +99,11 @@ func TestLoadReportsImportCycle(t *testing.T) {
 	}
 	// The failure must not be memoized as a success and must not poison
 	// unrelated loads.
-	if pkg := loader.Loaded("m/a"); pkg != nil {
-		t.Errorf("failed load left a memoized package: %+v", pkg)
+	if pkg, err := loader.Load("m/a"); err == nil {
+		t.Errorf("second load of a cyclic package succeeded: %+v", pkg)
 	}
 	if _, err := loader.Load("m/ok"); err != nil {
 		t.Errorf("acyclic package failed after a cycle error: %v", err)
-	}
-}
-
-func TestDepGraphReportsImportCycle(t *testing.T) {
-	loader, err := NewModuleLoader(cyclicModule(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = buildDepGraph(loader, []string{"m/a", "m/ok"})
-	if err == nil {
-		t.Fatal("buildDepGraph accepted a cyclic graph")
-	}
-	if !strings.Contains(err.Error(), "import cycle") {
-		t.Errorf("cycle error = %q, want an import-cycle message", err)
 	}
 }
 
@@ -159,7 +146,7 @@ func TestExpandEdgeCases(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			got, err := loader.Expand(c.patterns)
+			got, err := loader.Expand(root, c.patterns)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -169,10 +156,10 @@ func TestExpandEdgeCases(t *testing.T) {
 		})
 	}
 
-	if _, err := loader.Expand([]string{"./nogo"}); err == nil {
+	if _, err := loader.Expand(root, []string{"./nogo"}); err == nil {
 		t.Error("Expand of a Go-less directory succeeded")
 	}
-	if _, err := NewTreeLoader(root).Expand([]string{"./..."}); err == nil {
+	if _, err := NewTreeLoader(root).Expand(root, []string{"./..."}); err == nil {
 		t.Error("Expand on a tree loader succeeded; patterns need module mode")
 	}
 }
@@ -233,9 +220,9 @@ func TestRunSortsAndDedupes(t *testing.T) {
 	// Reports the file's declarations in reverse source order, so any
 	// ordering in the output is the driver's doing.
 	noisy := &framework.Analyzer{
-		Name:    "noisy",
-		Doc:     "test analyzer reporting every package-level declaration",
-		Version: "1",
+		Name: "noisy",
+		Doc:  "test analyzer reporting every package-level declaration",
+
 		Run: func(pass *framework.Pass) error {
 			for _, f := range pass.Files {
 				for i := len(f.Decls) - 1; i >= 0; i-- {
@@ -257,4 +244,146 @@ func TestRunSortsAndDedupes(t *testing.T) {
 	if p0.Line >= p1.Line {
 		t.Errorf("diagnostics out of order: line %d before line %d", p0.Line, p1.Line)
 	}
+}
+
+// TestExpandRelativeToWorkingDir pins cmd/go's pattern resolution:
+// "." and "./..." name the working directory, not the module root,
+// while module-relative patterns keep resolving from the root.
+func TestExpandRelativeToWorkingDir(t *testing.T) {
+	root := writeTree(t, map[string]string{
+		"go.mod":        "module m\n\ngo 1.24\n",
+		"root.go":       "package m\n",
+		"sub/s.go":      "package sub\n",
+		"sub/deep/d.go": "package deep\n",
+		"other/o.go":    "package other\n",
+	})
+	loader, err := NewModuleLoader(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := filepath.Join(root, "sub")
+	cases := []struct {
+		patterns []string
+		want     []string
+	}{
+		{[]string{"."}, []string{"m/sub"}},
+		{[]string{"./..."}, []string{"m/sub", "m/sub/deep"}},
+		{[]string{"./deep"}, []string{"m/sub/deep"}},
+		{[]string{"../other"}, []string{"m/other"}},
+		{[]string{".."}, []string{"m"}},
+		{[]string{filepath.Join(root, "other")}, []string{"m/other"}},
+		{[]string{"other"}, []string{"m/other"}},
+		{[]string{"..."}, []string{"m", "m/other", "m/sub", "m/sub/deep"}},
+	}
+	for _, c := range cases {
+		got, err := loader.Expand(sub, c.patterns)
+		if err != nil {
+			t.Errorf("Expand(%v) from sub: %v", c.patterns, err)
+			continue
+		}
+		if strings.Join(got, " ") != strings.Join(c.want, " ") {
+			t.Errorf("Expand(%v) from sub = %v, want %v", c.patterns, got, c.want)
+		}
+	}
+	if _, err := loader.Expand(sub, []string{"../.."}); err == nil ||
+		!strings.Contains(err.Error(), "outside the module") {
+		t.Errorf("Expand(../..) from sub = %v, want an outside-the-module error", err)
+	}
+}
+
+// testFileModule is a module whose package p has an in-package test
+// file, an external x_test file, and a testdata fixture below it.
+func testFileModule(t *testing.T) string {
+	t.Helper()
+	return writeTree(t, map[string]string{
+		"go.mod":                "module m\n\ngo 1.24\n",
+		"p/p.go":                "package p\n\nfunc Plain() int { return 1 }\n",
+		"p/p_test.go":           "package p\n\nimport \"testing\"\n\nfunc TestPlain(t *testing.T) {\n\tif BadInternal() != 1 {\n\t\tt.Fail()\n\t}\n}\n\nfunc BadInternal() int { return Plain() }\n",
+		"p/x_test.go":           "package p_test\n\nimport \"m/p\"\n\nfunc BadExternal() int { return p.Plain() }\n",
+		"p/testdata/fix/fix.go": "package fix\n\nfunc BadFixture() {}\n",
+	})
+}
+
+// badFuncs reports every function whose name starts with "Bad",
+// naming the package it was analyzed in.
+var badFuncs = &framework.Analyzer{
+	Name: "badfunc",
+	Doc:  "test analyzer reporting functions named Bad*",
+	Run: func(pass *framework.Pass) error {
+		for _, f := range pass.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && strings.HasPrefix(fd.Name.Name, "Bad") {
+					pass.Reportf(fd.Name.Pos(), "%s in %s", fd.Name.Name, pass.Pkg.Path())
+				}
+			}
+		}
+		return nil
+	},
+}
+
+// TestLintLoadsTestFiles pins Lint's test-file coverage: a
+// finding in an in-package _test.go file is reported at that file's
+// position, the x_test package is analyzed as its own unit, and
+// testdata trees stay skipped.
+func TestLintLoadsTestFiles(t *testing.T) {
+	root := testFileModule(t)
+	findings, err := Lint(root, []string{"./..."}, []*framework.Analyzer{badFuncs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, f.String())
+	}
+	want := []string{
+		"p/p_test.go:11:6: [badfunc] BadInternal in m/p",
+		"p/x_test.go:5:6: [badfunc] BadExternal in m/p_test",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("Lint findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Naming the fixture explicitly still skips it.
+	findings, err = Lint(filepath.Join(root, "p"), []string{"./testdata/..."}, []*framework.Analyzer{badFuncs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(findings) != 0 {
+		t.Errorf("Lint analyzed a testdata package: %v", findings)
+	}
+}
+
+// TestLoadTestsKeepsImportersOnPlainPackage pins that test units are
+// not memoized: after LoadTests, Load still returns the package
+// without its test files, so importers never see test declarations.
+func TestLoadTestsKeepsImportersOnPlainPackage(t *testing.T) {
+	loader, err := NewModuleLoader(testFileModule(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	units, err := loader.LoadTests("m/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(units) != 2 || units[0].Path != "m/p" || units[1].Path != "m/p_test" {
+		t.Fatalf("LoadTests units = %v, want m/p and m/p_test", unitPaths(units))
+	}
+	if len(units[0].Files) != 2 {
+		t.Errorf("in-package unit has %d files, want p.go and p_test.go", len(units[0].Files))
+	}
+	plain, err := loader.Load("m/p")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plain == units[0] || plain.Types.Scope().Lookup("BadInternal") != nil {
+		t.Error("Load returned the test unit; importers must see the plain package")
+	}
+}
+
+func unitPaths(units []*Package) []string {
+	var paths []string
+	for _, u := range units {
+		paths = append(paths, u.Path)
+	}
+	return paths
 }

@@ -64,8 +64,7 @@ import (
 
 // Analyzer is the errflow rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "errflow",
-	Version: "1",
+	Name: "errflow",
 	Doc: "error results must be checked on every path, wrapped with %w when crossing a package boundary " +
 		"(or annotated //errflow:passthrough), and compared with errors.Is, never == against a sentinel",
 	Run: run,

@@ -33,11 +33,9 @@
 //     unrecognized //enum: form, or //enum:closed on a type with no
 //     package-level members.
 //
-// Enum declarations are read from syntax, so under `go vet -vettool`
-// (export data only, no imported syntax) switches over enums declared
-// in other packages silently degrade to unchecked: strictly fewer
-// findings than the standalone lane, never different ones. _test.go
-// files are exempt like every other rule in the suite.
+// Enum declarations are read from syntax, so switches over types
+// declared in the standard library go unchecked. _test.go files are
+// exempt like every other rule in the suite.
 package exhaustcheck
 
 import (
@@ -54,8 +52,7 @@ import (
 
 // Analyzer is the exhaustcheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "exhaustcheck",
-	Version: "1",
+	Name: "exhaustcheck",
 	Doc: "a switch over an //enum:closed type must cover every member or carry a default " +
 		"annotated //enum:default <reason>",
 	Run: run,
@@ -179,7 +176,7 @@ func (st *state) scanPackage(ps *framework.PackageSyntax) {
 
 // ensure lazily scans an imported package's enum declarations.
 func (st *state) ensure(pkg *types.Package, pass *framework.Pass) {
-	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] || pass.Imported == nil {
+	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] {
 		return
 	}
 	if ps := pass.Imported(pkg.Path()); ps != nil {
@@ -265,12 +262,10 @@ func checkSwitch(pass *framework.Pass, st *state, sw *ast.SwitchStmt, byLine map
 	e, ok := st.enums[named.Obj()]
 	if !ok || len(e.members) == 0 {
 		// When the tag type's declaring package has no loadable syntax
-		// (vet mode, export data only), the type may well be a closed
-		// enum we cannot see. Absorb any //enum:default sitting on this
-		// switch so the stray sweep stays silent: the degraded lane
-		// reports strictly fewer findings, never different ones.
-		if pkg := named.Obj().Pkg(); pkg != nil && pkg != pass.Pkg &&
-			(pass.Imported == nil || st.noSyntax[pkg.Path()]) {
+		// (the standard library), the type may well be a closed enum we
+		// cannot see. Absorb any //enum:default sitting on this switch
+		// so the stray sweep stays silent.
+		if pkg := named.Obj().Pkg(); pkg != nil && pkg != pass.Pkg && st.noSyntax[pkg.Path()] {
 			for _, cl := range sw.Body.List {
 				if cc, ok := cl.(*ast.CaseClause); ok && cc.List == nil {
 					defaultReason(pass, cc, byLine, defaultAttached)

@@ -42,8 +42,7 @@ import (
 
 // Analyzer is the floatcmp rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "floatcmp",
-	Version: "1",
+	Name: "floatcmp",
 	Doc: "forbid ==/!= on floats in simulator packages unless compared against the " +
 		"exact-zero sentinel, both operands are provably exact, or the comparison is " +
 		"inside an epsilon helper",

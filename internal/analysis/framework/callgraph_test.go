@@ -231,11 +231,11 @@ func TestCallGraphSCCs(t *testing.T) {
 	}
 }
 
-// TestCallGraphCrossPackageFacts pins the mechanism hotpath and
-// purecheck summaries ride on: a callee in another package resolves to
-// the same types.Object the declaring package's pass summarized, so a
-// namespaced FactStore entry written while analyzing the dependency is
-// readable from the importer's call edge.
+// TestCallGraphCrossPackageFacts pins the mechanism cross-package facts
+// ride on: a callee in another package resolves to the same
+// types.Object the declaring package's pass summarized, so a FactStore
+// entry written while analyzing the dependency is readable from the
+// importer's call edge.
 func TestCallGraphCrossPackageFacts(t *testing.T) {
 	fset := token.NewFileSet()
 	dep := typecheck(t, fset, "dep", `package dep
@@ -257,7 +257,7 @@ func caller() { dep.Exported() }
 	facts := NewFactStore()
 	type summary struct{ clean bool }
 	for _, n := range depNodes {
-		facts.SetObjectNS("testns", n.Fn, &summary{clean: true})
+		facts.SetObject(n.Fn, &summary{clean: true})
 	}
 
 	// From use's side, follow the call edge and read the fact back.
@@ -274,13 +274,9 @@ func caller() { dep.Exported() }
 	if callee.Pkg().Path() != "dep" || callee.Name() != "Exported" {
 		t.Fatalf("callee = %v, want dep.Exported", callee)
 	}
-	v, ok := facts.ObjectNS("testns", callee)
+	v, ok := facts.Object(callee)
 	got, isSum := v.(*summary)
 	if !ok || !isSum || !got.clean {
 		t.Errorf("fact for dep.Exported not readable through the call edge: %v, %v", v, ok)
-	}
-	// Namespaces are isolated: another analyzer's namespace sees nothing.
-	if v, ok := facts.ObjectNS("otherns", callee); ok {
-		t.Errorf("namespace leak: otherns sees %v", v)
 	}
 }

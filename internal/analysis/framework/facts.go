@@ -11,13 +11,8 @@ package framework
 // shared universe.
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/ast"
 	"go/types"
-	"sort"
-	"strings"
-	"sync"
 )
 
 // PackageSyntax is the source-level view of one loaded package.
@@ -33,34 +28,23 @@ type PackageSyntax struct {
 // FactStore memoizes analyzer-derived facts keyed by the declaring
 // types.Object, plus a per-package marker so an analyzer can record
 // "this package's declarations have been scanned" and skip re-scans.
-// It is safe for concurrent use.
+// The driver runs passes one at a time, so the store is not
+// synchronized.
 //
-// Object/SetObject are a single un-namespaced slot per object (the
-// unitflow analyzer owns it, historically). Analyzers added later
-// attach their facts through ObjectNS/SetObjectNS, which keep one
-// independent namespace per analyzer so two rules can annotate the
-// same function without clobbering each other; Shared holds run-wide
-// singletons (the interprocedural call graph) built once and reused by
-// every pass of a lint run.
+// Object/SetObject are a single slot per object, owned by unitflow.
+// Shared holds run-wide singletons (each interprocedural analyzer's
+// call graph and summaries) built once and reused by every pass of a
+// lint run; those analyzers keep their per-function facts there.
 type FactStore struct {
-	mu     sync.Mutex
 	objs   map[types.Object]any
-	nsObjs map[nsKey]any
 	shared map[string]any
 	pkgs   map[*types.Package]bool
-}
-
-// nsKey keys a namespaced object fact.
-type nsKey struct {
-	ns  string
-	obj types.Object
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
 	return &FactStore{
 		objs:   make(map[types.Object]any),
-		nsObjs: make(map[nsKey]any),
 		shared: make(map[string]any),
 		pkgs:   make(map[*types.Package]bool),
 	}
@@ -68,56 +52,20 @@ func NewFactStore() *FactStore {
 
 // Object returns the fact recorded for obj, if any.
 func (s *FactStore) Object(obj types.Object) (any, bool) {
-	if s == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	f, ok := s.objs[obj]
 	return f, ok
 }
 
 // SetObject records a fact for obj.
 func (s *FactStore) SetObject(obj types.Object, fact any) {
-	if s == nil || obj == nil {
-		return
+	if obj != nil {
+		s.objs[obj] = fact
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.objs[obj] = fact
-}
-
-// ObjectNS returns the fact recorded for obj in namespace ns, if any.
-func (s *FactStore) ObjectNS(ns string, obj types.Object) (any, bool) {
-	if s == nil {
-		return nil, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, ok := s.nsObjs[nsKey{ns, obj}]
-	return f, ok
-}
-
-// SetObjectNS records a fact for obj in namespace ns.
-func (s *FactStore) SetObjectNS(ns string, obj types.Object, fact any) {
-	if s == nil || obj == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nsObjs[nsKey{ns, obj}] = fact
 }
 
 // Shared returns the run-wide singleton stored under key, calling
-// build exactly once (under the store's lock — keep build cheap) the
-// first time the key is requested. With a nil store every call builds
-// a fresh value, which degrades cleanly to per-pass state.
+// build the first time the key is requested.
 func (s *FactStore) Shared(key string, build func() any) any {
-	if s == nil {
-		return build()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if v, ok := s.shared[key]; ok {
 		return v
 	}
@@ -126,257 +74,12 @@ func (s *FactStore) Shared(key string, build func() any) any {
 	return v
 }
 
-// ---- serialized facts ----
-//
-// The incremental engine persists per-package facts across runs, but a
-// FactStore is keyed by live *types.Object identity, which does not
-// survive a process. The wire form instead keys each fact by a stable
-// object path within its declaring package — "Retention" for a
-// package-level object, "Cell.Read" for a method, "Cell.vth" for a
-// field, "Scale.factor" for a parameter — and serializes the fact
-// value through a codec registered by the owning analyzer package.
-// Paths are unambiguous because Go identifiers cannot contain '.',
-// field and method names cannot collide on one type, and signature
-// names are unique within one function.
-//
-// Export is deliberately all-or-nothing per package: if any fact has
-// no path (an object the path grammar cannot reach) or no codec, the
-// caller gets complete=false and must not later Import a partial set —
-// a partial import would MarkPackage and suppress the live re-scan
-// that produces the missing facts, silently changing diagnostics
-// between cold and warm runs. Incomplete packages simply fall back to
-// live extraction.
-
-// FactCodec serializes the fact values of one namespace. Encode
-// reports ok=false for a value it does not understand (which makes the
-// package's export incomplete — a safe fallback, never an error).
-type FactCodec interface {
-	Encode(fact any) (data json.RawMessage, ok bool)
-	Decode(data json.RawMessage) (any, error)
-}
-
-var (
-	codecMu sync.Mutex
-	//guard:codecMu
-	codecs = make(map[string]FactCodec)
-)
-
-// RegisterFactCodec installs the codec for namespace ns ("" is the
-// un-namespaced Object slot). Analyzer packages register their codec
-// from init; the last registration for a namespace wins.
-func RegisterFactCodec(ns string, c FactCodec) {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	codecs[ns] = c
-}
-
-func codecFor(ns string) FactCodec {
-	codecMu.Lock()
-	defer codecMu.Unlock()
-	return codecs[ns]
-}
-
-// EncodedFact is one serialized fact: namespace, stable object path,
-// codec payload.
-type EncodedFact struct {
-	NS   string          `json:"ns"`
-	Obj  string          `json:"obj"`
-	Data json.RawMessage `json:"data"`
-}
-
-// forEachPathedObject enumerates the objects of pkg the path grammar
-// can name, with their paths: package-level objects, methods and
-// struct fields of package-level named types, and named parameters and
-// results of package-level functions and methods.
-func forEachPathedObject(pkg *types.Package, fn func(path string, obj types.Object)) {
-	scope := pkg.Scope()
-	for _, name := range scope.Names() {
-		obj := scope.Lookup(name)
-		if obj == nil {
-			continue
-		}
-		fn(name, obj)
-		switch o := obj.(type) {
-		case *types.Func:
-			forEachSigObject(name, o, fn)
-		case *types.TypeName:
-			named, ok := o.Type().(*types.Named)
-			if !ok {
-				continue
-			}
-			for i := 0; i < named.NumMethods(); i++ {
-				m := named.Method(i)
-				fn(name+"."+m.Name(), m)
-				forEachSigObject(name+"."+m.Name(), m, fn)
-			}
-			if st, ok := named.Underlying().(*types.Struct); ok {
-				for i := 0; i < st.NumFields(); i++ {
-					fn(name+"."+st.Field(i).Name(), st.Field(i))
-				}
-			}
-		}
-	}
-}
-
-// forEachSigObject enumerates a function's named parameter and result
-// objects under prefix.
-func forEachSigObject(prefix string, f *types.Func, fn func(string, types.Object)) {
-	sig, ok := f.Type().(*types.Signature)
-	if !ok {
-		return
-	}
-	for _, tuple := range []*types.Tuple{sig.Params(), sig.Results()} {
-		for i := 0; i < tuple.Len(); i++ {
-			v := tuple.At(i)
-			if v.Name() == "" || v.Name() == "_" {
-				continue
-			}
-			fn(prefix+"."+v.Name(), v)
-		}
-	}
-}
-
-// pathIndex builds both directions of the path mapping for pkg.
-// Ambiguous paths (two objects rendering the same string — possible
-// only through signature-name shadowing the grammar cannot express)
-// are dropped from both sides, degrading to an incomplete export.
-func pathIndex(pkg *types.Package) (byObj map[types.Object]string, byPath map[string]types.Object) {
-	byObj = make(map[types.Object]string)
-	byPath = make(map[string]types.Object)
-	ambiguous := make(map[string]bool)
-	forEachPathedObject(pkg, func(path string, obj types.Object) {
-		if prev, ok := byPath[path]; ok {
-			if prev != obj {
-				ambiguous[path] = true
-			}
-			return
-		}
-		byPath[path] = obj
-		byObj[obj] = path
-	})
-	for path := range ambiguous {
-		delete(byObj, byPath[path])
-		delete(byPath, path)
-	}
-	return byObj, byPath
-}
-
-// Export serializes every fact attached to objects declared in pkg.
-// complete reports whether the wire form captures the store's state
-// for pkg exactly; callers must treat an incomplete export as
-// uncacheable (see the package comment above FactCodec).
-func (s *FactStore) Export(pkg *types.Package) (facts []EncodedFact, complete bool) {
-	if s == nil || pkg == nil {
-		return nil, false
-	}
-	byObj, _ := pathIndex(pkg)
-	complete = true
-	encode := func(ns string, obj types.Object, fact any) {
-		path, ok := byObj[obj]
-		if !ok {
-			complete = false
-			return
-		}
-		c := codecFor(ns)
-		if c == nil {
-			complete = false
-			return
-		}
-		data, ok := c.Encode(fact)
-		if !ok {
-			complete = false
-			return
-		}
-		facts = append(facts, EncodedFact{NS: ns, Obj: path, Data: data})
-	}
-	s.mu.Lock()
-	for obj, fact := range s.objs {
-		if obj.Pkg() == pkg {
-			encode("", obj, fact)
-		}
-	}
-	for k, fact := range s.nsObjs {
-		if k.obj.Pkg() == pkg {
-			encode(k.ns, k.obj, fact)
-		}
-	}
-	s.mu.Unlock()
-	sort.Slice(facts, func(i, j int) bool {
-		if facts[i].NS != facts[j].NS {
-			return facts[i].NS < facts[j].NS
-		}
-		if facts[i].Obj != facts[j].Obj {
-			return facts[i].Obj < facts[j].Obj
-		}
-		return string(facts[i].Data) < string(facts[j].Data)
-	})
-	return facts, complete
-}
-
-// Import installs a previously Exported fact set for pkg and marks the
-// package scanned, so analyzers skip live extraction. All-or-nothing:
-// every path must resolve and every payload must decode before
-// anything is stored — a partial import would combine MarkPackage with
-// missing facts, the exact inconsistency Export's complete flag
-// exists to prevent. Importing into an already-marked package is
-// rejected for the same reason (live facts may already exist).
-func (s *FactStore) Import(pkg *types.Package, facts []EncodedFact) error {
-	if s == nil || pkg == nil {
-		return fmt.Errorf("framework: fact import needs a store and a package")
-	}
-	_, byPath := pathIndex(pkg)
-	type resolved struct {
-		ns   string
-		obj  types.Object
-		fact any
-	}
-	decoded := make([]resolved, 0, len(facts))
-	for _, ef := range facts {
-		obj, ok := byPath[ef.Obj]
-		if !ok {
-			return fmt.Errorf("framework: fact path %q does not resolve in %s", ef.Obj, pkg.Path())
-		}
-		c := codecFor(ef.NS)
-		if c == nil {
-			return fmt.Errorf("framework: no fact codec for namespace %q", ef.NS)
-		}
-		fact, err := c.Decode(ef.Data)
-		if err != nil {
-			return fmt.Errorf("framework: decoding %s fact for %s: %w", nsLabel(ef.NS), ef.Obj, err)
-		}
-		decoded = append(decoded, resolved{ef.NS, obj, fact})
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pkgs[pkg] {
-		return fmt.Errorf("framework: %s already has live facts; refusing cached import", pkg.Path())
-	}
-	for _, r := range decoded {
-		if r.ns == "" {
-			s.objs[r.obj] = r.fact
-		} else {
-			s.nsObjs[nsKey{r.ns, r.obj}] = r.fact
-		}
-	}
-	s.pkgs[pkg] = true
-	return nil
-}
-
-func nsLabel(ns string) string {
-	if ns == "" {
-		return "unitflow"
-	}
-	return strings.TrimSpace(ns)
-}
-
 // MarkPackage records that pkg's declarations have been scanned and
 // reports whether it was already marked.
 func (s *FactStore) MarkPackage(pkg *types.Package) (alreadyMarked bool) {
-	if s == nil || pkg == nil {
+	if pkg == nil {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.pkgs[pkg] {
 		return true
 	}

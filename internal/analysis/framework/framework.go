@@ -29,12 +29,6 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant the rule
 	// enforces and how to fix a finding.
 	Doc string
-	// Version is the analyzer's cache-busting version string. It
-	// participates in the incremental engine's content-addressed cache
-	// key, so bumping it invalidates every cached result that the
-	// analyzer contributed to — the required release step for any
-	// change that can alter diagnostics or exported facts.
-	Version string
 	// Run inspects one package and reports findings through pass.Reportf.
 	Run func(pass *Pass) error
 }
@@ -50,13 +44,11 @@ type Pass struct {
 	// Info holds the type-checker's results for Files.
 	Info *types.Info
 	// Imported returns the source-level view of an imported package,
-	// for analyzers that extract facts from declaration comments. It
-	// is nil when the driver cannot supply syntax (the go vet
-	// unitchecker protocol only ships export data); analyzers must
-	// degrade gracefully — treat the imported facts as unknown.
+	// for analyzers that extract facts from declaration comments, or
+	// nil when the package has no syntax to offer (the standard
+	// library, which the driver type-checks but does not expose).
 	Imported func(path string) *PackageSyntax
-	// Facts memoizes cross-package facts for the whole lint run; nil
-	// when the driver does not share facts across passes.
+	// Facts memoizes cross-package facts for the whole lint run.
 	Facts *FactStore
 	// report receives every diagnostic (before suppression filtering).
 	report func(Diagnostic)
@@ -212,10 +204,9 @@ var proofRe = regexp.MustCompile(`\b(?:Test|Benchmark)\p{Lu}\w*`)
 // Directives for the allowcheck rule itself are exempt (they suppress
 // meta-findings and have nothing to prove), as are directives for
 // rules outside active (their analyzer did not run, so "unused" means
-// nothing). Call only when the run had the complete view — every
-// analyzer whose rules appear in the files, with cross-package syntax
-// available — or degraded analyzers will make live directives look
-// stale; the driver gates this on Context.AuditSuppressions.
+// nothing). Call only when every analyzer whose rules appear in the
+// files ran, or live directives will look stale; the driver gates this
+// on Context.AuditSuppressions.
 func (s *Suppressions) Audit(active map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.directives {
@@ -270,12 +261,10 @@ func SortDiagnostics(fset *token.FileSet, diags []Diagnostic) {
 
 // DedupeDiagnostics removes exact duplicates — same rule, rendered
 // position, and message — from a position-sorted slice. Duplicates
-// arise when one finding reaches the driver through two paths (a
-// cached replay plus a live analyzer run, or two analyzers sharing a
-// rule name); emitting it twice would make output depend on which
-// paths executed. Comparison uses rendered positions, not raw
-// token.Pos, so a replayed diagnostic anchored at a re-parsed file
-// still matches its live twin.
+// arise when one finding reaches the driver through two paths (two
+// analyzers sharing a rule name); emitting it twice would make output
+// depend on which paths executed. Comparison uses rendered positions,
+// not raw token.Pos.
 func DedupeDiagnostics(fset *token.FileSet, diags []Diagnostic) []Diagnostic {
 	out := diags[:0]
 	for i, d := range diags {

@@ -43,11 +43,6 @@
 // block) is accepted as allocation-free by construction. The static
 // guarantee is cross-validated dynamically by the AllocsPerRun tests
 // named in the package's suppressions.
-//
-// Under `go vet -vettool` the unitchecker protocol supplies no
-// cross-package syntax; the analyzer then degrades to intra-package
-// reachability (module-internal callees without syntax are trusted
-// silently) and the standalone `tdcache-lint` lane is authoritative.
 package hotpath
 
 import (
@@ -64,16 +59,11 @@ import (
 
 // Analyzer is the hotpath rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "hotpath",
-	Version: "1",
+	Name: "hotpath",
 	Doc: "functions tagged //hotpath: must be transitively free of heap allocation, " +
 		"map iteration, mutex/channel operations, defer, and reachable panic",
 	Run: run,
 }
-
-// FactNS is the FactStore namespace under which per-function summaries
-// are exported for other passes (and the call-graph tests) to import.
-const FactNS = "hotpath"
 
 // tagRe matches the root tag line inside a declaration doc comment.
 var tagRe = regexp.MustCompile(`^//hotpath:\s*(.+)$`)
@@ -94,9 +84,9 @@ type Violation struct {
 	Desc string
 }
 
-// Summary is the per-function fact exported through the FactStore: the
-// function's tag (if any) and the violations in its own body. Edges to
-// other functions live in the call graph, not here.
+// Summary is the per-function fact: the function's tag (if any) and
+// the violations in its own body. Edges to other functions live in the
+// call graph, not here.
 type Summary struct {
 	// Reason is the //hotpath: tag text; empty for untagged functions.
 	Reason string
@@ -130,7 +120,7 @@ func stateOf(pass *framework.Pass) *state {
 
 func run(pass *framework.Pass) error {
 	st := stateOf(pass)
-	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info}, pass.Facts)
+	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info})
 	roots := st.taggedByPkg[pass.Pkg]
 	if len(roots) == 0 {
 		return nil
@@ -145,7 +135,7 @@ func run(pass *framework.Pass) error {
 }
 
 // scan adds one package to the graph and summarizes its functions.
-func scan(st *state, ps *framework.PackageSyntax, facts *framework.FactStore) {
+func scan(st *state, ps *framework.PackageSyntax) {
 	for _, node := range st.graph.AddPackage(ps) {
 		sum := summarize(node)
 		if node.Decl.Doc != nil {
@@ -158,18 +148,12 @@ func scan(st *state, ps *framework.PackageSyntax, facts *framework.FactStore) {
 			}
 		}
 		st.sums[node.Fn] = sum
-		facts.SetObjectNS(FactNS, node.Fn, sum)
 	}
 }
 
 // expand loads the packages of every callee reachable from the graph,
-// to a fixpoint, so summaries cover the whole call closure. With no
-// Imported hook (vet mode) it is a no-op and analysis degrades to the
-// packages already scanned.
+// to a fixpoint, so summaries cover the whole call closure.
 func expand(st *state, pass *framework.Pass) {
-	if pass.Imported == nil {
-		return
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, n := range st.graph.Nodes() {
@@ -186,7 +170,7 @@ func expand(st *state, pass *framework.Pass) {
 					continue
 				}
 				if ps := pass.Imported(path); ps != nil {
-					scan(st, ps, pass.Facts)
+					scan(st, ps)
 					changed = true
 				} else {
 					st.noSyntax[path] = true
@@ -266,9 +250,6 @@ func classifyEdges(st *state, pass *framework.Pass, n *framework.FuncNode) []Vio
 				out = append(out, Violation{e.Pos, fmt.Sprintf(
 					"%s: mutex/synchronization primitives stall the hot path; restructure so the hot loop owns its data",
 					nameFor(pass, e.Callee))})
-			case pass.Imported == nil && sameModule(path, pass.Pkg.Path()):
-				// vet mode: the unitchecker supplies no cross-package
-				// syntax; the standalone lane is authoritative.
 			default:
 				out = append(out, Violation{e.Pos, fmt.Sprintf(
 					"call to %s: no source available to the analyzer; cannot prove it allocation-free",
@@ -277,20 +258,6 @@ func classifyEdges(st *state, pass *framework.Pass, n *framework.FuncNode) []Vio
 		}
 	}
 	return out
-}
-
-// sameModule reports whether two import paths share a first segment —
-// the degraded vet-mode test for "this callee lives in our module and
-// will be checked by the standalone lane".
-func sameModule(a, b string) bool {
-	return firstSegment(a) == firstSegment(b)
-}
-
-func firstSegment(path string) string {
-	if i := strings.IndexByte(path, '/'); i >= 0 {
-		return path[:i]
-	}
-	return path
 }
 
 // reportRoot walks the dirty subgraph reachable from one tagged root,

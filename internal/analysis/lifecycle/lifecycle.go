@@ -29,9 +29,7 @@
 // a `//lint:allow lifecycle` naming the -race test that proves the
 // protocol, which is exactly the documentation the next reader needs.
 //
-// Scope: non-test files only; under vet mode cross-package syntax is
-// unavailable and unresolvable targets degrade silently — the
-// standalone tdcache-lint lane is authoritative.
+// Scope: non-test files only.
 package lifecycle
 
 import (
@@ -47,8 +45,7 @@ import (
 
 // Analyzer is the lifecycle rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "lifecycle",
-	Version: "1",
+	Name: "lifecycle",
 	Doc: "every go statement must be tied to a shutdown edge (WaitGroup pairing, context cancellation, " +
 		"close-drained channel, or Close-managed captured object), and channel sends must be select-guarded or capacity-matched",
 	Run: run,
@@ -141,8 +138,8 @@ func checkGo(pass *framework.Pass, st *state, g *ast.GoStmt, stack []ast.Node) {
 		}
 		node := st.nodeFor(fn, pass)
 		if node == nil {
-			// Cross-package syntax unavailable (vet mode): degrade
-			// silently, the standalone lane has the full view.
+			// A target without syntax (the standard library) cannot
+			// be followed.
 			return
 		}
 		collectEvidence(node.Decl.Body, node.Info, ev, true)
@@ -527,7 +524,7 @@ func (st *state) nodeFor(fn *types.Func, pass *framework.Pass) *framework.FuncNo
 		return node
 	}
 	pkg := fn.Pkg()
-	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] || pass.Imported == nil {
+	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] {
 		return nil
 	}
 	if ps := pass.Imported(pkg.Path()); ps != nil {

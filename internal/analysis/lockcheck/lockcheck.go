@@ -45,10 +45,6 @@
 // multi-step paths (x.a.b where b is guarded) are out of scope; every
 // annotated surface in this repository is receiver-direct. Fields of
 // _test.go files are exempt like every other rule in the suite.
-//
-// Under `go vet -vettool` cross-package syntax is unavailable;
-// foreign annotations degrade to unknown and the standalone
-// tdcache-lint lane is authoritative.
 package lockcheck
 
 import (
@@ -65,8 +61,7 @@ import (
 
 // Analyzer is the lockcheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "lockcheck",
-	Version: "1",
+	Name: "lockcheck",
 	Doc: "fields tagged //guard:<mu> may only be accessed with the named sibling mutex held " +
 		"(Lock for writes, at least RLock for reads); //locks:held methods propagate the obligation to callers",
 	Run: run,
@@ -618,8 +613,7 @@ func mutexKind(t types.Type) (rw, ok bool) {
 }
 
 // guardFor resolves a field var to its guard, scanning the declaring
-// package on demand (a no-op in vet mode, where foreign annotations
-// degrade to unknown).
+// package on demand.
 func (st *state) guardFor(fv *types.Var, pass *framework.Pass) *Guard {
 	if g := st.guards[fv]; g != nil {
 		return g
@@ -640,7 +634,7 @@ func (st *state) heldFor(fn *types.Func, pass *framework.Pass) []heldReq {
 
 // ensure lazily scans an imported package's annotations.
 func (st *state) ensure(pkg *types.Package, pass *framework.Pass) {
-	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] || pass.Imported == nil {
+	if pkg == nil || st.scanned[pkg] || st.noSyntax[pkg.Path()] {
 		return
 	}
 	if ps := pass.Imported(pkg.Path()); ps != nil {

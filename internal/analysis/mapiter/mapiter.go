@@ -34,8 +34,7 @@ import (
 
 // Analyzer is the mapiter rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "mapiter",
-	Version: "1",
+	Name: "mapiter",
 	Doc: "flag order-sensitive bodies of range-over-map loops (float accumulation, " +
 		"unsorted appends, output writes); collect and sort keys first",
 	Run: run,

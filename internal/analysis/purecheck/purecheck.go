@@ -38,10 +38,6 @@
 // site so suppressions land in the package being analyzed. Kernels in
 // _test.go files are exempt — tests deliberately count invocations
 // through captured state to assert memo behavior.
-//
-// Under `go vet -vettool` no cross-package syntax is available; the
-// analyzer degrades to intra-package reachability and the standalone
-// tdcache-lint lane is authoritative.
 package purecheck
 
 import (
@@ -58,15 +54,11 @@ import (
 
 // Analyzer is the purecheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "purecheck",
-	Version: "1",
+	Name: "purecheck",
 	Doc: "functions memoized through (*sweep.Memo).Do must be pure functions of the key: " +
 		"no package-level writes, no ambient entropy, no unmanaged receiver mutation",
 	Run: run,
 }
-
-// FactNS is the FactStore namespace for exported function summaries.
-const FactNS = "purecheck"
 
 // sweepPath is the package whose Memo.Do receives kernels (and whose
 // own types are trusted engine plumbing).
@@ -78,8 +70,8 @@ type Fact struct {
 	Desc string
 }
 
-// Summary is the per-function purity fact exported through the
-// FactStore.
+// Summary is the per-function purity fact derived from a function's
+// own body.
 type Summary struct {
 	// PkgWrites are writes to package-level state in this function's
 	// own body.
@@ -118,7 +110,7 @@ func stateOf(pass *framework.Pass) *state {
 
 func run(pass *framework.Pass) error {
 	st := stateOf(pass)
-	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info}, pass.Facts)
+	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info})
 
 	// Collect the kernels first; everything else is only worth doing
 	// when the package actually memoizes something.
@@ -152,20 +144,15 @@ func run(pass *framework.Pass) error {
 }
 
 // scan adds one package to the graph and summarizes its functions.
-func scan(st *state, ps *framework.PackageSyntax, facts *framework.FactStore) {
+func scan(st *state, ps *framework.PackageSyntax) {
 	for _, node := range st.graph.AddPackage(ps) {
-		fi := summarize(node)
-		st.info[node.Fn] = fi
-		facts.SetObjectNS(FactNS, node.Fn, fi.sum)
+		st.info[node.Fn] = summarize(node)
 	}
 }
 
 // expand loads the packages of every callee reachable from the graph,
-// to a fixpoint. A no-op in vet mode.
+// to a fixpoint.
 func expand(st *state, pass *framework.Pass) {
-	if pass.Imported == nil {
-		return
-	}
 	for changed := true; changed; {
 		changed = false
 		for _, n := range st.graph.Nodes() {
@@ -182,7 +169,7 @@ func expand(st *state, pass *framework.Pass) {
 					continue
 				}
 				if ps := pass.Imported(path); ps != nil {
-					scan(st, ps, pass.Facts)
+					scan(st, ps)
 					changed = true
 				} else {
 					st.noSyntax[path] = true
@@ -451,7 +438,7 @@ func walkFrom(pass *framework.Pass, st *state, impure map[*types.Func]bool,
 
 	node := st.graph.Node(fn)
 	if node == nil {
-		return // no source available (vet mode or stdlib): degrade
+		return // no source available (the standard library)
 	}
 	visited := make(map[walkKey]bool)
 	visited[walkKey{fn, anchor}] = true

@@ -40,8 +40,7 @@ import (
 
 // Analyzer is the resetcheck rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "resetcheck",
-	Version: "1",
+	Name: "resetcheck",
 	Doc: "every mutable field of a struct with a Reset method must be assigned or " +
 		"cleared by Reset, so recycled harnesses cannot leak state between jobs",
 	Run: run,

@@ -45,8 +45,7 @@ import (
 
 // Analyzer is the sweeppure rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "sweeppure",
-	Version: "1",
+	Name: "sweeppure",
 	Doc: "sweep job closures must write only to their pre-indexed result slot and " +
 		"must not capture enclosing loop variables; jobs are pure functions of the job index",
 	Run: run,

@@ -10,8 +10,7 @@ import (
 
 // Analyzer is the unitflow rule.
 var Analyzer = &framework.Analyzer{
-	Name:    "unitflow",
-	Version: "1",
+	Name: "unitflow",
 	Doc: `unitflow propagates //unit: declarations through assignments,
 arithmetic, and calls (including cross-package calls) and reports
 provable physical-unit errors: adding/subtracting/comparing values of
@@ -29,7 +28,7 @@ func run(pass *framework.Pass) error {
 	w := &world{pass: pass, own: extract(pass.Files, pass.Info)}
 	// Publish this package's declarations to the run-wide store so
 	// later passes over importing packages reuse them.
-	if pass.Facts != nil && !pass.Facts.MarkPackage(pass.Pkg) {
+	if !pass.Facts.MarkPackage(pass.Pkg) {
 		storeIndex(pass.Facts, w.own)
 	}
 	for _, te := range w.own.errs {
@@ -75,18 +74,14 @@ func storeIndex(store *framework.FactStore, ix *declIndex) {
 }
 
 // ensureExtracted extracts pkg's //unit: declarations into the shared
-// store if a driver can supply its syntax. In vet mode (export data
-// only) there is no syntax, so imported declarations stay unknown —
-// the standalone lane covers cross-package checks.
+// store. A package without syntax (the standard library) declares no
+// units.
 func (w *world) ensureExtracted(pkg *types.Package) {
-	if pkg == nil || w.pass.Facts == nil || pkg == w.pass.Pkg {
+	if pkg == nil || pkg == w.pass.Pkg {
 		return
 	}
 	if w.pass.Facts.MarkPackage(pkg) {
 		return // already extracted (or already found unavailable)
-	}
-	if w.pass.Imported == nil {
-		return
 	}
 	syn := w.pass.Imported(pkg.Path())
 	if syn == nil {
@@ -103,18 +98,16 @@ func (w *world) unitOf(obj types.Object) Unit {
 	if u, ok := w.own.objs[obj]; ok {
 		return u
 	}
-	if w.pass.Facts != nil {
-		if f, ok := w.pass.Facts.Object(obj); ok {
-			if u, ok := f.(Unit); ok {
-				return u
-			}
-			return Unknown
+	if f, ok := w.pass.Facts.Object(obj); ok {
+		if u, ok := f.(Unit); ok {
+			return u
 		}
-		w.ensureExtracted(obj.Pkg())
-		if f, ok := w.pass.Facts.Object(obj); ok {
-			if u, ok := f.(Unit); ok {
-				return u
-			}
+		return Unknown
+	}
+	w.ensureExtracted(obj.Pkg())
+	if f, ok := w.pass.Facts.Object(obj); ok {
+		if u, ok := f.(Unit); ok {
+			return u
 		}
 	}
 	return Unknown
@@ -128,16 +121,14 @@ func (w *world) funcUnitsOf(fn *types.Func) *funcUnits {
 	if fu, ok := w.own.funcs[fn]; ok {
 		return fu
 	}
-	if w.pass.Facts != nil {
-		if f, ok := w.pass.Facts.Object(fn); ok {
-			fu, _ := f.(*funcUnits)
-			return fu
-		}
-		w.ensureExtracted(fn.Pkg())
-		if f, ok := w.pass.Facts.Object(fn); ok {
-			fu, _ := f.(*funcUnits)
-			return fu
-		}
+	if f, ok := w.pass.Facts.Object(fn); ok {
+		fu, _ := f.(*funcUnits)
+		return fu
+	}
+	w.ensureExtracted(fn.Pkg())
+	if f, ok := w.pass.Facts.Object(fn); ok {
+		fu, _ := f.(*funcUnits)
+		return fu
 	}
 	return nil
 }

@@ -49,13 +49,14 @@ func TestFullUtilizationRecoversFullPower(t *testing.T) {
 }
 
 func TestRefreshEnergyAccounted(t *testing.T) {
+	const cycles = 10000
 	c := core.Counters{Loads: 1000, LineRefreshes: 100, WayMoves: 50, GlobalLineRefr: 10}
-	b := Dynamic(circuit.Node32, &c, 0, 10000, core.Scheme{Refresh: core.RefreshFull, Placement: core.PlaceLRU})
+	b := Dynamic(circuit.Node32, &c, 0, cycles, core.Scheme{Refresh: core.RefreshFull, Placement: core.PlaceLRU})
 	if b.RefreshW <= 0 {
 		t.Fatal("refresh power missing")
 	}
 	e := circuit.Node32.EnergyPerAccess / 3
-	sec := 10000 * circuit.Node32.CycleSeconds()
+	sec := cycles * circuit.Node32.CycleSeconds()
 	want := (110*e*RefreshEnergyRatio + 50*e*MoveEnergyRatio) / sec
 	if math.Abs(b.RefreshW-want)/want > 1e-9 {
 		t.Errorf("refresh power = %v, want %v", b.RefreshW, want)
