@@ -123,6 +123,10 @@ type System struct {
 	intIQ, fpIQ   int
 	loadQ, storeQ int
 
+	// iq lists the ROB slots in sWaiting, oldest first: the issue queues'
+	// contents, so issue never walks the whole ROB. len(iq) == intIQ+fpIQ.
+	iq []int
+
 	storeBuf []uint64
 
 	mshrs []mshr
@@ -158,6 +162,7 @@ func NewSystem(cfg Config, cache *core.Cache, l2 *L2, gen *workload.Generator) *
 		// len==cap check, so these bounds double as the structural limits
 		// (StoreBuffer entries; at most LoadQ loads can wait on one fill).
 		storeBuf: make([]uint64, 0, cfg.StoreBuffer),
+		iq:       make([]int, 0, cfg.IntIQ+cfg.FpIQ),
 	}
 	for i := range s.mshrs {
 		s.mshrs[i].loads = make([]int, 0, cfg.LoadQ)
@@ -188,6 +193,7 @@ func (s *System) Reset(cache *core.Cache, l2 *L2, gen *workload.Generator) {
 	s.robHead, s.robLen = 0, 0
 	s.doneRing = [doneRingSize]int64{}
 	s.intIQ, s.fpIQ, s.loadQ, s.storeQ = 0, 0, 0, 0
+	s.iq = s.iq[:0]
 	s.storeBuf = s.storeBuf[:0]
 	for i := range s.mshrs {
 		s.mshrs[i].valid = false
@@ -201,7 +207,17 @@ func (s *System) Reset(cache *core.Cache, l2 *L2, gen *workload.Generator) {
 	}
 }
 
-func (s *System) robAt(i int) *robEntry { return &s.rob[(s.robHead+i)%len(s.rob)] }
+// robSlot maps a ROB position (0 = oldest) to its ring slot. Positions
+// never exceed the ROB size, so one conditional subtract wraps them.
+func (s *System) robSlot(i int) int {
+	i += s.robHead
+	if i >= len(s.rob) {
+		i -= len(s.rob)
+	}
+	return i
+}
+
+func (s *System) robAt(i int) *robEntry { return &s.rob[s.robSlot(i)] }
 
 func (s *System) depsReady(e *robEntry) bool {
 	if e.dep1 != 0 && s.doneRing[e.dep1%doneRingSize] > s.now {
@@ -269,10 +285,8 @@ func (s *System) completeMisses() {
 		if f.Stall {
 			continue // retry next cycle: write port busy (refresh, etc.)
 		}
-		if f.Bypass {
-			// DSP all-dead set: nothing to install; loads complete
-			// straight from the L2 data that just arrived.
-		}
+		// A DSP all-dead set (f.Bypass) installs nothing; its loads still
+		// complete below, straight from the L2 data that just arrived.
 		for _, slot := range m.loads {
 			e := &s.rob[slot]
 			// The slot may have been recycled; check the state+kind.
@@ -306,33 +320,36 @@ func (s *System) allocMSHR(line uint64, dirty bool) int {
 	return free
 }
 
-// drainStoreBuffer retires committed stores into the cache.
+// drainStoreBuffer retires the oldest committed store into the cache:
+// one store per write port per cycle.
 func (s *System) drainStoreBuffer() {
-	for len(s.storeBuf) > 0 {
-		addr := s.storeBuf[0]
-		r := s.Cache.Access(addr, core.Store)
-		switch {
-		case r.PortStall:
-			return
-		case r.Bypass:
-			s.L2.Write(addr)
-		case r.Hit:
-			// absorbed
-		default:
-			// Miss (or expired): write-allocate through an MSHR.
-			if s.allocMSHR(lineOf(addr), true) == -1 {
-				// Un-count the probe so the retry is not double counted.
-				return
-			}
-		}
-		// Shift-down pop rather than re-slicing: s.storeBuf[1:] would
-		// shrink the capacity every drain until commit's len==cap guard
-		// wedged the pipeline.
-		copy(s.storeBuf, s.storeBuf[1:])
-		s.storeBuf = s.storeBuf[:len(s.storeBuf)-1]
-		// One store per write port per cycle.
+	if len(s.storeBuf) == 0 {
 		return
 	}
+	addr := s.storeBuf[0]
+	r := s.Cache.Access(addr, core.Store)
+	switch {
+	case r.PortStall:
+		return
+	case r.Bypass:
+		s.L2.Write(addr)
+	case r.Hit:
+		// absorbed
+	default:
+		// Miss (or expired): write-allocate through an MSHR.
+		if s.allocMSHR(lineOf(addr), true) == -1 {
+			// MSHRs full: the store stays queued and probes again next
+			// cycle. The probe above already counted a store (and a
+			// store miss) and took the write port, and the retry counts
+			// and takes them again.
+			return
+		}
+	}
+	// Shift-down pop rather than re-slicing: s.storeBuf[1:] would shrink
+	// the capacity every drain until commit's len==cap guard wedged the
+	// pipeline.
+	copy(s.storeBuf, s.storeBuf[1:])
+	s.storeBuf = s.storeBuf[:len(s.storeBuf)-1]
 }
 
 // commit retires completed instructions in order.
@@ -362,28 +379,26 @@ func (s *System) commit() {
 				s.fetchResumeAt = e.doneAt + int64(s.Cfg.MispredictPenalty)
 			}
 		}
-		s.robHead = (s.robHead + 1) % len(s.rob)
+		s.robHead = s.robSlot(1)
 		s.robLen--
 		s.M.Instructions++
 	}
 }
 
-// issue wakes ready instructions, oldest first, within FU and port
-// limits, and resolves the fetch-blocking branch.
+// issue wakes ready instructions from the issue queues, oldest first,
+// within FU and port limits, then resolves the fetch-blocking branch.
 func (s *System) issue() {
 	intFU := s.Cfg.IntFUs
 	fpFU := s.Cfg.FpFUs
 	issued := 0
-	for i := 0; i < s.robLen && issued < s.Cfg.IssueWidth; i++ {
-		e := s.robAt(i)
-		// Resolve the blocking branch as soon as it completes.
-		if e.seq == s.fetchBlockedBy && e.state == sIssued && e.doneAt <= s.now {
-			s.fetchBlockedBy = 0
-			s.fetchResumeAt = e.doneAt + int64(s.Cfg.MispredictPenalty)
-		}
-		if e.state != sWaiting {
-			continue
-		}
+	// Compact s.iq in place: every visited slot is written back at kept
+	// and kept advances past it unless the instruction leaves sWaiting.
+	kept, i := 0, 0
+	for ; i < len(s.iq) && issued < s.Cfg.IssueWidth; i++ {
+		slot := s.iq[i]
+		s.iq[kept] = slot
+		kept++
+		e := &s.rob[slot]
 		if !s.depsReady(e) {
 			continue
 		}
@@ -399,7 +414,6 @@ func (s *System) issue() {
 			}
 			s.setDone(e, s.now+lat)
 			s.intIQ--
-			issued++
 		case workload.KFp, workload.KFpLong:
 			if fpFU == 0 {
 				continue
@@ -411,12 +425,10 @@ func (s *System) issue() {
 			}
 			s.setDone(e, s.now+lat)
 			s.fpIQ--
-			issued++
 		case workload.KStore:
 			// Address generation only; data is written at commit.
 			s.setDone(e, s.now+1)
 			s.intIQ--
-			issued++
 		case workload.KLoad:
 			r := s.Cache.Access(e.addr, core.Load)
 			switch {
@@ -430,34 +442,50 @@ func (s *System) issue() {
 				s.setDone(e, s.now+int64(lat))
 			default:
 				// Miss (possibly an expired line → replay penalty).
-				slot := s.allocMSHR(lineOf(e.addr), false)
-				if slot == -1 {
-					continue // MSHRs full; retry
+				m := s.allocMSHR(lineOf(e.addr), false)
+				if m == -1 {
+					// MSHRs full: retry next cycle. As with a stalled
+					// store drain, the probe above counted a load (and a
+					// load miss) and took a port; the retry does again.
+					continue
 				}
 				// cap == Cfg.LoadQ: more waiters than load-queue entries is
 				// impossible, so this guard only pins the append below.
-				if len(s.mshrs[slot].loads) == cap(s.mshrs[slot].loads) {
+				if len(s.mshrs[m].loads) == cap(s.mshrs[m].loads) {
 					continue
 				}
 				e.state = sWaitMem
 				e.doneAt = math.MaxInt64
 				s.doneRing[e.seq%doneRingSize] = math.MaxInt64
-				robSlot := (s.robHead + i) % len(s.rob)
-				s.mshrs[slot].loads = append(s.mshrs[slot].loads, robSlot)
+				s.mshrs[m].loads = append(s.mshrs[m].loads, slot)
 				if r.Expired {
 					// A load that hit a lapsed (dead) line was issued as
 					// a hit and must replay: the dependent instructions
 					// flush and fetch restarts (§4.3.2's "replay and
 					// flush in the pipeline").
 					s.M.Replays++
-					s.mshrs[slot].readyAt += int64(s.Cfg.ReplayPenalty)
+					s.mshrs[m].readyAt += int64(s.Cfg.ReplayPenalty)
 					if at := s.now + int64(s.Cfg.ReplayPenalty); at > s.fetchResumeAt {
 						s.fetchResumeAt = at
 					}
 				}
 			}
 			s.intIQ--
-			issued++
+		}
+		kept-- // left sWaiting: drop it from the queue
+		issued++
+	}
+	kept += copy(s.iq[kept:], s.iq[i:])
+	s.iq = s.iq[:kept]
+
+	// A mispredicted branch stops dispatch, so the blocking branch is
+	// always the youngest ROB entry. Selection is oldest first, so the
+	// youngest entry is reached only on cycles that leave issue bandwidth
+	// over; the branch resolves on such a cycle once it has completed.
+	if s.fetchBlockedBy != 0 && issued < s.Cfg.IssueWidth {
+		if e := s.robAt(s.robLen - 1); e.state == sIssued && e.doneAt <= s.now {
+			s.fetchBlockedBy = 0
+			s.fetchResumeAt = e.doneAt + int64(s.Cfg.MispredictPenalty)
 		}
 	}
 }
@@ -494,29 +522,33 @@ func (s *System) dispatch() {
 				}
 			}
 		}
+		// cap(iq) == IntIQ+FpIQ, so the per-queue checks already bound the
+		// list; testing it as well only pins the append further down.
 		var ok bool
-		switch {
-		case in.Kind.IsFp():
-			ok = s.fpIQ < s.Cfg.FpIQ
-			if ok {
-				s.fpIQ++
-			}
-		case in.Kind == workload.KLoad:
-			ok = s.intIQ < s.Cfg.IntIQ && s.loadQ < s.Cfg.LoadQ
-			if ok {
-				s.intIQ++
-				s.loadQ++
-			}
-		case in.Kind == workload.KStore:
-			ok = s.intIQ < s.Cfg.IntIQ && s.storeQ < s.Cfg.StoreQ
-			if ok {
-				s.intIQ++
-				s.storeQ++
-			}
-		default:
-			ok = s.intIQ < s.Cfg.IntIQ
-			if ok {
-				s.intIQ++
+		if len(s.iq) < cap(s.iq) {
+			switch {
+			case in.Kind.IsFp():
+				ok = s.fpIQ < s.Cfg.FpIQ
+				if ok {
+					s.fpIQ++
+				}
+			case in.Kind == workload.KLoad:
+				ok = s.intIQ < s.Cfg.IntIQ && s.loadQ < s.Cfg.LoadQ
+				if ok {
+					s.intIQ++
+					s.loadQ++
+				}
+			case in.Kind == workload.KStore:
+				ok = s.intIQ < s.Cfg.IntIQ && s.storeQ < s.Cfg.StoreQ
+				if ok {
+					s.intIQ++
+					s.storeQ++
+				}
+			default:
+				ok = s.intIQ < s.Cfg.IntIQ
+				if ok {
+					s.intIQ++
+				}
 			}
 		}
 		if !ok {
@@ -527,7 +559,8 @@ func (s *System) dispatch() {
 			s.pushback(in)
 			return
 		}
-		tail := (s.robHead + s.robLen) % len(s.rob)
+		tail := s.robSlot(s.robLen)
+		s.iq = append(s.iq, tail)
 		e := &s.rob[tail]
 		*e = robEntry{
 			kind: in.Kind,

@@ -7,17 +7,63 @@ import (
 	"tdcache/internal/workload"
 )
 
-func idealSystem(t *testing.T, bench string, seed uint64) *System {
+// retention names the L1-D retention maps the tests run under.
+type retention int
+
+const (
+	retIdeal   retention = iota // 6T-like: nothing expires
+	retMixed                    // mixedRetention's dead and short lines
+	retShort                    // every line expires after 1K cycles
+	retAllDead                  // every line dead: DSP bypasses everything
+)
+
+// mixedRetention returns a 6000-cycle map in which every 7th line is
+// dead (DSP bypass and replay paths) and every 7th+3 holds 2500 cycles
+// (refresh scheduling).
+func mixedRetention(lines int) core.RetentionMap {
+	ret := core.UniformRetention(lines, 6000)
+	for i := range ret {
+		switch i % 7 {
+		case 0:
+			ret[i] = 0
+		case 3:
+			ret[i] = 2500
+		}
+	}
+	return ret
+}
+
+func (r retention) build(lines int) core.RetentionMap {
+	switch r {
+	case retMixed:
+		return mixedRetention(lines)
+	case retShort:
+		return core.UniformRetention(lines, 1024)
+	case retAllDead:
+		return core.UniformRetention(lines, 0)
+	}
+	return core.IdealRetention(lines)
+}
+
+// newSystem builds a fresh harness: bench's generator at seed driving
+// the Table 2 core over an L1-D with the given scheme and retention.
+func newSystem(t *testing.T, bench string, scheme core.Scheme, ret retention, seed uint64) *System {
 	t.Helper()
 	p, ok := workload.ByName(bench)
 	if !ok {
 		t.Fatalf("unknown benchmark %q", bench)
 	}
-	cache, err := core.New(core.DefaultConfig(core.NoRefreshLRU), core.IdealRetention(1024))
+	ccfg := core.DefaultConfig(scheme)
+	cache, err := core.New(ccfg, ret.build(ccfg.Lines()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return NewSystem(DefaultConfig(), cache, NewL2(DefaultL2()), workload.NewGenerator(p, seed))
+}
+
+func idealSystem(t *testing.T, bench string, seed uint64) *System {
+	t.Helper()
+	return newSystem(t, bench, core.NoRefreshLRU, retIdeal, seed)
 }
 
 func TestDefaultConfigMatchesTable2(t *testing.T) {
@@ -269,26 +315,7 @@ func TestSystemResetMatchesFresh(t *testing.T) {
 	// A fully recycled harness (cache + L2 + generator + system) must
 	// reproduce a fresh harness's metrics exactly; the sweep engine's
 	// per-worker reuse depends on it.
-	p, ok := workload.ByName("mcf")
-	if !ok {
-		t.Fatal("missing mcf profile")
-	}
-	ccfg := core.DefaultConfig(core.PartialRefreshDSP)
-	ret := core.UniformRetention(ccfg.Lines(), 6000)
-	for i := range ret {
-		switch i % 7 {
-		case 0:
-			ret[i] = 0 // dead lines: DSP bypass and replay paths
-		case 3:
-			ret[i] = 2500 // short lines: refresh scheduling
-		}
-	}
-
-	c1, err := core.New(ccfg, ret)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1 := NewSystem(DefaultConfig(), c1, NewL2(DefaultL2()), workload.NewGenerator(p, 11))
+	s1 := newSystem(t, "mcf", core.PartialRefreshDSP, retMixed, 11)
 	m1 := s1.Run(40000)
 
 	// Dirty a second harness with a different benchmark and scheme, then
@@ -304,18 +331,20 @@ func TestSystemResetMatchesFresh(t *testing.T) {
 	s2 := NewSystem(DefaultConfig(), c2, l2, gen)
 	s2.Run(25000)
 
-	if err := c2.Reset(ccfg, ret); err != nil {
+	ccfg := core.DefaultConfig(core.PartialRefreshDSP)
+	if err := c2.Reset(ccfg, mixedRetention(ccfg.Lines())); err != nil {
 		t.Fatal(err)
 	}
 	l2.Reset()
-	gen.Reset(p, 11)
+	mcf, _ := workload.ByName("mcf")
+	gen.Reset(mcf, 11)
 	s2.Reset(c2, l2, gen)
 	m2 := s2.Run(40000)
 
 	if m1 != m2 {
 		t.Fatalf("metrics diverged:\nfresh:    %+v\nrecycled: %+v", m1, m2)
 	}
-	if c1.C != c2.C {
-		t.Fatalf("cache counters diverged:\nfresh:    %+v\nrecycled: %+v", c1.C, c2.C)
+	if s1.Cache.C != c2.C {
+		t.Fatalf("cache counters diverged:\nfresh:    %+v\nrecycled: %+v", s1.Cache.C, c2.C)
 	}
 }
