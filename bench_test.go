@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"tdcache/internal/core"
-	"tdcache/internal/cpu"
 	"tdcache/internal/experiments"
 	"tdcache/internal/workload"
 )
@@ -174,17 +173,39 @@ func BenchmarkCacheAccess(b *testing.B) {
 }
 
 // BenchmarkPipelineCycle measures whole-system simulation throughput in
-// cycles per second.
+// simulated cycles per second, for a cache-friendly (gzip) and a
+// memory-bound (mcf) workload, on an ideal cache and under two
+// retention-aware schemes on one severe-variation chip. Each run starts
+// timing after a warm-up, so the caches and queues are in steady state.
 func BenchmarkPipelineCycle(b *testing.B) {
-	prof, _ := workload.ByName("gzip")
-	cache, err := core.New(core.DefaultConfig(core.NoRefreshLRU), core.IdealRetention(1024))
-	if err != nil {
-		b.Fatal(err)
+	chip := SampleChip(Severe, 77)
+	schemes := []struct {
+		name   string
+		scheme core.Scheme
+		chip   *Chip
+	}{
+		{"NoRefreshLRU-ideal", core.NoRefreshLRU, nil},
+		{"PartialRefreshDSP", core.PartialRefreshDSP, chip},
+		{"RSP-FIFO", core.RSPFIFO, chip},
 	}
-	sys := cpu.NewSystem(cpu.DefaultConfig(), cache, cpu.NewL2(cpu.DefaultL2()), workload.NewGenerator(prof, 1))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys.Step()
+	for _, bench := range []string{"gzip", "mcf"} {
+		for _, sc := range schemes {
+			b.Run(bench+"/"+sc.name, func(b *testing.B) {
+				sys, err := NewSystem(SystemOptions{Benchmark: bench, Scheme: sc.scheme, Chip: sc.chip})
+				if err != nil {
+					b.Fatal(err)
+				}
+				for i := 0; i < 50_000; i++ {
+					sys.Sys.Step()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sys.Sys.Step()
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+			})
+		}
 	}
 }
 

@@ -20,6 +20,10 @@ type retireQueue struct {
 	// hold undelivered events; started latches its initialization.
 	cursor  int64
 	started bool
+	// next is the earliest cycle at which drain can have work: the end
+	// of the cursor bucket's window or its earliest kept event, whichever
+	// is sooner. schedule lowers it, so drain skips every call before it.
+	next int64
 	// pending holds due events awaiting service (the token's queue).
 	pending []lineEvent
 }
@@ -59,6 +63,7 @@ func (q *retireQueue) reset(horizon int64) {
 	q.mask = n - 1
 	q.cursor = 0
 	q.started = false
+	q.next = 0
 	q.pending = q.pending[:0]
 }
 
@@ -78,6 +83,9 @@ func (q *retireQueue) schedule(line int, gen uint32, at, now int64) {
 	if at-now >= q.horizon() {
 		at = now + q.horizon() - 1
 	}
+	if at < q.next {
+		q.next = at
+	}
 	idx := int(at>>q.shift) & q.mask
 	// Bucket growth is amortized: capacities stabilize within the first
 	// retention period and Reset keeps them, so steady-state scheduling
@@ -87,9 +95,13 @@ func (q *retireQueue) schedule(line int, gen uint32, at, now int64) {
 
 // drain moves all events due at or before now into the pending queue.
 // The cursor only advances past a bucket once its whole time window has
-// elapsed; the current (partial) bucket is re-scanned each call so
-// events due mid-bucket are delivered on time and later events are kept.
+// elapsed; the current (partial) bucket is re-scanned once its earliest
+// kept event is due, so events due mid-bucket are delivered on time and
+// later events are kept.
 func (q *retireQueue) drain(now int64) {
+	if now < q.next {
+		return
+	}
 	if !q.started {
 		q.started = true
 		q.cursor = now
@@ -97,6 +109,7 @@ func (q *retireQueue) drain(now int64) {
 	for {
 		idx := int(q.cursor>>q.shift) & q.mask
 		bucketEnd := (q.cursor>>q.shift + 1) << q.shift
+		next := bucketEnd
 		if b := q.buckets[idx]; len(b) > 0 {
 			kept := b[:0]
 			for _, ev := range b {
@@ -106,12 +119,16 @@ func (q *retireQueue) drain(now int64) {
 					q.pending = append(q.pending, ev) //lint:allow hotpath amortized warm-up growth only; steady state proven by TestCacheHotPathZeroAllocs
 				} else {
 					kept = append(kept, ev) //lint:allow hotpath kept aliases b[:0] and never outgrows b, so this append cannot grow; TestCacheHotPathZeroAllocs measures 0 allocs
+					if ev.at < next {
+						next = ev.at
+					}
 				}
 			}
 			q.buckets[idx] = kept
 		}
 		if bucketEnd > now {
-			break // current bucket window not over; re-scan next call
+			q.next = next
+			break // current bucket window not over
 		}
 		q.cursor = bucketEnd
 	}

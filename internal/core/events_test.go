@@ -141,3 +141,97 @@ func TestQuickRetireQueueConservation(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Property: with a drain every cycle, each event pops on exactly the
+// first drain after its schedule call whose cycle is at or after its
+// due time, and the events one drain delivers come out bucket by bucket
+// in schedule order. Schedule calls are interleaved with the drains, as
+// the cache's service reschedules are, and include past-due times and
+// times at and beyond the horizon, which the queue clamps to one cycle
+// short of it. Each op packs the cycles since the previous call (bits
+// 0-2), the kind of due time (bits 3-4) and a magnitude (bits 5+).
+func TestQuickRetireQueueExactDelivery(t *testing.T) {
+	type event struct {
+		line    int
+		at, pop int64 // clamped due time; the drain that must pop it
+	}
+	f := func(ops []uint32) bool {
+		q := newRetireQueue(256)
+		h := q.horizon()
+		calls := make([]int64, len(ops))
+		for i, op := range ops {
+			if i > 0 {
+				calls[i] = calls[i-1]
+			}
+			calls[i] += int64(op & 7)
+		}
+		var waiting []event // scheduled, not yet popped
+		next := 0
+		for now := int64(0); next < len(ops) || len(waiting) > 0; now++ {
+			q.drain(now)
+			var got []lineEvent
+			for {
+				ev, ok := q.pop()
+				if !ok {
+					break
+				}
+				got = append(got, ev)
+			}
+			var want []event
+			k := 0
+			for _, w := range waiting {
+				if w.pop == now {
+					want = append(want, w)
+				} else {
+					waiting[k] = w
+					k++
+				}
+			}
+			waiting = waiting[:k]
+			sort.SliceStable(want, func(i, j int) bool { return want[i].at>>6 < want[j].at>>6 })
+			if len(got) != len(want) {
+				t.Logf("cycle %d: popped %v, want %v", now, got, want)
+				return false
+			}
+			for i := range got {
+				if got[i].line != want[i].line || got[i].at != want[i].at {
+					t.Logf("cycle %d: popped %v, want %v", now, got, want)
+					return false
+				}
+			}
+			// The calls due this cycle come after its drain.
+			for ; next < len(ops) && calls[next] == now; next++ {
+				op := ops[next]
+				mag := int64(op >> 5)
+				var at int64
+				switch (op >> 3) & 3 {
+				case 0:
+					at = now - mag%100 // past due, or due now
+				case 1:
+					at = now + mag%300
+				case 2:
+					at = now + mag%(3*h) // two thirds of these pass the horizon
+				case 3:
+					at = now + h - 2 + mag%3 // either side of the horizon
+				}
+				q.schedule(next, 0, at, now)
+				e := event{line: next, at: at}
+				if e.at < now {
+					e.at = now
+				}
+				if e.at-now >= h {
+					e.at = now + h - 1
+				}
+				e.pop = e.at
+				if e.pop <= now {
+					e.pop = now + 1 // this cycle's drain has already run
+				}
+				waiting = append(waiting, e)
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 
 	"tdcache/internal/core"
@@ -88,9 +89,23 @@ type robEntry struct {
 	pc        uint64
 	taken     bool
 	predicted bool
+
+	// Producer-driven wakeup (see await and setDone). wake is the latest
+	// completion time among the producers that have issued; pending
+	// counts the producers that have not. waitHead heads the list of
+	// consumers waiting on this entry; waitNext[k] links this entry into
+	// the list of its k-th producer. A list node is slot<<1|k, and -1
+	// ends a list.
+	wake     int64
+	pending  uint8
+	waitHead int32
+	waitNext [2]int32
 }
 
-const doneRingSize = 256 // > ROB size + max dependency distance
+// doneRingSize is the length of the completion-time ring indexed by
+// seq. NewSystem rejects configurations in which a slot could be reused
+// while a consumer still waits on it.
+const doneRingSize = 256
 
 // mshr is one outstanding miss.
 type mshr struct {
@@ -123,13 +138,22 @@ type System struct {
 	intIQ, fpIQ   int
 	loadQ, storeQ int
 
-	// iq lists the ROB slots in sWaiting, oldest first: the issue queues'
-	// contents, so issue never walks the whole ROB. len(iq) == intIQ+fpIQ.
-	iq []int
+	// Every sWaiting ROB entry is in exactly one place: parked on the
+	// waiter lists of its unfinished producers; in timed, once all its
+	// producers have issued; or in iq, once its wake cycle has come. iq
+	// lists the ready entries oldest first, so issue checks no operands.
+	// nextWake is at most the wake of every timed entry, so issue looks
+	// at timed only on cycles when an entry can be due.
+	iq       []int
+	timed    []int
+	nextWake int64
 
 	storeBuf []uint64
 
 	mshrs []mshr
+	// nextFill is at most the readyAt of every valid MSHR, so
+	// completeMisses scans them only on cycles when a fill can be due.
+	nextFill int64
 
 	fetchBlockedBy uint64 // seq of unresolved mispredicted branch (0 = none)
 	fetchResumeAt  int64
@@ -149,7 +173,22 @@ type System struct {
 
 // NewSystem builds a system around the given L1 cache, L2, and workload
 // generator.
+//
+// The issue queue's wakeup relies on two properties of cfg, and
+// NewSystem panics if either fails. A ROB-resident consumer and its
+// producers must fit in the completion ring, so a producer's slot is not
+// reused while a consumer waits on it. Every execution latency must be
+// at least one cycle, so an entry woken during issue is never ready in
+// the same cycle.
 func NewSystem(cfg Config, cache *core.Cache, l2 *L2, gen *workload.Generator) *System {
+	if cfg.ROBSize+workload.MaxDepDistance >= doneRingSize {
+		panic(fmt.Sprintf("cpu: ROBSize %d + max dependency distance %d must be below the completion ring size %d",
+			cfg.ROBSize, workload.MaxDepDistance, doneRingSize))
+	}
+	if cfg.IntLongLat < 1 || cfg.FpLat < 1 || cfg.FpLongLat < 1 {
+		panic(fmt.Sprintf("cpu: execution latencies must be at least 1 cycle (IntLongLat %d, FpLat %d, FpLongLat %d)",
+			cfg.IntLongLat, cfg.FpLat, cfg.FpLongLat))
+	}
 	s := &System{
 		Cfg:   cfg,
 		Cache: cache,
@@ -163,6 +202,7 @@ func NewSystem(cfg Config, cache *core.Cache, l2 *L2, gen *workload.Generator) *
 		// (StoreBuffer entries; at most LoadQ loads can wait on one fill).
 		storeBuf: make([]uint64, 0, cfg.StoreBuffer),
 		iq:       make([]int, 0, cfg.IntIQ+cfg.FpIQ),
+		timed:    make([]int, 0, cfg.IntIQ+cfg.FpIQ),
 	}
 	for i := range s.mshrs {
 		s.mshrs[i].loads = make([]int, 0, cfg.LoadQ)
@@ -193,8 +233,9 @@ func (s *System) Reset(cache *core.Cache, l2 *L2, gen *workload.Generator) {
 	s.robHead, s.robLen = 0, 0
 	s.doneRing = [doneRingSize]int64{}
 	s.intIQ, s.fpIQ, s.loadQ, s.storeQ = 0, 0, 0, 0
-	s.iq = s.iq[:0]
+	s.iq, s.timed, s.nextWake = s.iq[:0], s.timed[:0], 0
 	s.storeBuf = s.storeBuf[:0]
+	s.nextFill = 0
 	for i := range s.mshrs {
 		s.mshrs[i].valid = false
 		s.mshrs[i].loads = s.mshrs[i].loads[:0]
@@ -219,20 +260,88 @@ func (s *System) robSlot(i int) int {
 
 func (s *System) robAt(i int) *robEntry { return &s.rob[s.robSlot(i)] }
 
-func (s *System) depsReady(e *robEntry) bool {
-	if e.dep1 != 0 && s.doneRing[e.dep1%doneRingSize] > s.now {
-		return false
+// await records that the entry in slot takes its k-th operand from
+// producer seq dep. A producer that has issued folds its completion time
+// into the entry's wake; one that has not gets the entry on its waiter
+// list. A producer that has not issued cannot have committed, so it is
+// in the ROB at its distance from the head.
+func (s *System) await(slot, k int, dep uint64) {
+	e := &s.rob[slot]
+	if at := s.doneRing[dep%doneRingSize]; at != math.MaxInt64 {
+		if at > e.wake {
+			e.wake = at
+		}
+		return
 	}
-	if e.dep2 != 0 && s.doneRing[e.dep2%doneRingSize] > s.now {
-		return false
-	}
-	return true
+	p := &s.rob[s.robSlot(int(dep-s.rob[s.robHead].seq))]
+	e.waitNext[k] = p.waitHead
+	p.waitHead = int32(slot<<1 | k)
+	e.pending++
 }
 
+// arm queues a waiting entry whose producers have all issued; issue
+// promotes it into iq once now reaches its wake cycle.
+func (s *System) arm(slot int) {
+	// timed and iq together hold at most intIQ+fpIQ entries, the
+	// capacity of each, so this guard only pins the append below.
+	if len(s.timed) == cap(s.timed) {
+		panic("cpu: timed wakeup list overflow")
+	}
+	s.timed = append(s.timed, slot)
+	if w := s.rob[slot].wake; w < s.nextWake {
+		s.nextWake = w
+	}
+}
+
+// setDone marks e as completing at at and wakes its consumers. A
+// completion time is set once and never rewritten, so each consumer
+// learns it exactly once.
 func (s *System) setDone(e *robEntry, at int64) {
 	e.state = sIssued
 	e.doneAt = at
 	s.doneRing[e.seq%doneRingSize] = at
+	for n := e.waitHead; n >= 0; {
+		slot := int(n >> 1)
+		c := &s.rob[slot]
+		if at > c.wake {
+			c.wake = at
+		}
+		n = c.waitNext[n&1]
+		if c.pending--; c.pending == 0 {
+			s.arm(slot)
+		}
+	}
+	e.waitHead = -1
+}
+
+// promote moves every timed entry whose wake cycle has come into iq,
+// in age order, and recomputes nextWake over the entries left behind.
+func (s *System) promote() {
+	next := int64(math.MaxInt64)
+	k := 0
+	for _, slot := range s.timed {
+		e := &s.rob[slot]
+		if e.wake > s.now {
+			s.timed[k] = slot
+			k++
+			if e.wake < next {
+				next = e.wake
+			}
+			continue
+		}
+		// Same bound as in arm: iq cannot be full here.
+		if len(s.iq) == cap(s.iq) {
+			panic("cpu: issue queue overflow")
+		}
+		s.iq = append(s.iq, slot)
+		j := len(s.iq) - 1
+		for ; j > 0 && s.rob[s.iq[j-1]].seq > e.seq; j-- {
+			s.iq[j] = s.iq[j-1]
+		}
+		s.iq[j] = slot
+	}
+	s.timed = s.timed[:k]
+	s.nextWake = next
 }
 
 // lineOf returns the cache-line address of addr.
@@ -274,19 +383,31 @@ func (s *System) Step() {
 	s.now++
 }
 
-// completeMisses installs finished fills and wakes their loads.
+// completeMisses installs finished fills and wakes their loads. It
+// scans the MSHRs only once nextFill has come, and leaves nextFill at
+// the earliest fill still outstanding.
 func (s *System) completeMisses() {
+	if s.now < s.nextFill {
+		return
+	}
+	next := int64(math.MaxInt64)
 	for i := range s.mshrs {
 		m := &s.mshrs[i]
-		if !m.valid || m.readyAt > s.now {
+		if !m.valid {
 			continue
 		}
-		f := s.Cache.Fill(m.line, m.dirty)
-		if f.Stall {
-			continue // retry next cycle: write port busy (refresh, etc.)
+		if m.readyAt > s.now || s.Cache.Fill(m.line, m.dirty).Stall {
+			// Not due yet, or due while the write port is busy (refresh,
+			// etc.); a due fill keeps next at or before now, so it
+			// retries next cycle.
+			if m.readyAt < next {
+				next = m.readyAt
+			}
+			continue
 		}
-		// A DSP all-dead set (f.Bypass) installs nothing; its loads still
-		// complete below, straight from the L2 data that just arrived.
+		// A DSP all-dead set (Fill reports Bypass) installs nothing; its
+		// loads still complete below, straight from the L2 data that just
+		// arrived.
 		for _, slot := range m.loads {
 			e := &s.rob[slot]
 			// The slot may have been recycled; check the state+kind.
@@ -296,6 +417,7 @@ func (s *System) completeMisses() {
 		}
 		m.valid = false
 	}
+	s.nextFill = next
 }
 
 // allocMSHR finds or creates an MSHR for line. Returns the slot index or
@@ -315,8 +437,11 @@ func (s *System) allocMSHR(line uint64, dirty bool) int {
 	if free == -1 {
 		return -1
 	}
-	lat := s.L2.Access(line)
-	s.mshrs[free] = mshr{line: line, readyAt: s.now + int64(lat), dirty: dirty, valid: true, loads: s.mshrs[free].loads[:0]}
+	readyAt := s.now + int64(s.L2.Access(line))
+	s.mshrs[free] = mshr{line: line, readyAt: readyAt, dirty: dirty, valid: true, loads: s.mshrs[free].loads[:0]}
+	if readyAt < s.nextFill {
+		s.nextFill = readyAt
+	}
 	return free
 }
 
@@ -385,9 +510,13 @@ func (s *System) commit() {
 	}
 }
 
-// issue wakes ready instructions from the issue queues, oldest first,
-// within FU and port limits, then resolves the fetch-blocking branch.
+// issue promotes the timed entries that have become ready, issues ready
+// instructions from the issue queues, oldest first, within FU and port
+// limits, then resolves the fetch-blocking branch.
 func (s *System) issue() {
+	if s.now >= s.nextWake {
+		s.promote()
+	}
 	intFU := s.Cfg.IntFUs
 	fpFU := s.Cfg.FpFUs
 	issued := 0
@@ -399,9 +528,6 @@ func (s *System) issue() {
 		s.iq[kept] = slot
 		kept++
 		e := &s.rob[slot]
-		if !s.depsReady(e) {
-			continue
-		}
 		switch e.kind {
 		case workload.KInt, workload.KIntLong, workload.KBranch:
 			if intFU == 0 {
@@ -522,33 +648,29 @@ func (s *System) dispatch() {
 				}
 			}
 		}
-		// cap(iq) == IntIQ+FpIQ, so the per-queue checks already bound the
-		// list; testing it as well only pins the append further down.
 		var ok bool
-		if len(s.iq) < cap(s.iq) {
-			switch {
-			case in.Kind.IsFp():
-				ok = s.fpIQ < s.Cfg.FpIQ
-				if ok {
-					s.fpIQ++
-				}
-			case in.Kind == workload.KLoad:
-				ok = s.intIQ < s.Cfg.IntIQ && s.loadQ < s.Cfg.LoadQ
-				if ok {
-					s.intIQ++
-					s.loadQ++
-				}
-			case in.Kind == workload.KStore:
-				ok = s.intIQ < s.Cfg.IntIQ && s.storeQ < s.Cfg.StoreQ
-				if ok {
-					s.intIQ++
-					s.storeQ++
-				}
-			default:
-				ok = s.intIQ < s.Cfg.IntIQ
-				if ok {
-					s.intIQ++
-				}
+		switch {
+		case in.Kind.IsFp():
+			ok = s.fpIQ < s.Cfg.FpIQ
+			if ok {
+				s.fpIQ++
+			}
+		case in.Kind == workload.KLoad:
+			ok = s.intIQ < s.Cfg.IntIQ && s.loadQ < s.Cfg.LoadQ
+			if ok {
+				s.intIQ++
+				s.loadQ++
+			}
+		case in.Kind == workload.KStore:
+			ok = s.intIQ < s.Cfg.IntIQ && s.storeQ < s.Cfg.StoreQ
+			if ok {
+				s.intIQ++
+				s.storeQ++
+			}
+		default:
+			ok = s.intIQ < s.Cfg.IntIQ
+			if ok {
+				s.intIQ++
 			}
 		}
 		if !ok {
@@ -560,21 +682,26 @@ func (s *System) dispatch() {
 			return
 		}
 		tail := s.robSlot(s.robLen)
-		s.iq = append(s.iq, tail)
 		e := &s.rob[tail]
 		*e = robEntry{
-			kind: in.Kind,
-			seq:  s.seq,
-			addr: in.Addr,
-			pc:   in.PC,
+			kind:     in.Kind,
+			seq:      s.seq,
+			addr:     in.Addr,
+			pc:       in.PC,
+			waitHead: -1,
 		}
 		// Dependencies: convert distances to absolute sequence numbers;
 		// distances reaching before the window are treated as satisfied.
 		if in.Dep1 > 0 && uint64(in.Dep1) < s.seq {
 			e.dep1 = s.seq - uint64(in.Dep1)
+			s.await(tail, 0, e.dep1)
 		}
 		if in.Dep2 > 0 && uint64(in.Dep2) < s.seq {
 			e.dep2 = s.seq - uint64(in.Dep2)
+			s.await(tail, 1, e.dep2)
+		}
+		if e.pending == 0 {
+			s.arm(tail)
 		}
 		s.doneRing[e.seq%doneRingSize] = math.MaxInt64
 		s.robLen++

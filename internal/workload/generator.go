@@ -283,11 +283,16 @@ func (g *Generator) Next() Instr {
 	return in
 }
 
-// depDistance samples a register-dependency distance (≥1).
+// MaxDepDistance caps a sampled register-dependency distance, in
+// instructions. The core sizes its completion-time ring against it.
+const MaxDepDistance = 64
+
+// depDistance samples a register-dependency distance in
+// [1, MaxDepDistance].
 func (g *Generator) depDistance() int32 {
 	d := 1 + g.rng.Geometric(1/g.p.DepMean)
-	if d > 64 {
-		d = 64
+	if d > MaxDepDistance {
+		d = MaxDepDistance
 	}
 	return int32(d)
 }
