@@ -1,11 +1,11 @@
 // Command tdcache-lint is the determinism, physical-correctness,
 // concurrency-safety, and error-discipline lint suite: it runs the
-// four reproducibility analyzers (detrand, mapiter, resetcheck,
-// sweeppure), the two unit-discipline analyzers (unitflow, floatcmp),
-// the two interprocedural call-graph analyzers (hotpath, purecheck),
-// the three concurrency analyzers (lockcheck, atomiccheck, lifecycle),
-// and the three error-and-resource analyzers (errflow, closecheck,
-// exhaustcheck) over the repository and fails on any finding.
+// three reproducibility analyzers (detrand, mapiter, resetcheck), the
+// two unit-discipline analyzers (unitflow, floatcmp), the two
+// interprocedural call-graph analyzers (hotpath, purecheck), the two
+// concurrency analyzers (lockcheck, lifecycle), and the three
+// error-and-resource analyzers (errflow, closecheck, exhaustcheck)
+// over the repository and fails on any finding.
 //
 //	tdcache-lint ./...   # lint every package, test files included
 //	tdcache-lint -list   # print the roster
@@ -23,8 +23,8 @@
 //	//lint:allow <rule> <reason>
 //
 // either trailing the offending line or standalone on the line above.
-// The reason is mandatory. See the "Determinism invariants" section of
-// README.md for the rules themselves.
+// The reason is mandatory. See the "Lint rules" section of README.md
+// for the rules themselves.
 package main
 
 import (
@@ -34,7 +34,6 @@ import (
 	"os"
 	"strings"
 
-	"tdcache/internal/analysis/atomiccheck"
 	"tdcache/internal/analysis/closecheck"
 	"tdcache/internal/analysis/detrand"
 	"tdcache/internal/analysis/driver"
@@ -48,16 +47,14 @@ import (
 	"tdcache/internal/analysis/mapiter"
 	"tdcache/internal/analysis/purecheck"
 	"tdcache/internal/analysis/resetcheck"
-	"tdcache/internal/analysis/sweeppure"
 	"tdcache/internal/analysis/unitflow"
 )
 
-// analyzers is the full suite — the four determinism rules, the two
-// physical-correctness rules, the two call-graph rules, the three
+// analyzers is the full suite — the three determinism rules, the two
+// physical-correctness rules, the two call-graph rules, the two
 // concurrency rules, and the three error-and-resource rules — in
 // reporting order.
 var analyzers = []*framework.Analyzer{
-	atomiccheck.Analyzer,
 	closecheck.Analyzer,
 	detrand.Analyzer,
 	errflow.Analyzer,
@@ -69,7 +66,6 @@ var analyzers = []*framework.Analyzer{
 	mapiter.Analyzer,
 	purecheck.Analyzer,
 	resetcheck.Analyzer,
-	sweeppure.Analyzer,
 	unitflow.Analyzer,
 }
 

@@ -35,7 +35,7 @@
 // value is nil there — and discharges the obligation, as does an empty
 // return for a fact that still has a companion error.
 //
-// _test.go files are exempt like every other rule in the suite.
+// _test.go files are linted like any other.
 package closecheck
 
 import (
@@ -310,9 +310,6 @@ func run(pass *framework.Pass) error {
 	st := stateOf(pass)
 	st.scanPackage(&framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info})
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {

@@ -88,14 +88,14 @@ func TestExpandSinglePackagePattern(t *testing.T) {
 }
 
 func TestTreeLoaderResolvesUnderSrcRoot(t *testing.T) {
-	src := filepath.Join(moduleRoot(t), "internal", "analysis", "sweeppure", "testdata", "src")
+	src := filepath.Join(moduleRoot(t), "internal", "analysis", "purecheck", "testdata", "src")
 	loader := NewTreeLoader(src)
-	pkg, err := loader.Load("a")
+	pkg, err := loader.Load("pc/use")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Package "a" imports the stubbed engine, which must resolve inside
-	// the tree, not to the real module package.
+	// Package "pc/use" imports the stubbed engine, which must resolve
+	// inside the tree, not to the real module package.
 	stub, err := loader.Load("tdcache/internal/sweep")
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestTreeLoaderResolvesUnderSrcRoot(t *testing.T) {
 	if !strings.Contains(stub.Dir, filepath.Join("testdata", "src")) {
 		t.Errorf("stub resolved outside the tree: %s", stub.Dir)
 	}
-	if pkg.Types.Name() != "a" {
+	if pkg.Types.Name() != "use" {
 		t.Errorf("package name = %s", pkg.Types.Name())
 	}
 }

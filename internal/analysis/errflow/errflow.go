@@ -46,7 +46,8 @@
 // *bytes.Buffer, *strings.Builder, os.Stdout, and os.Stderr. A
 // mention of the error variable in any expression counts as a check —
 // passing it to a logger or wrapping it is handling. _test.go files
-// are exempt like every other rule in the suite.
+// are linted like any other: a discarded error hides a failing setup
+// step just as well in a test.
 package errflow
 
 import (
@@ -103,9 +104,6 @@ func run(pass *framework.Pass) error {
 		pass.Reportf(b.Pos, "%s", b.Message)
 	}
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		checkFile(pass, f, ann)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -128,9 +126,6 @@ func scanAnnotations(pass *framework.Pass) *annotations {
 	attached := make(map[token.Pos]bool)
 	var mappers []*ast.FuncDecl
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Doc == nil {
@@ -161,9 +156,6 @@ func scanAnnotations(pass *framework.Pass) *annotations {
 		}
 	}
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if !errflowRe.MatchString(c.Text) || attached[c.Pos()] {

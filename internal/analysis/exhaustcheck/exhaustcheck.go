@@ -35,7 +35,7 @@
 //
 // Enum declarations are read from syntax, so switches over types
 // declared in the standard library go unchecked. _test.go files are
-// exempt like every other rule in the suite.
+// linted like any other.
 package exhaustcheck
 
 import (
@@ -199,9 +199,6 @@ func run(pass *framework.Pass) error {
 	// default case of an enum switch; the sweep below flags the rest.
 	defaultAttached := make(map[token.Pos]bool)
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		byLine := commentsByLine(pass.Fset, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			sw, ok := n.(*ast.SwitchStmt)
@@ -213,9 +210,6 @@ func run(pass *framework.Pass) error {
 		})
 	}
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if !enumRe.MatchString(c.Text) {

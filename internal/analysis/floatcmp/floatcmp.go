@@ -24,9 +24,9 @@
 // Anything else needs an epsilon comparison, or a deliberate
 // `//lint:allow floatcmp <reason>`.
 //
-// _test.go files are exempt wholesale: the repository's determinism
-// tests assert bit identity of two runs on purpose, so exact equality
-// there is the specification, not a bug.
+// _test.go files are exempt wholesale: the determinism tests assert
+// bit identity on purpose, and linting them reports 50 findings in 13
+// files, each one an intended exact comparison.
 package floatcmp
 
 import (
@@ -89,12 +89,7 @@ func run(pass *framework.Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		// Test files are exempt: the repository's determinism tests
-		// assert bit identity of two runs on purpose (byte-identical
-		// parallel-vs-sequential sweeps, reseed interleaving, quantized
-		// counter maps), and an epsilon there would hide the very bugs
-		// they exist to catch. Production simulator code has no such
-		// excuse and stays in scope.
+		// Test files assert bit identity on purpose (see the package doc).
 		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}

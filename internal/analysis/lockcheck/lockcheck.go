@@ -14,6 +14,20 @@
 // to one also counts). An annotation naming no such sibling is itself
 // a finding — a guard that guards nothing is a silenced invariant.
 //
+// The rule owns each field's whole synchronization discipline, so it
+// also polices the atomic one. A field is atomic only through its
+// type (atomic.Int64 and friends): then a plain read or write does
+// not compile, and a by-value copy is a go vet copylocks finding. Two
+// shapes escape both and are findings here:
+//
+//   - a //guard: annotation on a field of sync/atomic type — mixed
+//     discipline, half the accesses synchronize against a lock the
+//     other half ignore;
+//   - a sync/atomic package function (atomic.AddInt64 and friends)
+//     whose address argument is a struct field, &x.f — the field's
+//     plain type lets every other access skip the atomic API; declare
+//     it as a typed atomic instead.
+//
 // Discipline, checked by forward dataflow over the framework CFG:
 //
 //   - a write to a guarded field requires the exclusive Lock held on
@@ -43,8 +57,8 @@
 // separately with an empty entry state: a closure (especially a `go`
 // closure) cannot assume the locks its creator held. Accesses through
 // multi-step paths (x.a.b where b is guarded) are out of scope; every
-// annotated surface in this repository is receiver-direct. Fields of
-// _test.go files are exempt like every other rule in the suite.
+// annotated surface in this repository is receiver-direct. _test.go
+// files are linted like any other.
 package lockcheck
 
 import (
@@ -63,7 +77,8 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "lockcheck",
 	Doc: "fields tagged //guard:<mu> may only be accessed with the named sibling mutex held " +
-		"(Lock for writes, at least RLock for reads); //locks:held methods propagate the obligation to callers",
+		"(Lock for writes, at least RLock for reads); //locks:held methods propagate the obligation to callers; " +
+		"an atomic field must be a typed atomic and never also //guard:-ed",
 	Run: run,
 }
 
@@ -72,16 +87,6 @@ var guardRe = regexp.MustCompile(`^//guard:([A-Za-z_]\w*)$`)
 
 // heldRe matches a method-level lock assumption.
 var heldRe = regexp.MustCompile(`^//locks:held(-read)?\s+([A-Za-z_]\w*)\s*$`)
-
-// Guard is one parsed //guard: annotation.
-type Guard struct {
-	// Field is the guarded field (its generic Origin).
-	Field *types.Var
-	// MutexName is the sibling mutex field's name.
-	MutexName string
-	// RW reports whether the mutex is a sync.RWMutex.
-	RW bool
-}
 
 // heldReq is one //locks:held assumption/obligation.
 type heldReq struct {
@@ -95,14 +100,15 @@ type badAnnot struct {
 	msg string
 }
 
-// state is the run-wide annotation index shared across passes (and
-// with atomiccheck through Guards).
+// state is the run-wide annotation index shared across passes.
 type state struct {
 	scanned  map[*types.Package]bool
 	noSyntax map[string]bool
-	guards   map[*types.Var]*Guard
-	held     map[*types.Func][]heldReq
-	bad      map[*types.Package][]badAnnot
+	// guards maps each guarded field (its generic Origin) to the name
+	// of its sibling mutex field.
+	guards map[*types.Var]string
+	held   map[*types.Func][]heldReq
+	bad    map[*types.Package][]badAnnot
 }
 
 func stateOf(pass *framework.Pass) *state {
@@ -110,21 +116,11 @@ func stateOf(pass *framework.Pass) *state {
 		return &state{
 			scanned:  make(map[*types.Package]bool),
 			noSyntax: make(map[string]bool),
-			guards:   make(map[*types.Var]*Guard),
+			guards:   make(map[*types.Var]string),
 			held:     make(map[*types.Func][]heldReq),
 			bad:      make(map[*types.Package][]badAnnot),
 		}
 	}).(*state)
-}
-
-// Guards exposes the //guard: annotation index to sibling analyzers
-// (atomiccheck's mixed-discipline rule), scanning the pass's own
-// package on first use. The returned map is keyed by the guarded
-// field's Origin var and must not be mutated.
-func Guards(pass *framework.Pass) map[*types.Var]*Guard {
-	st := stateOf(pass)
-	st.scanPackage(&framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info})
-	return st.guards
 }
 
 func run(pass *framework.Pass) error {
@@ -132,16 +128,14 @@ func run(pass *framework.Pass) error {
 	st.scanPackage(&framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info})
 
 	// Malformed annotations in this package are findings of this rule,
-	// whichever analyzer's scan first recorded them.
+	// whichever pass's scan first recorded them.
 	for _, b := range st.bad[pass.Pkg] {
 		pass.Reportf(b.pos, "%s", b.msg)
 	}
 	delete(st.bad, pass.Pkg)
 
 	for _, f := range pass.Files {
-		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
-			continue
-		}
+		checkAtomicCalls(pass, f)
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -442,8 +436,8 @@ func (p *problem) access(sel *ast.SelectorExpr, facts *framework.Facts[string], 
 	if !ok {
 		return
 	}
-	g := p.st.guardFor(fv.Origin(), p.pass)
-	if g == nil {
+	mu := p.st.guardFor(fv.Origin(), p.pass)
+	if mu == "" {
 		return
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
@@ -457,21 +451,21 @@ func (p *problem) access(sel *ast.SelectorExpr, facts *framework.Facts[string], 
 	if !p.report {
 		return
 	}
-	lv := heldOf(facts, rootObj)[g.MutexName]
+	lv := heldOf(facts, rootObj)[mu]
 	path := types.ExprString(sel)
 	switch {
 	case isWrite && lv == 'r':
 		p.pass.Reportf(sel.Sel.Pos(),
 			"write to %s in %s under %s.%s.RLock only: writes to a //guard:%s field need the exclusive Lock",
-			path, p.label, id.Name, g.MutexName, g.MutexName)
+			path, p.label, id.Name, mu, mu)
 	case isWrite && lv != 'w':
 		p.pass.Reportf(sel.Sel.Pos(),
 			"unguarded write to %s in %s: //guard:%s requires %s.%s.Lock held on every path to this access",
-			path, p.label, g.MutexName, id.Name, g.MutexName)
+			path, p.label, mu, id.Name, mu)
 	case !isWrite && lv == 0:
 		p.pass.Reportf(sel.Sel.Pos(),
 			"unguarded read of %s in %s: //guard:%s requires %s.%s held (Lock or RLock) on every path to this access",
-			path, p.label, g.MutexName, id.Name, g.MutexName)
+			path, p.label, mu, id.Name, mu)
 	}
 }
 
@@ -510,7 +504,7 @@ func (st *state) scanPackage(ps *framework.PackageSyntax) {
 }
 
 // scanStruct records the guards of one struct declaration, validating
-// that each names a sibling mutex field.
+// that each names a sibling mutex field and guards a non-atomic one.
 func (st *state) scanStruct(ps *framework.PackageSyntax, ts *ast.TypeSpec, stype *ast.StructType) {
 	for _, fld := range stype.Fields.List {
 		mname := guardName(fld)
@@ -523,19 +517,74 @@ func (st *state) scanStruct(ps *framework.PackageSyntax, ts *ast.TypeSpec, stype
 				mname, ts.Name.Name)})
 			continue
 		}
-		mvar, rw := findMutexField(ps.Info, stype, mname)
-		if mvar == nil {
+		if !hasMutexField(ps.Info.TypeOf(ts.Name), mname) {
 			st.bad[ps.Pkg] = append(st.bad[ps.Pkg], badAnnot{fld.Pos(), fmt.Sprintf(
 				"//guard:%s on field %s names no sibling sync.Mutex or sync.RWMutex field in struct %s",
 				mname, fld.Names[0].Name, ts.Name.Name)})
 			continue
 		}
+		if name := atomicTypeName(ps.Info.TypeOf(fld.Type)); name != "" {
+			st.bad[ps.Pkg] = append(st.bad[ps.Pkg], badAnnot{fld.Pos(), fmt.Sprintf(
+				"mixed discipline: field %s is //guard:%s-guarded but has atomic type %s — pick the mutex or the atomic, not both",
+				fld.Names[0].Name, mname, name)})
+			continue
+		}
 		for _, name := range fld.Names {
 			if fv, ok := ps.Info.Defs[name].(*types.Var); ok {
-				st.guards[fv] = &Guard{Field: fv, MutexName: mname, RW: rw}
+				st.guards[fv] = mname
 			}
 		}
 	}
+}
+
+// checkAtomicCalls reports sync/atomic package functions applied to a
+// struct field's address: a field is atomic only through its type.
+func checkAtomicCalls(pass *framework.Pass, f *ast.File) {
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, ok := framework.ObjectOf(pass.Info, sel.Sel).(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+			return true
+		}
+		if sig, ok := fn.Type().(*types.Signature); !ok || sig.Recv() != nil {
+			return true // a typed atomic's method: the sanctioned form
+		}
+		ue, ok := ast.Unparen(call.Args[0]).(*ast.UnaryExpr)
+		if !ok || ue.Op != token.AND {
+			return true
+		}
+		fsel, ok := ast.Unparen(ue.X).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if s, ok := pass.Info.Selections[fsel]; ok && s.Kind() == types.FieldVal {
+			pass.Reportf(call.Pos(),
+				"atomic.%s on field %s: declare %s as a typed atomic so no access can bypass the atomic API",
+				fn.Name(), fsel.Sel.Name, fsel.Sel.Name)
+		}
+		return true
+	})
+}
+
+// atomicTypeName reports the sync/atomic type name of t (atomic.Int64,
+// atomic.Uint64, …) or "" when t is not a typed atomic.
+func atomicTypeName(t types.Type) string {
+	named, ok := t.(*types.Named)
+	if !ok {
+		return ""
+	}
+	obj := named.Origin().Obj()
+	if obj.Pkg() == nil || obj.Pkg().Path() != "sync/atomic" {
+		return ""
+	}
+	return "atomic." + obj.Name()
 }
 
 // guardName extracts the //guard: target from a field's doc or
@@ -568,55 +617,26 @@ func parseHeldDoc(doc *ast.CommentGroup) []heldReq {
 	return reqs
 }
 
-// findMutexField resolves a guard target to a sibling field of mutex
-// type; the second result reports an RWMutex.
-func findMutexField(info *types.Info, stype *ast.StructType, name string) (*types.Var, bool) {
-	for _, fld := range stype.Fields.List {
-		for _, n := range fld.Names {
-			if n.Name != name {
-				continue
-			}
-			fv, ok := info.Defs[n].(*types.Var)
-			if !ok {
-				return nil, false
-			}
-			if rw, ok := mutexKind(fv.Type()); ok {
-				return fv, rw
-			}
-			return nil, false
-		}
-	}
-	return nil, false
-}
-
-// mutexKind reports whether t is sync.Mutex or sync.RWMutex (or a
-// pointer to one); rw distinguishes the RWMutex.
-func mutexKind(t types.Type) (rw, ok bool) {
+// isMutex reports whether t is sync.Mutex or sync.RWMutex (or a
+// pointer to one).
+func isMutex(t types.Type) bool {
 	if p, isPtr := t.(*types.Pointer); isPtr {
 		t = p.Elem()
 	}
 	named, isNamed := t.(*types.Named)
 	if !isNamed {
-		return false, false
+		return false
 	}
 	obj := named.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false, false
-	}
-	switch obj.Name() {
-	case "Mutex":
-		return false, true
-	case "RWMutex":
-		return true, true
-	}
-	return false, false
+	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
+		(obj.Name() == "Mutex" || obj.Name() == "RWMutex")
 }
 
-// guardFor resolves a field var to its guard, scanning the declaring
-// package on demand.
-func (st *state) guardFor(fv *types.Var, pass *framework.Pass) *Guard {
-	if g := st.guards[fv]; g != nil {
-		return g
+// guardFor resolves a field var to its guarding mutex's name ("" for
+// an unguarded field), scanning the declaring package on demand.
+func (st *state) guardFor(fv *types.Var, pass *framework.Pass) string {
+	if mu := st.guards[fv]; mu != "" {
+		return mu
 	}
 	st.ensure(fv.Pkg(), pass)
 	return st.guards[fv]
@@ -661,7 +681,7 @@ func (st *state) hasGuards(t types.Type, pass *framework.Pass) bool {
 }
 
 // hasMutexField reports whether t's struct declares a mutex-typed
-// field with the given name (for filtering //locks:held seeds).
+// field with the given name (a //guard: target or //locks:held seed).
 func hasMutexField(t types.Type, name string) bool {
 	s, _ := structOf(t)
 	if s == nil {
@@ -670,8 +690,7 @@ func hasMutexField(t types.Type, name string) bool {
 	for i := 0; i < s.NumFields(); i++ {
 		f := s.Field(i)
 		if f.Name() == name {
-			_, ok := mutexKind(f.Type())
-			return ok
+			return isMutex(f.Type())
 		}
 	}
 	return false

@@ -10,3 +10,7 @@ import (
 func TestLockcheck(t *testing.T) {
 	analysistest.Run(t, "testdata", lockcheck.Analyzer, "lc/a")
 }
+
+func TestLockcheckAtomicFields(t *testing.T) {
+	analysistest.Run(t, "testdata", lockcheck.Analyzer, "lc/atomics")
+}

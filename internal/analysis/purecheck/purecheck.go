@@ -1,6 +1,7 @@
-// Package purecheck implements the memoized-kernel purity rule: any
-// function passed as the compute argument of the sweep engine's
-// singleflight memo ((*sweep.Memo).Do) — the experiment kernels whose
+// Package purecheck owns every closure the sweep engine runs. Its
+// first rule is memoized-kernel purity: any function passed as the
+// compute argument of the sweep engine's singleflight memo
+// ((*sweep.Memo).Do) — the experiment kernels whose
 // results are cached and replayed — must be a pure function of the
 // memo key. A kernel that is not pure breaks memoization soundness in
 // two directions: a replayed (cached) call skips the kernel's side
@@ -35,9 +36,17 @@
 // Violations inside callees are reported with the call chain from the
 // kernel ("memoized kernel → deep → bump: writes package-level state
 // hits"); cross-package violations anchor at the last in-package call
-// site so suppressions land in the package being analyzed. Kernels in
-// _test.go files are exempt — tests deliberately count invocations
-// through captured state to assert memo behavior.
+// site so suppressions land in the package being analyzed.
+//
+// The second rule covers sweep jobs, the function literals passed as
+// the job argument of (*sweep.Pool).Run. Run's parallel output is
+// byte-identical to a sequential run only if no job's output depends
+// on completion order, so a job may write state declared outside it
+// only through an index derived from its job parameter or its own
+// locals (res[job], or ci, si := job/n, job%n; res[ci][si]); a shared
+// accumulator or a package-level write is a finding. Only the
+// closure's own body is checked: state behind method calls (the
+// sweep.Memo caches) is sanctioned plumbing.
 package purecheck
 
 import (
@@ -46,7 +55,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 
 	"tdcache/internal/analysis/detrand"
 	"tdcache/internal/analysis/framework"
@@ -56,12 +64,14 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "purecheck",
 	Doc: "functions memoized through (*sweep.Memo).Do must be pure functions of the key: " +
-		"no package-level writes, no ambient entropy, no unmanaged receiver mutation",
+		"no package-level writes, no ambient entropy, no unmanaged receiver mutation; " +
+		"(*sweep.Pool).Run jobs write only their job-indexed result slot",
 	Run: run,
 }
 
-// sweepPath is the package whose Memo.Do receives kernels (and whose
-// own types are trusted engine plumbing).
+// sweepPath is the package whose Memo.Do receives kernels and whose
+// Pool.Run receives jobs (and whose own types are trusted engine
+// plumbing).
 const sweepPath = "tdcache/internal/sweep"
 
 // Fact is one impure operation inside a function body.
@@ -112,18 +122,21 @@ func run(pass *framework.Pass) error {
 	st := stateOf(pass)
 	scan(st, &framework.PackageSyntax{Files: pass.Files, Pkg: pass.Pkg, Info: pass.Info})
 
-	// Collect the kernels first; everything else is only worth doing
-	// when the package actually memoizes something.
-	type kernelSite struct {
-		call *ast.CallExpr
-	}
-	var kernels []kernelSite
+	// Check the jobs and collect the kernels first; the call-graph
+	// work is only worth doing when the package memoizes something.
+	var kernels []*ast.CallExpr
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if ok && isMemoDo(pass.Info, call) && len(call.Args) == 2 {
-				if !strings.HasSuffix(pass.Fset.Position(call.Pos()).Filename, "_test.go") {
-					kernels = append(kernels, kernelSite{call})
+			if !ok || len(call.Args) != 2 {
+				return true
+			}
+			switch {
+			case isSweepMethod(pass.Info, call, "Memo", "Do"):
+				kernels = append(kernels, call)
+			case isSweepMethod(pass.Info, call, "Pool", "Run"):
+				if lit, ok := ast.Unparen(call.Args[1]).(*ast.FuncLit); ok {
+					checkJob(pass, lit)
 				}
 			}
 			return true
@@ -137,10 +150,66 @@ func run(pass *framework.Pass) error {
 	propagateRecv(st)
 	impure := solve(st)
 	reported := make(map[string]bool)
-	for _, k := range kernels {
-		checkKernel(pass, st, impure, reported, k.call)
+	for _, call := range kernels {
+		checkKernel(pass, st, impure, reported, call)
 	}
 	return nil
+}
+
+// checkJob reports writes inside a sweep job closure to state declared
+// outside it, unless the lvalue goes through an index that mentions
+// the job parameter or a closure local.
+func checkJob(pass *framework.Pass, lit *ast.FuncLit) {
+	// jobDerived reports whether e mentions a variable declared inside
+	// the closure, its job parameter included.
+	jobDerived := func(e ast.Expr) bool {
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && framework.DeclaredWithin(framework.ObjectOf(pass.Info, id), lit) {
+				found = true
+			}
+			return !found
+		})
+		return found
+	}
+	checkWrite := func(lhs ast.Expr) {
+		root := framework.RootIdent(lhs)
+		if root == nil {
+			return
+		}
+		obj := framework.ObjectOf(pass.Info, root)
+		if obj == nil || framework.DeclaredWithin(obj, lit) {
+			return
+		}
+		slot := false
+		ast.Inspect(lhs, func(n ast.Node) bool {
+			if ix, ok := n.(*ast.IndexExpr); ok && jobDerived(ix.Index) {
+				slot = true
+			}
+			return !slot
+		})
+		if slot {
+			return
+		}
+		what := "state shared across jobs"
+		if isPkgLevel(obj) {
+			what = "package-level state"
+		}
+		pass.Reportf(lhs.Pos(),
+			"sweep job writes to %s (%s); jobs must write only to a result slot indexed by the job number so output is independent of scheduling",
+			root.Name, what)
+	}
+	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		switch s := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range s.Lhs {
+				checkWrite(lhs)
+			}
+		case *ast.IncDecStmt:
+			checkWrite(s.X)
+		}
+		return true
+	})
 }
 
 // scan adds one package to the graph and summarizes its functions.
@@ -243,10 +312,11 @@ func trustedCallee(fn *types.Func) bool {
 	return fn.Pkg() != nil && fn.Pkg().Path() == sweepPath
 }
 
-// isMemoDo reports whether call invokes (*sweep.Memo).Do.
-func isMemoDo(info *types.Info, call *ast.CallExpr) bool {
+// isSweepMethod reports whether call invokes the method named method
+// on the sweep package's type typ ((*sweep.Memo).Do, (*sweep.Pool).Run).
+func isSweepMethod(info *types.Info, call *ast.CallExpr, typ, method string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Do" {
+	if !ok || sel.Sel.Name != method {
 		return false
 	}
 	fn, ok := framework.ObjectOf(info, sel.Sel).(*types.Func)
@@ -266,7 +336,7 @@ func isMemoDo(info *types.Info, call *ast.CallExpr) bool {
 		return false
 	}
 	obj := named.Origin().Obj()
-	return obj.Name() == "Memo" && obj.Pkg() != nil && obj.Pkg().Path() == sweepPath
+	return obj.Name() == typ && obj.Pkg() != nil && obj.Pkg().Path() == sweepPath
 }
 
 // checkKernel dispatches on the kernel expression's form.

@@ -10,3 +10,7 @@ import (
 func TestPurecheck(t *testing.T) {
 	analysistest.Run(t, "testdata", purecheck.Analyzer, "pc/use")
 }
+
+func TestPurecheckSweepJobs(t *testing.T) {
+	analysistest.Run(t, "testdata", purecheck.Analyzer, "pc/jobs")
+}

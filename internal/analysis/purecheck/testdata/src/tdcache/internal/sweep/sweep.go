@@ -1,6 +1,6 @@
-// Package sweep is a testdata stub of the real sweep engine: the Memo
-// generic matches the receiver shape purecheck keys on, and the types
-// here are trusted engine plumbing exactly like the real package.
+// Package sweep is a testdata stub of the real sweep engine: Memo.Do
+// and Pool.Run match the receiver shapes purecheck keys on, and the
+// types here are trusted engine plumbing exactly like the real package.
 package sweep
 
 // Memo mirrors the real singleflight memoizer.
@@ -25,4 +25,15 @@ func (m *Memo[K, V]) Do(key K, compute func() V) V {
 // mutate it because the engine owns its lifecycle.
 type Worker struct {
 	Scratch []float64
+}
+
+// Pool mirrors the real deterministic sweep pool.
+type Pool struct{}
+
+// Run mirrors (*sweep.Pool).Run's signature.
+func (p *Pool) Run(n int, fn func(job int, w *Worker)) {
+	w := &Worker{}
+	for job := 0; job < n; job++ {
+		fn(job, w)
+	}
 }

@@ -57,7 +57,10 @@ func TestMulDiv(t *testing.T) {
 	}
 	// The watts identity closes under arithmetic: J/s compares equal to
 	// a parsed "watts".
-	w, _ := ParseUnit("watts")
+	w, err := ParseUnit("watts")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := Div(Unit("joules"), seconds); got != w {
 		t.Errorf("joules/seconds = %q, want %q", got, w)
 	}

@@ -296,8 +296,11 @@ func TestConcurrentRequests(t *testing.T) {
 					errs <- err
 					return
 				}
-				defer resp.Body.Close()
-				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				_, err = io.Copy(io.Discard, resp.Body)
+				if cerr := resp.Body.Close(); cerr != nil && err == nil {
+					err = cerr
+				}
+				if err != nil {
 					errs <- err
 					return
 				}

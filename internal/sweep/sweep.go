@@ -48,8 +48,9 @@ type Pool struct {
 	// next is the shared job counter for the Run in flight. It lives on
 	// the Pool rather than on Run's stack so taking its address for
 	// drainJobs does not escape a fresh allocation on every batch. Its
-	// atomic type declares the discipline: atomiccheck rejects any
-	// plain access, so the claim loop can never tear against a reset.
+	// atomic type declares the discipline: a plain access does not
+	// compile and go vet rejects a copy, so the claim loop can never
+	// tear against a reset.
 	next atomic.Int64
 }
 

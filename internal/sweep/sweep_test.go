@@ -75,7 +75,7 @@ func TestPoolZeroAndNegativeSizes(t *testing.T) {
 	}
 	p := New(2)
 	ran := false
-	//lint:allow sweeppure Run(0) schedules no jobs; the write is a must-not-happen sentinel
+	//lint:allow purecheck Run(0) schedules no jobs; the write is a must-not-happen sentinel
 	p.Run(0, func(int, *Worker) { ran = true })
 	if ran {
 		t.Fatal("Run(0) executed a job")
