@@ -38,7 +38,7 @@ func main() {
 		fmt.Printf("  metric %-22s %10.3f %s\n", m.Name, m.Value, m.Unit)
 	}
 
-	// Any artifact encodes as paper-shaped text, canonical JSON, or CSV.
+	// Any artifact encodes as text, canonical JSON, or CSV.
 	fmt.Println("\n--- text form ---")
 	if err := tdcache.EncodeArtifact(os.Stdout, tdcache.FormatText, a); err != nil {
 		log.Fatal(err)

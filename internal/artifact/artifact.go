@@ -1,16 +1,16 @@
 // Package artifact turns experiment results into typed, reusable
-// artifacts. The paper's evaluation is a set of tables and figures;
-// historically each was modeled as a runner that printed formatted text,
-// so results existed only as presentation. This package separates the
-// two concerns the way variation-aware frameworks (VAR-DRAM, TS Cache)
-// do: an experiment produces an Artifact — structured, typed result
-// data with identity and provenance — and presentation becomes one of
-// several encoders over it (Text, JSON, CSV). On top of that sit a
-// deterministic content digest (digest.go) and a content-addressed
-// on-disk Store (store.go) keyed by (experiment ID, params digest), so
-// downstream consumers — the CLI, the HTTP artifact server, regression
-// diffing, plotting — share one cached, machine-readable substrate
-// instead of re-simulating per consumer.
+// artifacts. The paper's evaluation is a set of tables and figures; an
+// experiment produces an Artifact — structured, typed result data with
+// identity and provenance, in one Table — and presentation is one of
+// three encoders over that Table (Text, JSON, CSV). Text is printed
+// from the Table alone, with each float in its unit's format, so a
+// live result and the same Table decoded from JSON print the same
+// bytes. On top of that sit a deterministic content digest (digest.go)
+// and a content-addressed on-disk Store (store.go) keyed by
+// (experiment ID, params digest), so downstream consumers — the CLI,
+// the HTTP artifact server, regression diffing, plotting — share one
+// cached, machine-readable substrate instead of re-simulating per
+// consumer.
 //
 // Determinism contract: building a Table from a result is a pure
 // function of the result, and every encoder is a pure function of the
@@ -19,10 +19,7 @@
 // clock or ambient randomness.
 package artifact
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // SchemaVersion identifies the Table wire format and digest recipe. It
 // participates in both the params digest and the artifact digest, so a
@@ -58,14 +55,6 @@ type Artifact interface {
 	// be deterministic: the same result yields an identical Table (and
 	// therefore byte-identical encodings and digest) on every call.
 	ArtifactTable() *Table
-}
-
-// TextRenderer is implemented by artifacts that carry a legacy
-// paper-shaped text rendering. The Text encoder prefers it when
-// present, which is what keeps `-format text` byte-identical to the
-// pre-artifact print output.
-type TextRenderer interface {
-	RenderText(w io.Writer)
 }
 
 // Provenance records what produced an artifact: enough to decide
@@ -176,9 +165,9 @@ func (c *Column) Len() int {
 	}
 }
 
-// Cell renders cell i as a string (the CSV and generic-text forms).
-// Floats use the shortest exact representation, so formatting is
-// deterministic and round-trips.
+// Cell renders cell i as a string (the CSV form). Floats use the
+// shortest exact representation, so formatting is deterministic and
+// round-trips.
 func (c *Column) Cell(i int) string {
 	switch c.Kind {
 	case ColString:

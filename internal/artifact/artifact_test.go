@@ -99,20 +99,19 @@ func TestEncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenericTextIncludesEverything pins the grid form byte for byte:
+// title, headers with units, strings left and numbers right in their
+// unit's format, metrics, then attrs in sorted key order.
 func TestGenericTextIncludesEverything(t *testing.T) {
-	var buf bytes.Buffer
-	if err := EncodeText(&buf, sample()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"Sample figure", "series", "cycles [cycles]", "1.25", "peak", "alpha", "zeta"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text output missing %q in:\n%s", want, out)
-		}
-	}
-	// Attrs render in sorted key order regardless of map iteration.
-	if strings.Index(out, "alpha") > strings.Index(out, "zeta") {
-		t.Error("attrs not sorted")
+	want := "fig0 — Sample figure\n" +
+		"series  cycles [cycles]  value [ratio]\n" +
+		"a                   100          0.500\n" +
+		"b                   200          1.250\n" +
+		"peak [ratio] = 1.250\n" +
+		"alpha: a\n" +
+		"zeta: z\n"
+	if got := textOf(t, sample()); got != want {
+		t.Errorf("text:\n%s\nwant:\n%s", got, want)
 	}
 }
 
@@ -236,5 +235,119 @@ func TestColumnCell(t *testing.T) {
 	}
 	if tb.RowCount() != 2 {
 		t.Errorf("RowCount = %d", tb.RowCount())
+	}
+}
+
+// textOf encodes tb as text.
+func textOf(t *testing.T, tb *Table) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := EncodeText(&buf, tb); err != nil {
+		t.Fatal(err)
+	}
+	return buf.String()
+}
+
+func TestTextUnitFormats(t *testing.T) {
+	tb := sample()
+	tb.Columns, tb.Attrs = nil, nil
+	tb.Metrics = []Metric{
+		Met("miss", UnitFraction, 0.125),
+		Met("share", UnitPercent, 8.25),
+		Met("retention", UnitNanoseconds, 476.25),
+		Met("access", UnitPicoseconds, 185.4),
+		Met("elapsed", UnitMicroseconds, 5.8),
+		Met("chips", UnitCount, 33),
+		Met("weird", "furlongs", 0.1),
+	}
+	want := "fig0 — Sample figure\n" +
+		"miss [fraction] = 12.5%\n" +
+		"share [percent] = 8.2%\n" +
+		"retention [nanoseconds] = 476.2\n" +
+		"access [picoseconds] = 185\n" +
+		"elapsed [microseconds] = 5.80\n" +
+		"chips [count] = 33\n" +
+		"weird [furlongs] = 0.1\n"
+	if got := textOf(t, tb); got != want {
+		t.Errorf("unit formats:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// longForm returns a (chip, scheme, ways, perf) table: two leading
+// keys, a four-value axis and six runs.
+func longForm() *Table {
+	tb := sample()
+	tb.Metrics, tb.Attrs = nil, nil
+	var chip, scheme []string
+	var ways []int64
+	var perf []float64
+	for _, c := range []string{"good", "bad"} {
+		for si, s := range []string{"lru", "dsp", "fifo"} {
+			for wi, w := range []int64{1, 2, 4, 8} {
+				chip, scheme, ways = append(chip, c), append(scheme, s), append(ways, w)
+				perf = append(perf, 0.9+0.01*float64(si)+0.001*float64(wi))
+			}
+		}
+	}
+	tb.Columns = []Column{
+		Strings("chip", chip),
+		Strings("scheme", scheme),
+		Ints("ways", UnitCount, ways),
+		Floats("perf", UnitRatio, perf),
+	}
+	return tb
+}
+
+func TestTextWideLayout(t *testing.T) {
+	want := "fig0 — Sample figure\n" +
+		"perf [ratio] by ways [count]\n" +
+		"chip  scheme      1      2      4      8\n" +
+		"good  lru     0.900  0.901  0.902  0.903\n" +
+		"good  dsp     0.910  0.911  0.912  0.913\n" +
+		"good  fifo    0.920  0.921  0.922  0.923\n" +
+		"bad   lru     0.900  0.901  0.902  0.903\n" +
+		"bad   dsp     0.910  0.911  0.912  0.913\n" +
+		"bad   fifo    0.920  0.921  0.922  0.923\n"
+	if got := textOf(t, longForm()); got != want {
+		t.Errorf("wide text:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWideAxisRejects pins the tables that must stay a plain grid.
+func TestWideAxisRejects(t *testing.T) {
+	cases := map[string]func(*Table){
+		// Runs of one row: a constant second-to-last column is not an axis.
+		"single-row runs": func(tb *Table) {
+			tb.Columns = []Column{
+				Floats("target", UnitRatio, []float64{0.8, 0.9, 0.95}),
+				Floats("global", UnitFraction, []float64{0.1, 0.1, 0.1}),
+				Floats("rsp", UnitFraction, []float64{1, 1, 1}),
+			}
+		},
+		"one run": func(tb *Table) {
+			for i := range tb.Columns[0].S {
+				tb.Columns[0].S[i], tb.Columns[1].S[i] = "good", "lru"
+			}
+		},
+		"two columns":     func(tb *Table) { tb.Columns = tb.Columns[2:] },
+		"axis differs":    func(tb *Table) { tb.Columns[2].I[5] = 3 },
+		"ragged runs":     func(tb *Table) { tb.Columns[1].S[4] = "lru" },
+		"trailing rows":   func(tb *Table) { tb.Columns[1].S[23] = "rsp" },
+		"uneven run size": func(tb *Table) { tb.Columns[1].S[3] = "dsp" },
+		"merged runs": func(tb *Table) {
+			for i := 8; i < 12; i++ {
+				tb.Columns[1].S[i] = "dsp" // good/fifo becomes a second good/dsp run
+			}
+		},
+	}
+	for name, mutate := range cases {
+		tb := longForm()
+		mutate(tb)
+		if ax, _ := wideAxis(tb); ax >= 0 {
+			t.Errorf("%s: wideAxis = %d, want a plain grid", name, ax)
+		}
+	}
+	if ax, n := wideAxis(longForm()); ax != 2 || n != 4 {
+		t.Errorf("wideAxis(longForm) = %d, %d; want 2, 4", ax, n)
 	}
 }

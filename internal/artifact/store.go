@@ -202,7 +202,7 @@ func (s *Store) Put(a Artifact) (*Meta, error) {
 		return nil, errorf("store: %v", err)
 	}
 	defer os.RemoveAll(tmp) //lint:allow errflow best-effort cleanup; TestStorePutFaultInjection proves no orphan temp dir survives any failure
-	if err := s.writeEntry(tmp, a, t, m); err != nil {
+	if err := s.writeEntry(tmp, t, m); err != nil {
 		return nil, err
 	}
 	if err := osRename(tmp, dir); err != nil {
@@ -216,20 +216,21 @@ func (s *Store) Put(a Artifact) (*Meta, error) {
 	return m, nil
 }
 
-// writeEntry materializes the entry files into dir, meta.json last.
-func (s *Store) writeEntry(dir string, a Artifact, t *Table, m *Meta) error {
+// writeEntry materializes the entry files into dir from the one built
+// table, meta.json last.
+func (s *Store) writeEntry(dir string, t *Table, m *Meta) error {
 	if err := writeFileWith(filepath.Join(dir, "table.json"), func(f *os.File) error {
 		return EncodeJSON(f, t)
 	}); err != nil {
 		return err
 	}
 	if err := writeFileWith(filepath.Join(dir, "artifact.txt"), func(f *os.File) error {
-		return EncodeText(f, a)
+		return EncodeText(f, t)
 	}); err != nil {
 		return err
 	}
 	if err := writeFileWith(filepath.Join(dir, "artifact.csv"), func(f *os.File) error {
-		return EncodeCSV(f, a)
+		return EncodeCSV(f, t)
 	}); err != nil {
 		return err
 	}

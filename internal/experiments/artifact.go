@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -78,37 +77,39 @@ func hashTech(h *artifact.Hasher, t *circuit.Tech) {
 	bits("flip_threshold", math.Float64bits(t.FlipThreshold))
 }
 
-// provenance stamps the run configuration into a result. Params is
-// immutable during builds — multi-node sweeps (Table 3, the Fig. 12
-// design points) derive per-node copies with WithTech — so provenance
-// can be read at any time, concurrently with any build.
-func (p *Params) provenance() artifact.Provenance {
-	return artifact.Provenance{
+// result is embedded in every experiment result. It carries the
+// registry ID and the run's provenance, and gives every result its
+// artifact.Artifact ID.
+type result struct {
+	id string
+	// Prov records the run that produced the result.
+	Prov artifact.Provenance
+}
+
+// newResult stamps the run configuration into a result for experiment
+// id. Params is immutable during builds — multi-node sweeps (Table 3,
+// the Fig. 12 design points) derive per-node copies with WithTech — so
+// provenance can be read at any time, concurrently with any build.
+func (p *Params) newResult(id string) result {
+	return result{id: id, Prov: artifact.Provenance{
 		SchemaVersion: artifact.SchemaVersion,
 		ParamsDigest:  Digest(p),
 		Seed:          p.Seed,
 		Tech:          p.Tech.Name,
-	}
+	}}
 }
 
-// newTable starts a result's Table with the identity fields from its
+// ArtifactID implements artifact.Artifact.
+func (r *result) ArtifactID() string { return r.id }
+
+// table starts the result's Table with the identity fields from its
 // registry Spec, so titles and kinds have a single source of truth.
-func newTable(id string, prov artifact.Provenance) *artifact.Table {
-	sp, ok := Lookup(id)
+func (r *result) table() *artifact.Table {
+	sp, ok := Lookup(r.id)
 	if !ok {
-		panic("experiments: no registry spec for " + id)
+		panic("experiments: no registry spec for " + r.id)
 	}
-	return &artifact.Table{ID: id, Title: sp.Title, Kind: sp.Kind, Prov: prov}
-}
-
-// printArtifact is the shared Print implementation: every result's
-// Print routes through the artifact text encoder, which dispatches
-// straight back to the result's RenderText — same bytes as the old
-// direct printing, now with the encoder as the single entry point.
-func printArtifact(w io.Writer, a artifact.Artifact) {
-	// EncodeText cannot fail on a TextRenderer; writer errors are
-	// ignored exactly as the old direct Fprintf calls ignored them.
-	_ = artifact.EncodeText(w, a) //lint:allow errflow void renderer has no error channel; TestGoldenTextOutput pins the bytes
+	return &artifact.Table{ID: r.id, Title: sp.Title, Kind: sp.Kind, Prov: r.Prov}
 }
 
 // schemeKey is the snake_case column/metric key of a scheme.
@@ -128,15 +129,9 @@ func schemeKey(s core.Scheme) string {
 
 // ---- fig1 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig1Result) ArtifactID() string { return "fig1" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig1Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the long-form (series, cycles, fraction) table.
 func (r *Fig1Result) ArtifactTable() *artifact.Table {
-	t := newTable("fig1", r.Prov)
+	t := r.table()
 	benches := make([]string, 0, len(r.CDF))
 	for bench := range r.CDF {
 		benches = append(benches, bench)
@@ -169,15 +164,9 @@ func (r *Fig1Result) ArtifactTable() *artifact.Table {
 
 // ---- fig4 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig4Result) ArtifactID() string { return "fig4" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig4Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the access-time-curve table.
 func (r *Fig4Result) ArtifactTable() *artifact.Table {
-	t := newTable("fig4", r.Prov)
+	t := r.table()
 	t.Columns = []artifact.Column{
 		artifact.Floats("elapsed", artifact.UnitMicroseconds, r.ElapsedUS),
 		artifact.Floats("nominal", artifact.UnitPicoseconds, r.NominalPS),
@@ -195,15 +184,9 @@ func (r *Fig4Result) ArtifactTable() *artifact.Table {
 
 // ---- fig6a ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig6aResult) ArtifactID() string { return "fig6a" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig6aResult) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the frequency-histogram table.
 func (r *Fig6aResult) ArtifactTable() *artifact.Table {
-	t := newTable("fig6a", r.Prov)
+	t := r.table()
 	t.Columns = []artifact.Column{
 		artifact.Floats("freq_bin", artifact.UnitRatio, r.Bins),
 		artifact.Floats("prob_1x", artifact.UnitFraction, r.Prob1X),
@@ -218,16 +201,10 @@ func (r *Fig6aResult) ArtifactTable() *artifact.Table {
 
 // ---- fig6b ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig6bResult) ArtifactID() string { return "fig6b" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig6bResult) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the long-form (panel, series, x, value) table
 // covering all three Fig. 6b panels.
 func (r *Fig6bResult) ArtifactTable() *artifact.Table {
-	t := newTable("fig6b", r.Prov)
+	t := r.table()
 	var panel, series []string
 	var x, value []float64
 	add := func(p, s string, xs, vs []float64) {
@@ -259,15 +236,9 @@ func (r *Fig6bResult) ArtifactTable() *artifact.Table {
 
 // ---- fig7 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig7Result) ArtifactID() string { return "fig7" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig7Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the leakage-histogram table.
 func (r *Fig7Result) ArtifactTable() *artifact.Table {
-	t := newTable("fig7", r.Prov)
+	t := r.table()
 	t.Columns = []artifact.Column{
 		artifact.Floats("leakage_bin_max", artifact.UnitRatio, r.BinLabels),
 		artifact.Floats("prob_6t", artifact.UnitFraction, r.Prob6T),
@@ -284,15 +255,9 @@ func (r *Fig7Result) ArtifactTable() *artifact.Table {
 
 // ---- fig8 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig8Result) ArtifactID() string { return "fig8" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig8Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the per-chip retention-histogram table.
 func (r *Fig8Result) ArtifactTable() *artifact.Table {
-	t := newTable("fig8", r.Prov)
+	t := r.table()
 	t.Columns = []artifact.Column{
 		artifact.Floats("retention_bin", artifact.UnitNanoseconds, r.BinCentersNS),
 		artifact.Floats("good", artifact.UnitFraction, r.Good),
@@ -313,15 +278,9 @@ func (r *Fig8Result) ArtifactTable() *artifact.Table {
 
 // ---- fig9 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig9Result) ArtifactID() string { return "fig9" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig9Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the scheme-matrix table.
 func (r *Fig9Result) ArtifactTable() *artifact.Table {
-	t := newTable("fig9", r.Prov)
+	t := r.table()
 	names := make([]string, len(r.Schemes))
 	for i, s := range r.Schemes {
 		names[i] = s.String()
@@ -338,16 +297,10 @@ func (r *Fig9Result) ArtifactTable() *artifact.Table {
 
 // ---- fig10 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig10Result) ArtifactID() string { return "fig10" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig10Result) Print(w io.Writer) { printArtifact(w, r) }
-
-// ArtifactTable builds the full per-chip population table — every chip
-// appears, not just the ranks the text form samples.
+// ArtifactTable builds the full per-chip population table, one row per
+// chip in Order.
 func (r *Fig10Result) ArtifactTable() *artifact.Table {
-	t := newTable("fig10", r.Prov)
+	t := r.table()
 	n := len(r.Order)
 	rank := make([]int64, n)
 	chip := make([]int64, n)
@@ -380,15 +333,9 @@ func (r *Fig10Result) ArtifactTable() *artifact.Table {
 
 // ---- fig11 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig11Result) ArtifactID() string { return "fig11" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig11Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the long-form (chip, scheme, ways, perf) table.
 func (r *Fig11Result) ArtifactTable() *artifact.Table {
-	t := newTable("fig11", r.Prov)
+	t := r.table()
 	chips := []string{"good", "median", "bad"}
 	var chip, scheme []string
 	var ways []int64
@@ -414,15 +361,9 @@ func (r *Fig11Result) ArtifactTable() *artifact.Table {
 
 // ---- fig12 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig12Result) ArtifactID() string { return "fig12" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig12Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the long-form (scheme, µ, σ/µ, perf) surface.
 func (r *Fig12Result) ArtifactTable() *artifact.Table {
-	t := newTable("fig12", r.Prov)
+	t := r.table()
 	var scheme []string
 	var mu, sm, perf []float64
 	for si, s := range Fig10Schemes {
@@ -449,15 +390,9 @@ func (r *Fig12Result) ArtifactTable() *artifact.Table {
 
 // ---- fig12pts ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Fig12PointsResult) ArtifactID() string { return "fig12pts" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Fig12PointsResult) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the design-point table.
 func (r *Fig12PointsResult) ArtifactTable() *artifact.Table {
-	t := newTable("fig12pts", r.Prov)
+	t := r.table()
 	n := len(r.Points)
 	label := make([]string, n)
 	mu := make([]float64, n)
@@ -491,15 +426,9 @@ func (r *Fig12PointsResult) ArtifactTable() *artifact.Table {
 
 // ---- tab1 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Table1Result) ArtifactID() string { return "tab1" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Table1Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the circuit-parameter table.
 func (r *Table1Result) ArtifactTable() *artifact.Table {
-	t := newTable("tab1", r.Prov)
+	t := r.table()
 	n := len(r.Rows)
 	node := make([]string, n)
 	area := make([]float64, n)
@@ -528,16 +457,9 @@ func (r *Table1Result) ArtifactTable() *artifact.Table {
 
 // ---- tab2 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Table2Result) ArtifactID() string { return "tab2" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Table2Result) Print(w io.Writer) { printArtifact(w, r) }
-
-// ArtifactTable builds the processor-configuration table from the same
-// rows the text form prints.
+// ArtifactTable builds the processor-configuration table.
 func (r *Table2Result) ArtifactTable() *artifact.Table {
-	t := newTable("tab2", r.Prov)
+	t := r.table()
 	rows := r.rows()
 	param := make([]string, len(rows))
 	value := make([]string, len(rows))
@@ -554,15 +476,9 @@ func (r *Table2Result) ArtifactTable() *artifact.Table {
 
 // ---- tab3 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *Table3Result) ArtifactID() string { return "tab3" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *Table3Result) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the wide per-node design-comparison table.
 func (r *Table3Result) ArtifactTable() *artifact.Table {
-	t := newTable("tab3", r.Prov)
+	t := r.table()
 	n := len(r.Rows)
 	node := make([]string, n)
 	fcols := []struct {
@@ -603,15 +519,9 @@ func (r *Table3Result) ArtifactTable() *artifact.Table {
 
 // ---- sec4.1 ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *GlobalRefreshResult) ArtifactID() string { return "sec4.1" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *GlobalRefreshResult) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the metrics-only §4.1 artifact.
 func (r *GlobalRefreshResult) ArtifactTable() *artifact.Table {
-	t := newTable("sec4.1", r.Prov)
+	t := r.table()
 	t.Metrics = []artifact.Metric{
 		artifact.Met("retention", artifact.UnitNanoseconds, r.RetentionNS),
 		artifact.Met("refresh_pass", artifact.UnitNanoseconds, r.PassNS),
@@ -624,16 +534,10 @@ func (r *GlobalRefreshResult) ArtifactTable() *artifact.Table {
 
 // ---- dvfs ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *DVFSResult) ArtifactID() string { return "dvfs" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *DVFSResult) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the long-form (chip, scheme, freq_scale, perf,
 // dead_frac) table.
 func (r *DVFSResult) ArtifactTable() *artifact.Table {
-	t := newTable("dvfs", r.Prov)
+	t := r.table()
 	var chip, scheme []string
 	var scale, perf, dead []float64
 	for ci, name := range dvfsChipNames {
@@ -666,17 +570,11 @@ func (r *DVFSResult) ArtifactTable() *artifact.Table {
 
 // ---- sttyield ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *STTYieldResult) ArtifactID() string { return "sttyield" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *STTYieldResult) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the long-form (config, hi_ways, dead_ceiling,
 // yield) table with the per-config population summaries as extra
 // columns.
 func (r *STTYieldResult) ArtifactTable() *artifact.Table {
-	t := newTable("sttyield", r.Prov)
+	t := r.table()
 	var config []string
 	var hiWays []int64
 	var ceiling, yield, meanDead, meanAlive []float64
@@ -704,15 +602,9 @@ func (r *STTYieldResult) ArtifactTable() *artifact.Table {
 
 // ---- yield ----
 
-// ArtifactID implements artifact.Artifact.
-func (r *YieldResult) ArtifactID() string { return "yield" }
-
-// Print emits the paper-shaped text form via the artifact text encoder.
-func (r *YieldResult) Print(w io.Writer) { printArtifact(w, r) }
-
 // ArtifactTable builds the yield-curve table.
 func (r *YieldResult) ArtifactTable() *artifact.Table {
-	t := newTable("yield", r.Prov)
+	t := r.table()
 	t.Columns = []artifact.Column{
 		artifact.Floats("target_perf", artifact.UnitRatio, r.Thresholds),
 		artifact.Floats("sixt_1x", artifact.UnitFraction, r.SixT1X),

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/variation"
@@ -43,8 +39,7 @@ type DVFSResult struct {
 	// CounterStep is the deadline-anchored counter step (cycles),
 	// identical for every chip under the class-deadline policy.
 	CounterStep int64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // DVFS runs the sweep. The backend is forced to the registered STT-RAM
@@ -71,7 +66,7 @@ func DVFS(p *Params) *DVFSResult {
 		// Provenance reflects the Params handed in (the store keys
 		// artifacts by their digest); forcing the backend here changes
 		// no output byte, so the key stays honest either way.
-		Prov: p.provenance(),
+		result: p.newResult("dvfs"),
 	}
 	cycle := q.Tech.CycleSeconds()
 	for ci, idx := range chips {
@@ -97,31 +92,4 @@ func DVFS(p *Params) *DVFSResult {
 		}
 	}
 	return r
-}
-
-// RenderText emits the sweep in the paper-shaped text form.
-func (r *DVFSResult) RenderText(w io.Writer) {
-	fmt.Fprintf(w, "DVFS sweep — %s backend, typical variation (frequency scales the retention deadline)\n", r.Backend)
-	fmt.Fprintf(w, "counter step %d cycles (class-deadline policy)\n", r.CounterStep)
-	fmt.Fprintf(w, "%-8s %-18s", "chip", "scheme")
-	for _, lvl := range r.Levels {
-		fmt.Fprintf(w, "  x%.2f", lvl)
-	}
-	fmt.Fprintln(w)
-	for ci, name := range dvfsChipNames {
-		for si, scheme := range DVFSSchemes {
-			fmt.Fprintf(w, "%-8s %-18s", name, scheme.String())
-			for li := range r.Levels {
-				fmt.Fprintf(w, " %6.3f", r.Perf[ci][si][li])
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "%-8s %-18s", name, "dead lines")
-		for li := range r.Levels {
-			fmt.Fprintf(w, " %5.1f%%", 100*r.DeadFrac[ci][li])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w, "(scaling the clock down shrinks every line's deadline in cycles; the")
-	fmt.Fprintln(w, " retention-aware scheme holds performance by steering into high-retention ways)")
 }

@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+
+	"tdcache/internal/artifact"
 )
 
 // quick returns shared reduced parameters. Tests share one Params so the
@@ -152,12 +155,18 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestStaticTablesPrint checks the text form of Tables 1 and 2 carries
+// the anchors a reader looks for: a headed unit column and its value,
+// and the configuration strings verbatim.
 func TestStaticTablesPrint(t *testing.T) {
 	var buf bytes.Buffer
-	Table1(sharedQuick).Print(&buf)
-	Table2(sharedQuick).Print(&buf)
+	for _, a := range []artifact.Artifact{Table1(sharedQuick), Table2(sharedQuick)} {
+		if err := artifact.EncodeText(&buf, a); err != nil {
+			t.Fatal(err)
+		}
+	}
 	out := buf.String()
-	for _, want := range []string{"0.23", "4.3GHz", "80-entry", "2MB 4-way", "tournament"} {
+	for _, want := range []string{"0.23", "frequency [gigahertz]", "4.3", "80-entry", "2MB 4-way", "tournament"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("table output missing %q", want)
 		}
@@ -166,11 +175,31 @@ func TestStaticTablesPrint(t *testing.T) {
 
 func TestFig4PrintIncludesAnchors(t *testing.T) {
 	var buf bytes.Buffer
-	Fig4(sharedQuick).Print(&buf)
+	if err := artifact.EncodeText(&buf, Fig4(sharedQuick)); err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(buf.String(), "retention") {
-		t.Error("Fig4 print missing retention line")
+		t.Error("Fig4 text missing retention line")
 	}
 }
+
+// TestRunReturnsWriteErrors checks that a failing writer surfaces as
+// Run's error rather than being dropped. "all" fails on its first
+// header line, before building anything.
+func TestRunReturnsWriteErrors(t *testing.T) {
+	for _, id := range []string{"tab1", "all"} {
+		if err := Run(id, sharedQuick, failWriter{}); !errors.Is(err, errWrite) {
+			t.Errorf("Run(%q) into a failing writer = %v, want %v", id, err, errWrite)
+		}
+	}
+}
+
+var errWrite = errors.New("disk full")
+
+// failWriter rejects every write.
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, errWrite }
 
 // TestGlobalRefreshDeterministic is the regression test for the fig6b
 // mapiter fix: GlobalPasses was summed by ranging over the per-benchmark

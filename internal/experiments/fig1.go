@@ -1,11 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-	"sort"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/core"
 	"tdcache/internal/cpu"
 	"tdcache/internal/sweep"
@@ -25,8 +20,7 @@ type Fig1Result struct {
 	Average []float64
 	// Within6K is the average fraction of references within 6K cycles.
 	Within6K float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig1 runs each benchmark against an ideal cache with the reuse-
@@ -34,7 +28,7 @@ type Fig1Result struct {
 func Fig1(p *Params) *Fig1Result {
 	edges := []int64{500, 1000, 2000, 3000, 4000, 5000, 6000, 8000, 10000, 12500, 15000, 17500, 20000}
 	res := &Fig1Result{
-		Prov:        p.provenance(),
+		result:      p.newResult("fig1"),
 		EdgesCycles: edges,
 		CDF:         make(map[string][]float64, len(p.Benchmarks)),
 		Average:     make([]float64, len(edges)),
@@ -81,32 +75,4 @@ func Fig1(p *Params) *Fig1Result {
 		}
 	}
 	return res
-}
-
-// RenderText emits the Fig. 1 series in the paper-shaped text form.
-func (r *Fig1Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 1 — cache references vs. cycles since line fill (CDF)")
-	fmt.Fprintf(w, "%-10s", "cycles")
-	for _, e := range r.EdgesCycles {
-		fmt.Fprintf(w, "%8d", e)
-	}
-	fmt.Fprintln(w)
-	benches := make([]string, 0, len(r.CDF))
-	for bench := range r.CDF {
-		benches = append(benches, bench)
-	}
-	sort.Strings(benches)
-	for _, bench := range benches {
-		fmt.Fprintf(w, "%-10s", bench)
-		for _, v := range r.CDF[bench] {
-			fmt.Fprintf(w, "%7.1f%%", 100*v)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "%-10s", "average")
-	for _, v := range r.Average {
-		fmt.Fprintf(w, "%7.1f%%", 100*v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "references within 6K cycles (paper: ~90%%): %.1f%%\n", 100*r.Within6K)
 }

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"sort"
 
-	"tdcache/internal/artifact"
 	"tdcache/internal/core"
 	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
@@ -25,11 +22,10 @@ type Fig10Result struct {
 	// Perf[scheme][chipRank] and Power[scheme][chipRank].
 	Perf  [3][]float64
 	Power [3][]float64
-	// Aggregates for the printed summary.
+	// MinPerf and MaxPower are each scheme's worst chip.
 	MinPerf  [3]float64
 	MaxPower [3]float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig10 runs the three schemes across the whole severe population —
@@ -38,7 +34,7 @@ type Fig10Result struct {
 func Fig10(p *Params) *Fig10Result {
 	s := p.study(variation.Severe, p.Chips)
 	n := len(s.Chips)
-	r := &Fig10Result{Prov: p.provenance()}
+	r := &Fig10Result{result: p.newResult("fig10")}
 	perf := make([][3]float64, n)
 	pow := make([][3]float64, n)
 	p.Pool().Run(n*len(Fig10Schemes), func(job int, w *sweep.Worker) {
@@ -73,53 +69,4 @@ func Fig10(p *Params) *Fig10Result {
 		}
 	}
 	return r
-}
-
-// RenderText emits per-chip series plus the aggregate claims in the
-// paper-shaped text form.
-func (r *Fig10Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 10 — normalized performance and dynamic power across the severe-variation population")
-	fmt.Fprintln(w, "(chips sorted by descending no-refresh/LRU performance)")
-	fmt.Fprintf(w, "%-6s", "chip")
-	for _, s := range Fig10Schemes {
-		fmt.Fprintf(w, " %10s", shortScheme(s))
-	}
-	for _, s := range Fig10Schemes {
-		fmt.Fprintf(w, " %9sP", shortScheme(s))
-	}
-	fmt.Fprintln(w)
-	step := len(r.Order) / 20
-	if step < 1 {
-		step = 1
-	}
-	for rank := 0; rank < len(r.Order); rank += step {
-		fmt.Fprintf(w, "#%-5d", rank+1)
-		for si := range Fig10Schemes {
-			fmt.Fprintf(w, " %10.3f", r.Perf[si][rank])
-		}
-		for si := range Fig10Schemes {
-			fmt.Fprintf(w, " %10.2f", r.Power[si][rank])
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "worst-chip performance: no-refresh/LRU %.3f, partial/DSP %.3f, RSP-FIFO %.3f\n",
-		r.MinPerf[0], r.MinPerf[1], r.MinPerf[2])
-	fmt.Fprintln(w, "(paper: all chips functional; RSP-FIFO & partial/DSP lose <3%, most <1%; no-refresh/LRU worst)")
-	fmt.Fprintf(w, "worst-chip dynamic power: no-refresh/LRU %.2fX, partial/DSP %.2fX, RSP-FIFO %.2fX\n",
-		r.MaxPower[0], r.MaxPower[1], r.MaxPower[2])
-	fmt.Fprintln(w, "(paper: no-refresh <1.2X typical, up to 1.6X on bad chips; RSP/DSP <1.1X)")
-}
-
-func shortScheme(s core.Scheme) string {
-	switch s {
-	case core.NoRefreshLRU:
-		return "noRef/LRU"
-	case core.PartialRefreshDSP:
-		return "part/DSP"
-	case core.RSPFIFO:
-		return "RSP-FIFO"
-	case core.RSPLRU:
-		return "RSP-LRU"
-	}
-	return s.String()
 }

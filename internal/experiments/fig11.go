@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
 )
@@ -16,8 +12,7 @@ type Fig11Result struct {
 	Assocs []int
 	// Perf[chip][scheme][assoc] with chips ordered good, median, bad.
 	Perf [3][3][]float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig11 sweeps associativity. The 64 KB capacity is held constant
@@ -27,7 +22,7 @@ func Fig11(p *Params) *Fig11Result {
 	s := p.study(variation.Severe, p.Chips)
 	g, m, b := s.GoodMedianBad()
 	chips := []int{g, m, b}
-	r := &Fig11Result{Assocs: []int{1, 2, 4, 8}, Prov: p.provenance()}
+	r := &Fig11Result{Assocs: []int{1, 2, 4, 8}, result: p.newResult("fig11")}
 	nS, nA := len(Fig10Schemes), len(r.Assocs)
 	perf := make([]float64, len(chips)*nS*nA)
 	p.Pool().Run(len(perf), func(job int, w *sweep.Worker) {
@@ -48,27 +43,4 @@ func Fig11(p *Params) *Fig11Result {
 		}
 	}
 	return r
-}
-
-// RenderText emits the Fig. 11 panels in the paper-shaped text form.
-func (r *Fig11Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 11 — performance vs. associativity (severe variation, 64 KB held constant)")
-	names := []string{"good chip", "median chip", "bad chip"}
-	for ci, name := range names {
-		fmt.Fprintf(w, "%s:\n", name)
-		fmt.Fprintf(w, "  %-12s", "ways")
-		for _, a := range r.Assocs {
-			fmt.Fprintf(w, "%8d", a)
-		}
-		fmt.Fprintln(w)
-		for si, scheme := range Fig10Schemes {
-			fmt.Fprintf(w, "  %-12s", shortScheme(scheme))
-			for ai := range r.Assocs {
-				fmt.Fprintf(w, "%8.3f", r.Perf[ci][si][ai])
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	fmt.Fprintln(w, "(paper: on bad chips, RSP-FIFO and partial/DSP beat no-refresh/LRU for 2/4-way;")
-	fmt.Fprintln(w, " direct-mapped caches get no placement benefit — only refresh helps)")
 }

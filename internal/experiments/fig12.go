@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/core"
 	"tdcache/internal/stats"
 	"tdcache/internal/sweep"
@@ -20,14 +16,13 @@ type Fig12Result struct {
 	SigmaMu  []float64
 	// Perf[scheme][muIdx][sigmaIdx].
 	Perf [3][][]float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig12 sweeps the (µ, σ/µ) grid.
 func Fig12(p *Params) *Fig12Result {
 	r := &Fig12Result{
-		Prov:     p.provenance(),
+		result:   p.newResult("fig12"),
 		MuCycles: []float64{2000, 6000, 12000, 20000, 30000},
 		SigmaMu:  []float64{0.05, 0.15, 0.25, 0.35},
 	}
@@ -91,25 +86,4 @@ func (r *Fig12Result) CliffObserved() bool {
 	}
 	n := float64(len(r.MuCycles))
 	return dropNoRef/n >= 0.008 && dropNoRef > dropRSP
-}
-
-// RenderText emits the three surfaces in the paper-shaped text form.
-func (r *Fig12Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 12 — performance over retention µ and σ/µ (within-die only)")
-	for si, scheme := range Fig10Schemes {
-		fmt.Fprintf(w, "%s:\n", shortScheme(scheme))
-		fmt.Fprintf(w, "  %-10s", "µ\\σ/µ")
-		for _, sm := range r.SigmaMu {
-			fmt.Fprintf(w, "%8.0f%%", 100*sm)
-		}
-		fmt.Fprintln(w)
-		for mi, mu := range r.MuCycles {
-			fmt.Fprintf(w, "  %8.0fc", mu)
-			for gi := range r.SigmaMu {
-				fmt.Fprintf(w, "%9.3f", r.Perf[si][mi][gi])
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	fmt.Fprintf(w, "σ/µ cliff beyond 25%% observed: %v (paper: yes — variance matters more than mean)\n", r.CliffObserved())
 }

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/variation"
 )
@@ -22,8 +18,7 @@ type Fig4Result struct {
 	SRAM6TPS float64
 	// Retention times (µs) where each curve crosses the 6T line.
 	NominalRetUS, WeakRetUS, StrongRetUS float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig4 evaluates the access-time curves analytically.
@@ -40,7 +35,7 @@ func Fig4(p *Params) *Fig4Result {
 		T3: circuit.Device{DL: -sigmaL, DVth: -sigmaV},
 	}
 	r := &Fig4Result{
-		Prov:         p.provenance(),
+		result:       p.newResult("fig4"),
 		SRAM6TPS:     t.AccessTime6T * circuit.SecondsToPico,
 		NominalRetUS: t.RetentionTime(circuit.Nominal3T1D) * circuit.SecondsToMicro,
 		WeakRetUS:    t.RetentionTime(weak) * circuit.SecondsToMicro,
@@ -57,17 +52,4 @@ func Fig4(p *Params) *Fig4Result {
 		r.StrongPS = append(r.StrongPS, t.AccessTime3T1D(strong, el)*circuit.SecondsToPico)
 	}
 	return r
-}
-
-// RenderText emits the Fig. 4 curves in the paper-shaped text form.
-func (r *Fig4Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 4 — 3T1D access time vs. time since write (32 nm)")
-	fmt.Fprintf(w, "6T nominal array access time: %.0f ps\n", r.SRAM6TPS)
-	fmt.Fprintf(w, "%-10s %12s %12s %12s\n", "elapsed", "nominal", "weak", "strong")
-	for i, us := range r.ElapsedUS {
-		fmt.Fprintf(w, "%8.2fus %10.0fps %10.0fps %10.0fps\n",
-			us, r.NominalPS[i], r.WeakPS[i], r.StrongPS[i])
-	}
-	fmt.Fprintf(w, "retention (curve crosses 6T line): nominal %.2f µs (paper ~5.8), weak %.2f µs (paper ~4), strong %.2f µs\n",
-		r.NominalRetUS, r.WeakRetUS, r.StrongRetUS)
 }

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/montecarlo"
 	"tdcache/internal/stats"
 	"tdcache/internal/variation"
@@ -21,8 +17,7 @@ type Fig6aResult struct {
 	Prob1X, Prob2X []float64
 	// Median1X and Median2X summarize the distributions.
 	Median1X, Median2X float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig6a runs the typical-variation Monte-Carlo frequency study.
@@ -37,7 +32,7 @@ func Fig6a(p *Params) *Fig6aResult {
 		h2.Add(f2[i])
 	}
 	r := &Fig6aResult{
-		Prov:     p.provenance(),
+		result:   p.newResult("fig6a"),
 		Prob1X:   h1.Fractions(),
 		Prob2X:   h2.Fractions(),
 		Median1X: stats.Quantile(f1, 0.5),
@@ -47,28 +42,6 @@ func Fig6a(p *Params) *Fig6aResult {
 		r.Bins = append(r.Bins, h1.BinCenter(i))
 	}
 	return r
-}
-
-// RenderText emits the Fig. 6a histogram in the paper-shaped text form.
-func (r *Fig6aResult) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 6a — 6T cache normalized frequency/performance distribution (typical variation)")
-	fmt.Fprintf(w, "%-12s", "freq bin")
-	for _, b := range r.Bins {
-		fmt.Fprintf(w, "%7.3f", b)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s", "1X 6T")
-	for _, v := range r.Prob1X {
-		fmt.Fprintf(w, "%6.1f%%", 100*v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s", "2X 6T")
-	for _, v := range r.Prob2X {
-		fmt.Fprintf(w, "%6.1f%%", 100*v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "median: 1X %.3f (paper: most chips lose 10-20%%), 2X %.3f (paper: ~0.97+)\n",
-		r.Median1X, r.Median2X)
 }
 
 // Fig7Result reproduces Figure 7: cache leakage-power distributions
@@ -84,8 +57,7 @@ type Fig7Result struct {
 	OverGolden3T1D float64
 	// Max6T and Max3T1D are the worst chips.
 	Max6T, Max3T1D float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // fig7Bins are the paper's x-axis labels (upper edge of each bucket).
@@ -97,7 +69,7 @@ func Fig7(p *Params) *Fig7Result {
 	l6 := s.Column(func(c *montecarlo.Chip) float64 { return c.Leak6T1X })
 	l3 := s.Column(func(c *montecarlo.Chip) float64 { return c.Leak3T1D })
 	r := &Fig7Result{
-		Prov:      p.provenance(),
+		result:    p.newResult("fig7"),
 		BinLabels: fig7Bins,
 		Prob6T:    bucketize(l6, fig7Bins),
 		Prob3T1D:  bucketize(l3, fig7Bins),
@@ -142,28 +114,4 @@ func bucketize(xs []float64, edges []float64) []float64 {
 		out[i] /= float64(len(xs))
 	}
 	return out
-}
-
-// RenderText emits the Fig. 7 histograms in the paper-shaped text form.
-func (r *Fig7Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 7 — cache leakage power distribution vs. golden 6T (typical variation)")
-	fmt.Fprintf(w, "%-12s", "leakage ≤")
-	for _, b := range r.BinLabels {
-		fmt.Fprintf(w, "%7.2fX", b)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s", "1X 6T")
-	for _, v := range r.Prob6T {
-		fmt.Fprintf(w, "%7.1f%%", 100*v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-12s", "3T1D")
-	for _, v := range r.Prob3T1D {
-		fmt.Fprintf(w, "%7.1f%%", 100*v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "6T chips above 1.5X golden: %.0f%% (paper: >50%%); worst 6T chip: %.1fX\n",
-		100*r.Over1p5x6T, r.Max6T)
-	fmt.Fprintf(w, "3T1D chips above golden 6T: %.0f%% (paper: ~11%%); worst 3T1D chip: %.1fX (paper: never exceeds 4X)\n",
-		100*r.OverGolden3T1D, r.Max3T1D)
 }

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/montecarlo"
@@ -34,14 +30,13 @@ type Fig6bResult struct {
 	// NormalDyn / RefreshDyn / TotalDyn: dynamic power vs. ideal 6T
 	// (Fig. 6b bottom).
 	NormalDyn, RefreshDyn, TotalDyn []float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig6b runs the retention histogram (Monte Carlo) and the global-
 // refresh performance/power sweep.
 func Fig6b(p *Params) *Fig6bResult {
-	r := &Fig6bResult{Prov: p.provenance()}
+	r := &Fig6bResult{result: p.newResult("fig6b")}
 
 	// Top plot: retention histogram across the typical population.
 	s := p.study(variation.Typical, p.DistChips)
@@ -100,57 +95,6 @@ func Fig6b(p *Params) *Fig6bResult {
 	return r
 }
 
-// RenderText emits the three Fig. 6b panels in the paper-shaped form.
-func (r *Fig6bResult) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 6b — 3T1D cache under typical variation, global refresh")
-	fmt.Fprintln(w, "(top) cache retention distribution:")
-	fmt.Fprintf(w, "%-14s", "retention(ns)")
-	for _, e := range r.HistEdgesNS {
-		fmt.Fprintf(w, "%7.0f", e)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "chip prob")
-	for _, v := range r.HistProb {
-		fmt.Fprintf(w, "%6.1f%%", 100*v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "chips below global-scheme floor: %.1f%%\n\n", 100*r.DeadChipFrac)
-
-	fmt.Fprintln(w, "(middle) normalized performance vs. retention (paper: >0.98 above ~700ns, knee below 500ns):")
-	fmt.Fprintf(w, "%-14s", "retention(ns)")
-	for _, v := range r.RetentionNS {
-		fmt.Fprintf(w, "%8.0f", v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "mean perf")
-	for _, v := range r.MeanPerf {
-		fmt.Fprintf(w, "%8.3f", v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "worst bench")
-	for _, v := range r.WorstPerf {
-		fmt.Fprintf(w, "%8.3f", v)
-	}
-	fmt.Fprintf(w, "   (%s)\n\n", r.WorstBench)
-
-	fmt.Fprintln(w, "(bottom) dynamic power vs. ideal 6T (paper: total 1.3-2.25X):")
-	fmt.Fprintf(w, "%-14s", "normal dyn")
-	for _, v := range r.NormalDyn {
-		fmt.Fprintf(w, "%8.2f", v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "refresh dyn")
-	for _, v := range r.RefreshDyn {
-		fmt.Fprintf(w, "%8.2f", v)
-	}
-	fmt.Fprintln(w)
-	fmt.Fprintf(w, "%-14s", "total dyn")
-	for _, v := range r.TotalDyn {
-		fmt.Fprintf(w, "%8.2f", v)
-	}
-	fmt.Fprintln(w)
-}
-
 // GlobalRefreshResult verifies §4.1's claims with no process variation:
 // the refresh pass occupies ~8% of cache bandwidth and costs <1%
 // performance.
@@ -160,8 +104,7 @@ type GlobalRefreshResult struct {
 	BandwidthFrac  float64
 	NormalizedPerf float64
 	GlobalPasses   uint64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // GlobalRefreshNoVariation runs the §4.1 sanity experiment.
@@ -181,21 +124,11 @@ func GlobalRefreshNoVariation(p *Params) *GlobalRefreshResult {
 	}
 	passCycles := float64(1024 / 4 * core.DefaultConfig(core.NoRefreshLRU).RefreshCycles)
 	return &GlobalRefreshResult{
-		Prov:           p.provenance(),
+		result:         p.newResult("sec4.1"),
 		RetentionNS:    float64(retCycles) * cyc * circuit.SecondsToNano,
 		PassNS:         passCycles * cyc * circuit.SecondsToNano,
 		BandwidthFrac:  passCycles / float64(retCycles),
 		NormalizedPerf: norm,
 		GlobalPasses:   passes,
 	}
-}
-
-// RenderText emits the §4.1 numbers in the paper-shaped text form.
-func (r *GlobalRefreshResult) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "§4.1 — global refresh without process variation (32 nm)")
-	fmt.Fprintf(w, "cache retention: %.0f ns (paper: ~6000 ns)\n", r.RetentionNS)
-	fmt.Fprintf(w, "refresh pass: %.1f ns (paper: 476.3 ns)\n", r.PassNS)
-	fmt.Fprintf(w, "bandwidth share: %.1f%% (paper: ~8%%)\n", 100*r.BandwidthFrac)
-	fmt.Fprintf(w, "normalized performance: %.4f (paper: >0.99)\n", r.NormalizedPerf)
-	fmt.Fprintf(w, "global passes observed: %d\n", r.GlobalPasses)
 }

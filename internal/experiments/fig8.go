@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/stats"
 	"tdcache/internal/variation"
@@ -25,8 +21,7 @@ type Fig8Result struct {
 	DiscardRate float64
 	// ChipIndices records which population members were selected.
 	GoodIdx, MedianIdx, BadIdx int
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig8 selects the three analysis chips from the severe study and bins
@@ -35,7 +30,7 @@ func Fig8(p *Params) *Fig8Result {
 	s := p.study(variation.Severe, p.Chips)
 	g, m, b := s.GoodMedianBad()
 	r := &Fig8Result{
-		Prov:    p.provenance(),
+		result:  p.newResult("fig8"),
 		GoodIdx: g, MedianIdx: m, BadIdx: b,
 		DiscardRate: s.DiscardRate(),
 		GoodDead:    s.Chips[g].DeadFrac,
@@ -58,33 +53,4 @@ func Fig8(p *Params) *Fig8Result {
 	r.Median = hist(m)
 	r.Bad = hist(b)
 	return r
-}
-
-// RenderText emits the Fig. 8 histograms in the paper-shaped text form.
-func (r *Fig8Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 8 — line retention distribution for good/median/bad chips (severe variation)")
-	fmt.Fprintf(w, "%-12s", "retention(ns)")
-	for _, c := range r.BinCentersNS {
-		fmt.Fprintf(w, "%7.0f", c)
-	}
-	fmt.Fprintln(w)
-	rows := []struct {
-		name string
-		vals []float64
-		dead float64
-	}{
-		{"good", r.Good, r.GoodDead},
-		{"median", r.Median, r.MedianDead},
-		{"bad", r.Bad, r.BadDead},
-	}
-	for _, row := range rows {
-		fmt.Fprintf(w, "%-12s", row.name)
-		for _, v := range row.vals {
-			fmt.Fprintf(w, "%6.1f%%", 100*v)
-		}
-		fmt.Fprintf(w, "   dead lines: %.1f%%\n", 100*row.dead)
-	}
-	fmt.Fprintf(w, "dead-line fractions (paper: bad ~23%%, median ~3%%): bad %.1f%%, median %.1f%%\n",
-		100*r.BadDead, 100*r.MedianDead)
-	fmt.Fprintf(w, "global-scheme discard rate (paper: ~80%%): %.0f%%\n", 100*r.DiscardRate)
 }

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/core"
 	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
@@ -17,8 +13,7 @@ type Fig9Result struct {
 	Schemes []core.Scheme
 	// Perf[chip][scheme] with chip order good, median, bad.
 	Perf [3][]float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig9 runs the full scheme matrix: 3 chips × 8 schemes, each a whole
@@ -27,7 +22,7 @@ func Fig9(p *Params) *Fig9Result {
 	s := p.study(variation.Severe, p.Chips)
 	g, m, b := s.GoodMedianBad()
 	chips := []int{g, m, b}
-	r := &Fig9Result{Schemes: core.Fig9Schemes, Prov: p.provenance()}
+	r := &Fig9Result{Schemes: core.Fig9Schemes, result: p.newResult("fig9")}
 	nS := len(core.Fig9Schemes)
 	perf := make([]float64, len(chips)*nS)
 	p.Pool().Run(len(perf), func(job int, w *sweep.Worker) {
@@ -53,14 +48,4 @@ func (r *Fig9Result) Best() core.Scheme {
 		}
 	}
 	return r.Schemes[best]
-}
-
-// RenderText emits the Fig. 9 bars in the paper-shaped text form.
-func (r *Fig9Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 9 — normalized performance of retention schemes (severe variation)")
-	fmt.Fprintf(w, "%-24s %8s %8s %8s\n", "scheme", "good", "median", "bad")
-	for i, s := range r.Schemes {
-		fmt.Fprintf(w, "%-24s %8.3f %8.3f %8.3f\n", s, r.Perf[0][i], r.Perf[1][i], r.Perf[2][i])
-	}
-	fmt.Fprintf(w, "best scheme for the bad chip: %s (paper: RSP schemes win; LRU-only suffers on dead lines)\n", r.Best())
 }

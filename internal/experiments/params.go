@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation. Each experiment is a function from Params to a typed
-// result with a Print method that emits the same rows/series the paper
-// reports; the registry in registry.go maps experiment IDs (fig1, fig6a,
-// tab3, ...) to runners for the CLI and the benchmark harness.
+// result whose ArtifactTable holds the rows/series the paper reports;
+// every encoding, text included, is printed from that table. The
+// registry in registry.go maps experiment IDs (fig1, fig6a, tab3, ...)
+// to runners for the CLI and the benchmark harness.
 //
 // Absolute numbers differ from the paper (the substrate is a synthetic
 // simulator, not the authors' Hspice + sim-alpha testbed); the
@@ -14,7 +15,7 @@
 // Fig. 9/10/11/12, Table 3, and the yield curves) submit their jobs to a
 // shared sweep.Pool. Every job writes into a pre-indexed slot and every
 // simulation is a pure function of its (spec, benchmark, seed) key, so
-// the printed output is byte-identical regardless of Params.Parallel.
+// every encoding is byte-identical regardless of Params.Parallel.
 package experiments
 
 import (

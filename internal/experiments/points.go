@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/stats"
 	"tdcache/internal/variation"
@@ -50,8 +46,7 @@ type PointResult struct {
 // Fig12PointsResult reproduces the Fig. 12 design-point annotations.
 type Fig12PointsResult struct {
 	Points []PointResult
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Fig12PointsRun evaluates each design point: derate the node to the
@@ -61,7 +56,7 @@ func Fig12PointsRun(p *Params) *Fig12PointsResult {
 	// Each point gets a WithTech derivation at its derated operating
 	// point; the caller's Params is never mutated, so concurrent Digest
 	// or provenance reads stay race-free.
-	res := &Fig12PointsResult{Prov: p.provenance()}
+	res := &Fig12PointsResult{result: p.newResult("fig12pts")}
 
 	chips := p.Chips / 4
 	if chips < 6 {
@@ -100,18 +95,4 @@ func Fig12PointsRun(p *Params) *Fig12PointsResult {
 		res.Points = append(res.Points, pr)
 	}
 	return res
-}
-
-// RenderText emits the design-point table in the paper-shaped form.
-func (r *Fig12PointsResult) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Figure 12 design points — real (node, Vdd, variation) combinations on the µ-σ/µ surface")
-	fmt.Fprintf(w, "%-24s %10s %8s %7s %10s %10s %10s\n",
-		"point", "µ(cycles)", "σ/µ", "dead", "noRef/LRU", "part/DSP", "RSP-FIFO")
-	for _, pt := range r.Points {
-		fmt.Fprintf(w, "%-24s %10.0f %7.1f%% %6.1f%% %10.3f %10.3f %10.3f\n",
-			pt.Point.Label, pt.MuCycles, 100*pt.SigmaMu, 100*pt.DeadFrac,
-			pt.Perf[0], pt.Perf[1], pt.Perf[2])
-	}
-	fmt.Fprintln(w, "(paper: performance degrades 1→2→3 with scaling, 3→5 with voltage scaling,")
-	fmt.Fprintln(w, " and is worst at point 6 — severe variation at low voltage)")
 }

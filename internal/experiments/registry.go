@@ -94,25 +94,31 @@ func Build(id string, p *Params) (artifact.Artifact, error) {
 	return sp.Run(p), nil
 }
 
-// Run executes one experiment by ID and prints its text form, or all
-// of them (in Specs order) for "all".
+// Run executes one experiment by ID and writes its text form, or all
+// of them (in Specs order, each under a "===== id =====" line) for
+// "all". It returns the first build, encode or write error.
 func Run(id string, p *Params, w io.Writer) error {
-	if id == "all" {
-		for _, sp := range Specs {
-			if _, err := fmt.Fprintf(w, "===== %s =====\n", sp.ID); err != nil {
-				return fmt.Errorf("experiments: printing %s: %w", sp.ID, err)
-			}
-			printArtifact(w, sp.Run(p))
-			if _, err := fmt.Fprintln(w); err != nil {
-				return fmt.Errorf("experiments: printing %s: %w", sp.ID, err)
-			}
+	if id != "all" {
+		a, err := Build(id, p)
+		if err != nil {
+			return err
+		}
+		if err := artifact.EncodeText(w, a); err != nil {
+			return fmt.Errorf("experiments: printing %s: %w", id, err)
 		}
 		return nil
 	}
-	a, err := Build(id, p)
-	if err != nil {
-		return err
+	for _, sp := range Specs {
+		_, err := fmt.Fprintf(w, "===== %s =====\n", sp.ID)
+		if err == nil {
+			err = artifact.EncodeText(w, sp.Run(p))
+		}
+		if err == nil {
+			_, err = fmt.Fprintln(w)
+		}
+		if err != nil {
+			return fmt.Errorf("experiments: printing %s: %w", sp.ID, err)
+		}
 	}
-	printArtifact(w, a)
 	return nil
 }

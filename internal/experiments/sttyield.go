@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/montecarlo"
 	"tdcache/internal/variation"
@@ -48,8 +44,7 @@ type STTYieldResult struct {
 	// MeanAliveNS[config] is the population mean of the chips' mean
 	// live-line retention (ns).
 	MeanAliveNS []float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // STTYield evaluates the class mixes over the severe-variation
@@ -69,7 +64,7 @@ func STTYield(p *Params) *STTYieldResult {
 		// Provenance reflects the Params handed in (the store keys
 		// artifacts by their digest); the class variants are fixed
 		// constants of this suite, not Params knobs.
-		Prov: p.provenance(),
+		result: p.newResult("sttyield"),
 	}
 	pool := p.Pool()
 	for _, cfg := range sttClassConfigs {
@@ -101,25 +96,4 @@ func STTYield(p *Params) *STTYieldResult {
 		r.MeanAliveNS = append(r.MeanAliveNS, meanAlive/n)
 	}
 	return r
-}
-
-// RenderText emits the yield suite in the paper-shaped text form.
-func (r *STTYieldResult) RenderText(w io.Writer) {
-	fmt.Fprintf(w, "STT-RAM retention-class yield under severe variation — %s backend\n", r.Backend)
-	fmt.Fprintf(w, "%-12s %7s %10s %12s", "config", "hi-ways", "mean dead", "mean alive")
-	for _, th := range r.Thresholds {
-		fmt.Fprintf(w, "  dead≤%.0f%%", 100*th)
-	}
-	fmt.Fprintln(w)
-	for ci, name := range r.Configs {
-		fmt.Fprintf(w, "%-12s %7d %9.1f%% %10.0fns", name, r.HiWays[ci],
-			100*r.MeanDeadFrac[ci], r.MeanAliveNS[ci])
-		for _, y := range r.Yield[ci] {
-			fmt.Fprintf(w, " %8.0f%%", 100*y)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintln(w, "(a chip yields at a ceiling when its dead-line fraction stays under it;")
-	fmt.Fprintln(w, " the asymmetric split anchors its counter step to the relaxed class, giving")
-	fmt.Fprintln(w, " its high-retention ways margin that a uniform array's own-class step lacks)")
 }

@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/montecarlo"
@@ -42,8 +38,7 @@ type Table3Result struct {
 	Rows []Table3Row
 	// Paper anchors for the printout.
 	PowerSavingFrac float64 // 3T1D total cache power saving vs ideal at 32nm
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Table3 runs the per-node simulations. Per node it needs: the ideal
@@ -54,7 +49,7 @@ func Table3(p *Params) *Table3Result {
 	// The caller's Params stays untouched: each node gets a WithTech
 	// derivation (same rig, new Tech value), so concurrent Digest or
 	// provenance reads of p never observe a mid-sweep node.
-	res := &Table3Result{Prov: p.provenance()}
+	res := &Table3Result{result: p.newResult("tab3")}
 
 	for _, tech := range circuit.Nodes {
 		pn := p.WithTech(tech)
@@ -128,23 +123,4 @@ func Table3(p *Params) *Table3Result {
 		}
 	}
 	return res
-}
-
-// RenderText emits the Table 3 rows in the paper-shaped text form.
-func (r *Table3Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Table 3 — cache designs across technology nodes (median typical-variation chips)")
-	fmt.Fprintf(w, "%-6s | %8s %6s %8s %8s %8s | %8s %6s %8s %8s %8s | %9s %6s %8s %8s %8s\n",
-		"node",
-		"access", "BIPS", "meanDyn", "fullDyn", "leak",
-		"access", "BIPS", "meanDyn", "fullDyn", "leak",
-		"retention", "BIPS", "meanDyn", "fullDyn", "leak")
-	fmt.Fprintf(w, "%-6s | %39s | %39s | %42s\n", "", "ideal 6T (no variation)", "1X 6T (median chip)", "3T1D (median chip)")
-	for _, row := range r.Rows {
-		fmt.Fprintf(w, "%-6s | %6.0fps %6.2f %6.2fmW %6.2fmW %6.1fmW | %6.0fps %6.2f %6.2fmW %6.2fmW %6.1fmW | %7.0fns %6.2f %6.2fmW %6.2fmW %6.1fmW\n",
-			row.Node,
-			row.IdealAccessPS, row.IdealBIPS, row.IdealMeanDynMW, row.IdealFullDynMW, row.IdealLeakMW,
-			row.SRAMAccessPS, row.SRAMBIPS, row.SRAMMeanDynMW, row.SRAMFullDynMW, row.SRAMLeakMW,
-			row.TDRetentionNS, row.TDBIPS, row.TDMeanDynMW, row.TDFullDynMW, row.TDLeakMW)
-	}
-	fmt.Fprintf(w, "3T1D total cache power saving vs. ideal 6T at 32nm: %.0f%% (paper: ~64%%)\n", 100*r.PowerSavingFrac)
 }

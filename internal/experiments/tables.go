@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 
-	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/cpu"
 )
@@ -24,13 +22,12 @@ type Table1Row struct {
 type Table1Result struct {
 	// Rows are the per-node parameter rows, in circuit.Nodes order.
 	Rows []Table1Row
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Table1 captures the circuit parameters of every technology node.
 func Table1(p *Params) *Table1Result {
-	r := &Table1Result{Prov: p.provenance()}
+	r := &Table1Result{result: p.newResult("tab1")}
 	for _, t := range circuit.Nodes {
 		r.Rows = append(r.Rows, Table1Row{
 			Node:        t.Name,
@@ -44,34 +41,21 @@ func Table1(p *Params) *Table1Result {
 	return r
 }
 
-// RenderText emits the Table 1 rows in the paper-shaped text form.
-func (r *Table1Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Table 1 — circuit simulation parameters")
-	fmt.Fprintf(w, "%-8s %12s %10s %12s %12s %10s\n",
-		"node", "cell area", "wire w", "wire thick", "oxide", "frequency")
-	for _, t := range r.Rows {
-		fmt.Fprintf(w, "%-8s %10.2fum2 %8.2fum %10.2fum %10.1fnm %8.1fGHz\n",
-			t.Node, t.CellAreaUM2, t.WireWidthUM, t.WireThickUM, t.OxideNM, t.FreqGHz)
-	}
-}
-
 // Table2Result reproduces Table 2: the baseline processor
 // configuration the architecture simulations run on.
 type Table2Result struct {
 	// Cfg and L2 are the pipeline and L2 configurations in force.
 	Cfg cpu.Config
 	L2  cpu.L2Config
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Table2 captures the baseline processor configuration.
 func Table2(p *Params) *Table2Result {
-	return &Table2Result{Cfg: cpu.DefaultConfig(), L2: cpu.DefaultL2(), Prov: p.provenance()}
+	return &Table2Result{Cfg: cpu.DefaultConfig(), L2: cpu.DefaultL2(), result: p.newResult("tab2")}
 }
 
-// rows returns the parameter/value pairs in table order; RenderText
-// and the artifact builder share it so the two forms can't drift.
+// rows returns the parameter/value pairs in table order.
 func (r *Table2Result) rows() [][2]string {
 	return [][2]string{
 		{"Issue width", fmt.Sprintf("%d instructions", r.Cfg.IssueWidth)},
@@ -83,13 +67,5 @@ func (r *Table2Result) rows() [][2]string {
 		{"Functional units", fmt.Sprintf("%d INT, %d FP", r.Cfg.IntFUs, r.Cfg.FpFUs)},
 		{"L2 cache", fmt.Sprintf("%dMB %d-way", r.L2.SizeKB/1024, r.L2.Ways)},
 		{"Branch predictor", "21264 tournament predictor"},
-	}
-}
-
-// RenderText emits the Table 2 rows in the paper-shaped text form.
-func (r *Table2Result) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Table 2 — baseline processor configuration")
-	for _, row := range r.rows() {
-		fmt.Fprintf(w, "%-28s %s\n", row[0], row[1])
 	}
 }

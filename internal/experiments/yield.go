@@ -1,10 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
-
-	"tdcache/internal/artifact"
 	"tdcache/internal/core"
 	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
@@ -23,8 +19,7 @@ type YieldResult struct {
 	RSPFIFO        []float64
 	// DiscardRate is the global scheme's hard floor.
 	DiscardRate float64
-	// Prov records the run that produced the result.
-	Prov artifact.Provenance
+	result
 }
 
 // Yield computes the curves over the severe-variation population. The
@@ -36,7 +31,7 @@ type YieldResult struct {
 func Yield(p *Params) *YieldResult {
 	s := p.study(variation.Severe, p.Chips)
 	r := &YieldResult{
-		Prov:        p.provenance(),
+		result:      p.newResult("yield"),
 		Thresholds:  []float64{0.80, 0.85, 0.90, 0.95, 0.97, 0.99},
 		DiscardRate: s.DiscardRate(),
 	}
@@ -76,33 +71,4 @@ func Yield(p *Params) *YieldResult {
 		r.RSPFIFO = append(r.RSPFIFO, cr/n)
 	}
 	return r
-}
-
-// RenderText emits the yield curves in the paper-shaped text form.
-func (r *YieldResult) RenderText(w io.Writer) {
-	fmt.Fprintln(w, "Yield curves under severe variation (fraction of chips meeting a performance target)")
-	fmt.Fprintf(w, "%-16s", "target perf ≥")
-	for _, th := range r.Thresholds {
-		fmt.Fprintf(w, "%8.2f", th)
-	}
-	fmt.Fprintln(w)
-	rows := []struct {
-		name string
-		vals []float64
-	}{
-		{"6T 1X", r.SixT1X},
-		{"6T 2X", r.SixT2X},
-		{"3T1D global", r.Global3T1D},
-		{"3T1D RSP-FIFO", r.RSPFIFO},
-	}
-	for _, row := range rows {
-		fmt.Fprintf(w, "%-16s", row.name)
-		for _, v := range row.vals {
-			fmt.Fprintf(w, "%7.0f%%", 100*v)
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "global-scheme discard rate: %.0f%%\n", 100*r.DiscardRate)
-	fmt.Fprintln(w, "(§4.2/§4.3: line-level 3T1D schemes keep every chip shippable at targets")
-	fmt.Fprintln(w, " where severe-variation 6T designs yield almost nothing)")
 }

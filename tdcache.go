@@ -280,8 +280,8 @@ func ExperimentSpecs() []ExperimentSpec {
 }
 
 // RunExperiment regenerates one paper artifact (or all of them for
-// "all"), printing the paper-shaped output to w. Experiment errors
-// are returned verbatim by documented contract.
+// "all"), writing its text form to w. Experiment, encode and write
+// errors are returned verbatim by documented contract.
 //
 //errflow:passthrough
 func RunExperiment(id string, p *ExperimentParams, w io.Writer) error {
