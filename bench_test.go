@@ -13,8 +13,11 @@ import (
 	"runtime"
 	"testing"
 
+	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/experiments"
+	"tdcache/internal/stats"
+	"tdcache/internal/variation"
 	"tdcache/internal/workload"
 )
 
@@ -209,14 +212,21 @@ func BenchmarkPipelineCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkChipRetentionMap measures the Monte-Carlo per-chip retention
-// evaluation (the dominant circuit-model cost).
+// BenchmarkChipRetentionMap times one severe chip's retention map under
+// each cell backend's line kernel (the dominant circuit-model cost),
+// without the chip sampling and SRAM factors SampleChip adds.
 func BenchmarkChipRetentionMap(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		chip := SampleChip(Severe, uint64(i+1))
-		if chip.Retention == nil {
-			b.Fatal("no retention map")
-		}
+	chip := variation.NewChip(stats.NewRNG(1), 0, variation.Severe, circuit.L1D.TileCols, circuit.L1D.TileRows)
+	for _, backend := range []circuit.CellBackend{circuit.Backend3T1D, circuit.STTRAMBackend} {
+		b.Run(backend.Name(), func(b *testing.B) {
+			e := circuit.ChipEval{Tech: circuit.Node32, Geom: circuit.L1D, Chip: chip, Backend: backend}
+			for i := 0; i < b.N; i++ {
+				if m := e.RetentionMap(); len(m) != circuit.L1D.Lines {
+					b.Fatal("short retention map")
+				}
+			}
+			b.ReportMetric(float64(b.N*circuit.L1D.Lines)/b.Elapsed().Seconds(), "lines/s")
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package circuit
 import (
 	"math"
 
+	"tdcache/internal/stats"
 	"tdcache/internal/variation"
 )
 
@@ -129,34 +130,106 @@ func (b *STTRAM) NominalRetention(t Tech) float64 {
 	return b.Tau0Sec * math.Exp(b.minClassDelta())
 }
 
+// sttWindow is the uniform-space slack of the STT-RAM line kernel. A
+// cell's Δ is a monotone function of its hash uniform u through
+// stats.InvNormCDF, whose slope is at least √(2π), so two cells further
+// apart than sttWindow in u differ by at least 2.5e-6 in the quantile:
+// far above the approximation's ulp-level non-monotonicity (≤ 1e-12),
+// so only cells within sttWindow of the extreme uniform can hold the
+// line's minimum Δ. TestInvNormCDFWindowPremise pins this.
+const sttWindow = 1e-6
+
 // LineRetention implements CellBackend: min-Δ over the line's data and
-// tag cells, one exp at the end (min of exp = exp of min, which keeps
-// the 544-cell loop transcendental-free).
+// tag cells, one exp at the end (min of exp = exp of min). The two
+// halves of the line sit on different tiles, so each tile group takes
+// its own minimum (see sttGroup), evaluating the inverse normal CDF only
+// for the few cells whose uniform is near the group's extreme. The
+// result is bit-identical to evaluating Δ for every cell.
 //
 //unit:result seconds
 func (b *STTRAM) LineRetention(e ChipEval, line int) float64 {
 	x0, x1, y := e.Geom.LineTiles(line)
-	sys0 := 1 + b.DeltaLSens*e.Chip.DeltaL(x0, y)
-	sys1 := 1 + b.DeltaLSens*e.Chip.DeltaL(x1, y)
 	nom := b.classDelta(e.Geom, line)
+	sigma := e.Chip.Scenario.SigmaVth
 	total := e.Geom.CellsPerLine + e.Geom.TagBits
 	half := e.Geom.CellsPerLine / 2
-	minDelta := math.Inf(1)
-	for cell := 0; cell < total; cell++ {
-		sys := sys0
-		if cell >= half && cell < e.Geom.CellsPerLine {
-			sys = sys1 // second half of the data bits lives in the pair's other array
-		}
-		dv := e.Chip.DeltaVth(e.cellID(line, cell), slotMTJ)
-		delta := nom * sys * (1 + b.DeltaSigmaScale*dv)
-		if delta < minDelta {
-			minDelta = delta
-		}
+	base := uint64(line) * uint64(total)
+	seed := e.Chip.Seed()
+	g0 := b.newGroup(nom*(1+b.DeltaLSens*e.Chip.DeltaL(x0, y)), sigma)
+	g1 := b.newGroup(nom*(1+b.DeltaLSens*e.Chip.DeltaL(x1, y)), sigma)
+	// The second half of the data bits lives in the pair's other array;
+	// the tag cells stay with the first half.
+	g0.scan(seed, base, 0, half)
+	g1.scan(seed, base, half, e.Geom.CellsPerLine)
+	g0.scan(seed, base, e.Geom.CellsPerLine, total)
+	minDelta := g0.min
+	if g1.min < minDelta {
+		minDelta = g1.min
 	}
 	if minDelta < 0 {
 		minDelta = 0
 	}
 	return b.Tau0Sec * math.Exp(minDelta)
+}
+
+// sttGroup is the running Δ minimum over the cells of one tile. Within
+// a tile Δ = nomSys·(1 + s·σ·InvNormCDF(u)) moves with the cell's
+// uniform u in the direction dir of sign(nomSys·s·σ): the cell with the
+// smallest u holds the minimum when dir > 0, the largest when dir < 0,
+// and every cell has Δ = nomSys when dir == 0.
+type sttGroup struct {
+	nomSys float64 //unit:dimensionless // nominal Δ times the tile's systematic factor
+	s      float64 //unit:dimensionless // DeltaSigmaScale
+	sigma  float64 //unit:dimensionless // the scenario's σVth
+	dir    float64 // +1, -1 or 0: the sign of dΔ/du
+	key    float64 // the smallest dir·u scanned so far
+	min    float64 //unit:dimensionless // the smallest Δ evaluated so far
+}
+
+func (b *STTRAM) newGroup(nomSys, sigma float64) sttGroup {
+	return sttGroup{
+		nomSys: nomSys, s: b.DeltaSigmaScale, sigma: sigma,
+		dir: sign(nomSys) * sign(b.DeltaSigmaScale) * sign(sigma),
+		key: math.Inf(1), min: math.Inf(1),
+	}
+}
+
+func sign(x float64) float64 {
+	switch {
+	case x > 0:
+		return 1
+	case x < 0:
+		return -1
+	}
+	return 0
+}
+
+// scan folds cells [lo, hi) of the line into the group in one pass. It
+// keeps the smallest key = dir·u seen so far and evaluates Δ only for
+// cells whose key is within sttWindow of it. That bound only tightens,
+// so every cell within sttWindow of the group's final extreme is
+// evaluated, and that set holds the minimum; the cells evaluated before
+// the bound settles are extra candidates, about ln(hi-lo) of them.
+func (g *sttGroup) scan(seed, base uint64, lo, hi int) {
+	if g.dir == 0 {
+		if lo < hi && g.nomSys < g.min {
+			g.min = g.nomSys
+		}
+		return
+	}
+	for cell := lo; cell < hi; cell++ {
+		u := stats.HashUniform(seed, stats.Mix64(base+uint64(cell), uint64(slotMTJ)))
+		key := g.dir * u // dir·u falls as Δ does
+		if key > g.key+sttWindow {
+			continue
+		}
+		if key < g.key {
+			g.key = key
+		}
+		if delta := g.nomSys * (1 + g.s*(g.sigma*stats.InvNormCDF(u))); delta < g.min {
+			g.min = delta
+		}
+	}
 }
 
 // RetentionMap implements CellBackend; the interface is crossed once

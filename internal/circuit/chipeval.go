@@ -113,40 +113,76 @@ func (e ChipEval) LineRetention(line int) float64 {
 	return e.ActiveBackend().LineRetention(e, line)
 }
 
+// retentionChunk is how many cells the 3T1D kernel evaluates one stage
+// at a time. Each stage of one cell is a serial chain (a rational
+// polynomial and a divide for each inverse-normal draw; a log, then an
+// exp, for the read path), so a per-cell loop is latency-bound. Running
+// each stage across a chunk of independent cells lets the CPU overlap
+// them.
+const retentionChunk = 16
+
 // lineRetention3T1D is the 3T1D backend's line kernel: a hoisted form
 // algebraically identical to Tech.RetentionTime (asserted by tests)
-// because this is the hot path of every Monte-Carlo study.
+// because this is the hot path of every Monte-Carlo study. It takes the
+// line retentionChunk cells at a time in four stages: hash and scale
+// the chunk's threshold draws, then cellLeakTerms, then cellScale, then
+// cellRetention in cell order. A dead cell still ends the line, so at
+// most the rest of its chunk is evaluated for nothing. Each stage sees
+// the same operands in the same order as a per-cell loop would, so the
+// result is bit-identical to one.
 //
 //unit:result seconds
 func (e ChipEval) lineRetention3T1D(line int) float64 {
 	x0, x1, y := e.Geom.LineTiles(line)
 	p0 := e.tileParams(x0, y)
 	p1 := e.tileParams(x1, y)
-	min := math.Inf(1)
+	t := &e.Tech
+	worst := math.Inf(1)
 	total := e.Geom.CellsPerLine + e.Geom.TagBits
 	half := e.Geom.CellsPerLine / 2
 	sigma := e.Chip.Scenario.SigmaVth
 	seed := e.Chip.Seed()
-	for cell := 0; cell < total; cell++ {
-		p := &p0
-		if cell >= half && cell < e.Geom.CellsPerLine {
-			p = &p1 // second half of the data bits lives in the pair's other array
-		}
-		id := e.cellID(line, cell)
-		var g1, g2, g3 float64
+	base := uint64(line) * uint64(total)
+	var (
+		g       [3 * retentionChunk]float64 // ΔVth/Vth0 of T1, T2, T3 per cell; all zero when sigma == 0
+		tile    [retentionChunk]*tileParams
+		lnOver3 [retentionChunk]float64
+		retLeak [retentionChunk]float64
+		scale   [retentionChunk]float64
+	)
+	for start := 0; start < total; start += retentionChunk {
+		n := min(retentionChunk, total-start)
 		if sigma != 0 {
-			g1 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT1)))
-			g2 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT2)))
-			g3 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT3)))
+			for i := 0; i < n; i++ {
+				id := base + uint64(start+i)
+				g[3*i] = stats.HashUniform(seed, stats.Mix64(id, uint64(slotT1)))
+				g[3*i+1] = stats.HashUniform(seed, stats.Mix64(id, uint64(slotT2)))
+				g[3*i+2] = stats.HashUniform(seed, stats.Mix64(id, uint64(slotT3)))
+			}
+			for i, u := range g[:3*n] {
+				g[i] = sigma * stats.InvNormCDF(u)
+			}
 		}
-		if r := e.cellRetention(p, g1, g2, g3); r < min {
-			min = r
-			if min == 0 {
-				break // a dead cell kills the whole line; no need to keep scanning
+		for i := 0; i < n; i++ {
+			tile[i] = &p0
+			if cell := start + i; cell >= half && cell < e.Geom.CellsPerLine {
+				tile[i] = &p1 // second half of the data bits lives in the pair's other array
+			}
+			lnOver3[i], retLeak[i] = cellLeakTerms(t, tile[i], g[3*i], g[3*i+2])
+		}
+		for i := 0; i < n; i++ {
+			scale[i] = cellScale(t, tile[i], lnOver3[i])
+		}
+		for i := 0; i < n; i++ {
+			if r := cellRetention(t, tile[i], g[3*i], g[3*i+1], scale[i], retLeak[i]); r < worst {
+				worst = r
+				if worst == 0 {
+					return 0 // a dead cell kills the whole line; no need to keep scanning
+				}
 			}
 		}
 	}
-	return min
+	return worst
 }
 
 // tileParams holds the per-tile (systematic) quantities hoisted out of
@@ -181,38 +217,60 @@ func (e ChipEval) tileParams(tx, ty int) tileParams {
 	}
 }
 
-// cellRetention is the hoisted equivalent of Tech.RetentionTime for a
-// cell whose three transistors share a tile corner p and have i.i.d.
-// threshold deviations g1..g3 (already scaled by σVth, as ΔVth/Vth0).
+// cellLeakTerms, cellScale and cellRetention are, in that order, the
+// hoisted equivalent of Tech.RetentionTime for a cell whose three
+// transistors share a tile corner p and have i.i.d. threshold deviations
+// g1..g3 (already scaled by σVth, as ΔVth/Vth0). They are split where
+// the transcendental calls are, so the kernel can run each across a
+// chunk of cells. Both structs are passed by pointer so no call copies
+// either.
+//
+// cellLeakTerms returns the log of T3's gate overdrive and T1's decay
+// factor retLeakFactor (its (1+dL) part is folded into invDecay, leaving
+// the Vth exponential per cell).
 //
 //unit:param g1 dimensionless
-//unit:param g2 dimensionless
 //unit:param g3 dimensionless
-//unit:result seconds
-func (e ChipEval) cellRetention(p *tileParams, g1, g2, g3 float64) float64 {
-	t := e.Tech
-	// T1: stored level and decay corner.
-	vth1 := t.Vth0*(1+g1) + p.vthShift
-	v0 := t.Vdd - vth1
-	if v0 <= 0 {
-		return 0
-	}
-	// T3 drive factor in log space: α·ln(over/overNom) - ln(1+dL).
+//unit:result dimensionless
+func cellLeakTerms(t *Tech, p *tileParams, g1, g3 float64) (lnOver3, retLeak float64) {
 	over3 := t.Vdd - (t.Vth0*(1+g3) + p.vthShift)
 	if over3 < 1e-3 {
 		over3 = 1e-3
 	}
-	lnDF3 := t.Alpha*(math.Log(over3)-p.lnOver3) - p.ln1pdL
-	// Required-level scale: (DF3^-T3Weight · (1+dL))^(1/α).
-	scale := math.Exp((-t.T3Weight*lnDF3 + p.ln1pdL) / t.Alpha)
+	vth1 := t.Vth0*(1+g1) + p.vthShift
+	return math.Log(over3), math.Exp(-(vth1 - t.Vth0) / t.RetLeakSens)
+}
+
+// cellScale is the required-level scale (DF3^-T3Weight · (1+dL))^(1/α),
+// with T3's drive factor taken in log space: α·ln(over/overNom) -
+// ln(1+dL).
+//
+//unit:param lnOver3 dimensionless
+//unit:result dimensionless
+func cellScale(t *Tech, p *tileParams, lnOver3 float64) float64 {
+	lnDF3 := t.Alpha*(lnOver3-p.lnOver3) - p.ln1pdL
+	return math.Exp((-t.T3Weight*lnDF3 + p.ln1pdL) / t.Alpha)
+}
+
+// cellRetention is the cell's retention: zero when T1 cannot store a
+// level or the stored level is below the required one, else the margin
+// over the decay rate margin0/T0 · retLeakFactor(T1).
+//
+//unit:param g1 dimensionless
+//unit:param g2 dimensionless
+//unit:param scale dimensionless
+//unit:param retLeak dimensionless
+//unit:result seconds
+func cellRetention(t *Tech, p *tileParams, g1, g2, scale, retLeak float64) float64 {
+	v0 := t.Vdd - (t.Vth0*(1+g1) + p.vthShift)
+	if v0 <= 0 {
+		return 0
+	}
 	vreq := (t.Vth0*(1+g2) + p.vthShift + p.overNom*scale) / t.DiodeBoost
 	margin := v0 - vreq
 	if margin <= 0 {
 		return 0
 	}
-	// Decay: margin0/T0 · retLeakFactor(T1); retLeakFactor's (1+dL) is
-	// folded into invDecay, leaving the Vth exponential per cell.
-	retLeak := math.Exp(-(vth1 - t.Vth0) / t.RetLeakSens)
 	return margin * p.invDecay / retLeak
 }
 

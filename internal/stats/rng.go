@@ -181,17 +181,25 @@ func (r *RNG) Exponential(mean float64) float64 {
 // with success probability p in (0, 1]: the number of failures before the
 // first success.
 func (r *RNG) Geometric(p float64) int {
-	if p <= 0 || p > 1 {
+	return r.GeometricLog(math.Log(1 - p))
+}
+
+// GeometricLog is Geometric with its denominator logq = log(1-p)
+// precomputed, for callers that draw many times with one p. logq = -Inf
+// (p = 1) returns 0 without drawing. A logq that is not negative means
+// p is outside (0,1] (or so small that 1-p rounds to 1), and panics.
+func (r *RNG) GeometricLog(logq float64) int {
+	if !(logq < 0) {
 		panic("stats: Geometric with p outside (0,1]")
 	}
-	if p == 1 {
+	if math.IsInf(logq, -1) {
 		return 0
 	}
 	u := r.Float64()
 	for u == 0 {
 		u = r.Float64()
 	}
-	return int(math.Log(u) / math.Log(1-p))
+	return int(math.Log(u) / logq)
 }
 
 // Bernoulli returns true with probability p.

@@ -198,6 +198,56 @@ func TestGeometricMean(t *testing.T) {
 	}
 }
 
+// refGeometric is Geometric as it was before its log(1-p) was hoisted
+// into GeometricLog: the oracle for both entry points.
+func refGeometric(r *RNG, p float64) int {
+	if p == 1 {
+		return 0
+	}
+	u := r.Float64()
+	for u == 0 {
+		u = r.Float64()
+	}
+	return int(math.Log(u) / math.Log(1-p))
+}
+
+// TestGeometricLogDrawForDraw checks that Geometric(p) and
+// GeometricLog(log(1-p)) return what the pre-hoist form returns and
+// consume the same draws, p = 1 (no draw at all) included.
+func TestGeometricLogDrawForDraw(t *testing.T) {
+	for _, seed := range []uint64{1, 37, 20070612} {
+		for _, p := range []float64{1, 0.9, 0.5, 1.0 / 3, 0.25, 1.0 / 6, 0.01, 1e-6} {
+			ref, viaP, viaLog := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+			logq := math.Log(1 - p)
+			for i := 0; i < 2000; i++ {
+				want := refGeometric(ref, p)
+				if got := viaP.Geometric(p); got != want {
+					t.Fatalf("seed %d p %v draw %d: Geometric = %d, want %d", seed, p, i, got, want)
+				}
+				if got := viaLog.GeometricLog(logq); got != want {
+					t.Fatalf("seed %d p %v draw %d: GeometricLog = %d, want %d", seed, p, i, got, want)
+				}
+			}
+			if next := ref.Uint64(); viaP.Uint64() != next || viaLog.Uint64() != next {
+				t.Fatalf("seed %d p %v: streams diverged", seed, p)
+			}
+		}
+	}
+}
+
+func TestGeometricPanicsOutsideUnitInterval(t *testing.T) {
+	for _, p := range []float64{0, -0.5, 1.5, 3, math.NaN()} {
+		func() {
+			defer func() {
+				if msg := recover(); msg != "stats: Geometric with p outside (0,1]" {
+					t.Errorf("Geometric(%v) recovered %v", p, msg)
+				}
+			}()
+			NewRNG(1).Geometric(p)
+		}()
+	}
+}
+
 func TestBernoulliFrequency(t *testing.T) {
 	r := NewRNG(41)
 	hits := 0

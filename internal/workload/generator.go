@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"math"
+
 	"tdcache/internal/stats"
 )
 
@@ -21,6 +23,9 @@ const (
 type Generator struct {
 	p   Profile
 	rng *stats.RNG
+	// depLogQ and reuseLogQ are log(1-p) of the two fixed-p geometric
+	// draws, p = 1/DepMean and p = 1/MeanReuse, taken once per Reset.
+	depLogQ, reuseLogQ float64
 	// zipfRNG feeds funcPick for the generator's lifetime; scratch is
 	// reused for the child generators only needed during (re)seeding.
 	zipfRNG stats.RNG
@@ -102,6 +107,8 @@ func (g *Generator) Reset(p Profile, seed uint64) {
 		heapBlocks = 64
 	}
 	g.p = p
+	g.depLogQ = math.Log(1 - 1/p.DepMean)
+	g.reuseLogQ = math.Log(1 - 1/p.MeanReuse)
 	if g.rng == nil {
 		g.rng = stats.NewRNG(seed ^ 0xbadc0ffee)
 	} else {
@@ -290,7 +297,7 @@ const MaxDepDistance = 64
 // depDistance samples a register-dependency distance in
 // [1, MaxDepDistance].
 func (g *Generator) depDistance() int32 {
-	d := 1 + g.rng.Geometric(1/g.p.DepMean)
+	d := 1 + g.rng.GeometricLog(g.depLogQ)
 	if d > MaxDepDistance {
 		d = MaxDepDistance
 	}
@@ -342,7 +349,7 @@ func (g *Generator) address() uint64 {
 // freshBlock allocates a new generational block: usually a recycled
 // (L2-warm) address, otherwise a fresh one walking the footprint.
 func (g *Generator) freshBlock() activeBlock {
-	budget := int32(1 + g.rng.Geometric(1/g.p.MeanReuse))
+	budget := int32(1 + g.rng.GeometricLog(g.reuseLogQ))
 	var addr uint32
 	if g.retiredLen > recycleMinAge && g.rng.Bernoulli(g.p.RecycleFrac) {
 		// Pick among the older ring entries only. While the ring is
