@@ -34,7 +34,7 @@ func Drop() {
 
 // Blank discards error results into the blank identifier.
 func Blank() {
-	_ = work() // want `error result of work discarded with _`
+	_ = work()     // want `error result of work discarded with _`
 	n, _ := pair() // want `error result of pair discarded with _`
 	_ = n
 }

@@ -1,5 +1,5 @@
 // Package hotpath implements the hot-path allocation-freedom rule: a
-// function whose doc comment carries a `//hotpath: <why>` tag — the
+// function whose doc comment carries a `// hotpath: <why>` tag — the
 // cycle step in internal/cpu, cache access/refresh in internal/core,
 // job dispatch in internal/sweep — must be *transitively* free of
 // work that would dominate a loop executed millions of times per
@@ -60,13 +60,15 @@ import (
 // Analyzer is the hotpath rule.
 var Analyzer = &framework.Analyzer{
 	Name: "hotpath",
-	Doc: "functions tagged //hotpath: must be transitively free of heap allocation, " +
+	Doc: "functions tagged // hotpath: must be transitively free of heap allocation, " +
 		"map iteration, mutex/channel operations, defer, and reachable panic",
 	Run: run,
 }
 
-// tagRe matches the root tag line inside a declaration doc comment.
-var tagRe = regexp.MustCompile(`^//hotpath:\s*(.+)$`)
+// tagRe matches the root tag line inside a declaration doc comment, in
+// gofmt's canonical "// hotpath: <why>" form (gofmt inserts the space,
+// since a colon followed by a space does not make a directive).
+var tagRe = regexp.MustCompile(`^// hotpath:\s*(.+)$`)
 
 // trustedPkgs are stdlib packages whose functions are accepted without
 // source: pure arithmetic and lock-free atomics never allocate.
@@ -88,7 +90,7 @@ type Violation struct {
 // the violations in its own body. Edges to other functions live in the
 // call graph, not here.
 type Summary struct {
-	// Reason is the //hotpath: tag text; empty for untagged functions.
+	// Reason is the // hotpath: tag text; empty for untagged functions.
 	Reason string
 	// Local are the violations in the function's own body, including
 	// dynamic call sites, in position order.

@@ -38,7 +38,7 @@ func (r Ring) hash(v int) int { return v ^ int(r.mask) }
 
 func (r *Ring) tick() { r.mask++ }
 
-//hotpath: allocation-class fixture
+// hotpath: allocation-class fixture
 func (r *Ring) StepAlloc(n int) {
 	s := make([]int, 4)      // want `hot path Ring\.StepAlloc: make allocates`
 	p := new(entry)          // want `hot path Ring\.StepAlloc: new allocates`
@@ -53,7 +53,7 @@ func (r *Ring) StepAlloc(n int) {
 	_, _, _, _, _ = s, p, t, e, m
 }
 
-//hotpath: boxing and formatting fixture
+// hotpath: boxing and formatting fixture
 func (r *Ring) StepBox(n int, name string) {
 	record("hits", n)            // want `argument n is boxed into any \(allocates\)`
 	r.slot = n                   // want `assignment boxes n into any`
@@ -64,7 +64,7 @@ func (r *Ring) StepBox(n int, name string) {
 	record("ptr", r)             // accepted: pointers fit the interface word
 }
 
-//hotpath: scheduler and synchronization fixture
+// hotpath: scheduler and synchronization fixture
 func (r *Ring) StepSync(n int) {
 	r.mu.Lock()              // want `sync\.Mutex\.Lock: mutex/synchronization primitives stall the hot path`
 	defer r.mu.Unlock()      // want `defer schedules deferred work every iteration` `sync\.Mutex\.Unlock: mutex/synchronization primitives stall the hot path`
@@ -83,7 +83,7 @@ func (r *Ring) StepSync(n int) {
 	}
 }
 
-//hotpath: select fixture
+// hotpath: select fixture
 func (r *Ring) StepSelect() {
 	select { // want `select blocks on the scheduler`
 	case v := <-r.ch: // want `channel receive blocks on the scheduler`
@@ -92,7 +92,7 @@ func (r *Ring) StepSelect() {
 	}
 }
 
-//hotpath: dynamic-call and method-value fixture
+// hotpath: dynamic-call and method-value fixture
 func (r *Ring) StepDyn(n int) {
 	scale := n
 	f := func(x int) int { return x * scale } // want `function literal captures scale and allocates a closure`
@@ -108,7 +108,7 @@ func (r *Ring) StepDyn(n int) {
 	r.n.Add(1)                // accepted: sync/atomic is trusted
 }
 
-//hotpath: helper-chain fixture
+// hotpath: helper-chain fixture
 func (r *Ring) StepChain(n int) {
 	r.push(n)   // accepted: push is cap-guarded
 	r.commit(n) // the violation inside commit is reported with this chain
@@ -124,14 +124,14 @@ func (r *Ring) commit(v int) {
 	r.log = append(r.log, v) // want `hot path Ring\.StepChain → Ring\.commit: append may grow`
 }
 
-//hotpath: cross-package fixture
+// hotpath: cross-package fixture
 func Cross(n int) {
 	b.Trusted(1, n) // accepted: tagged boundary, verified at its own root
 	_ = b.Leaky(n)  // want `hot path Cross → b\.Leaky: make allocates`
 	_ = b.Deep(n)   // want `hot path Cross → b\.Deep → b\.Leaky: make allocates`
 }
 
-//hotpath: self-recursion fixture — the walk terminates on the cycle
+// hotpath: self-recursion fixture — the walk terminates on the cycle
 func Countdown(n int) {
 	if n <= 0 {
 		panic(n) // want `hot path Countdown: reachable panic with a computed argument`
@@ -139,7 +139,7 @@ func Countdown(n int) {
 	Countdown(n - 1)
 }
 
-//hotpath: mutual-recursion fixture — dirtiness converges on the SCC
+// hotpath: mutual-recursion fixture — dirtiness converges on the SCC
 func Even(n int) bool {
 	if n == 0 {
 		return true
@@ -156,7 +156,7 @@ func odd(n int) bool {
 	return Even(n - 1)
 }
 
-//hotpath: suppression fixture
+// hotpath: suppression fixture
 func Audited() []int {
 	return make([]int, 4) //lint:allow hotpath fixture demonstrating an accepted suppression
 }

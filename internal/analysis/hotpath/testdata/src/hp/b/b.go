@@ -6,7 +6,7 @@ package b
 // scratch is reusable state so Trusted allocates nothing.
 var scratch [16]int
 
-//hotpath: tagged cross-package boundary — verified at this root, trusted by callers
+// hotpath: tagged cross-package boundary — verified at this root, trusted by callers
 func Trusted(i, v int) {
 	scratch[i&15] = v
 }

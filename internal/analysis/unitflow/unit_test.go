@@ -11,9 +11,9 @@ func TestParseUnitCanonical(t *testing.T) {
 		{"dimensionless", "1"},
 		{"1", "1"},
 		{"micrometers^2", "micrometers^2"},
-		{"watts", "joules/seconds"},  // derived identity
-		{"hertz", "1/seconds"},       // derived identity
-		{"watts*seconds", "joules"},  // a watt-second is a joule
+		{"watts", "joules/seconds"}, // derived identity
+		{"hertz", "1/seconds"},      // derived identity
+		{"watts*seconds", "joules"}, // a watt-second is a joule
 		{"joules/seconds", "joules/seconds"},
 		{"seconds/seconds", "1"},
 	}
@@ -81,9 +81,9 @@ func TestJoin(t *testing.T) {
 
 func TestPow10Exponent(t *testing.T) {
 	cases := []struct {
-		v    float64
-		k    int
-		ok   bool
+		v  float64
+		k  int
+		ok bool
 	}{
 		{1e6, 6, true},
 		{1e12, 12, true},

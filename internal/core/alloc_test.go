@@ -3,12 +3,12 @@ package core
 import "testing"
 
 // driveCycle advances the cache one cycle with a deterministic LCG-driven
-// demand stream: one access per cycle, installing the line on a miss —
-// the same shape the processor's Step produces.
-func driveCycle(c *Cache, now int64, lcg *uint64) {
+// demand stream over footprint bytes: one access per cycle, installing
+// the line on a miss — the same shape the processor's Step produces.
+func driveCycle(c *Cache, now int64, lcg *uint64, footprint uint64) {
 	c.Tick(now)
 	*lcg = *lcg*6364136223846793005 + 1442695040888963407
-	addr := ((*lcg >> 16) % (1 << 20)) &^ 63
+	addr := ((*lcg >> 16) % footprint) &^ 63
 	kind := Load
 	if *lcg&(1<<40) == 0 {
 		kind = Store
@@ -19,7 +19,7 @@ func driveCycle(c *Cache, now int64, lcg *uint64) {
 	}
 }
 
-// TestCacheHotPathZeroAllocs is the proof test behind the `//hotpath:`
+// TestCacheHotPathZeroAllocs is the proof test behind the `// hotpath:`
 // tags on Tick, Access, and Fill (and the `//lint:allow hotpath`
 // suppressions in events.go and on the OnHitDistance probe): after the
 // calendar-queue capacities stabilize, a steady-state simulated cycle
@@ -64,10 +64,10 @@ func TestCacheHotPathZeroAllocs(t *testing.T) {
 			// 7168 cycles) so every calendar bucket and the pending queue
 			// reach their steady-state capacities.
 			for ; now < 200_000; now++ {
-				driveCycle(c, now, &lcg)
+				driveCycle(c, now, &lcg, 1<<20)
 			}
 			avg := testing.AllocsPerRun(5000, func() {
-				driveCycle(c, now, &lcg)
+				driveCycle(c, now, &lcg, 1<<20)
 				now++
 			})
 			if avg != 0 {

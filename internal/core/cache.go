@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -61,9 +62,10 @@ type lineState struct {
 	gen       uint32
 }
 
-// Cache is the 3T1D L1 data cache. It is driven one cycle at a time:
-// call Tick(now) exactly once per cycle (monotonically increasing),
-// then any number of Access/Fill calls for that cycle.
+// Cache is the 3T1D L1 data cache. Every cycle, in increasing order, is
+// either stepped — Tick(now), then any number of Access/Fill calls for
+// that cycle — or part of a quiet span, which Advance covers in one call
+// and which must end before NextEvent.
 //
 // Line index convention: line l = way·Sets + set, matching
 // RetentionMap's layout — a set's ways live in different array pairs and
@@ -134,13 +136,24 @@ type writeBuffer struct {
 	lastDrain  int64
 }
 
-func (w *writeBuffer) tick(now int64) {
-	for w.occupancy > 0 && now-w.lastDrain >= w.drainEvery {
-		w.occupancy--
-		w.lastDrain += w.drainEvery
+// advance brings the buffer through cycle to, with the same result as
+// one tick per cycle since its last advance: while entries remain, one
+// drains each drainEvery cycles after lastDrain; once empty, lastDrain
+// re-anchors every drainEvery+1 cycles, so the next store waits a full
+// interval. Every advance leaves lastDrain within drainEvery of its
+// cycle (a push changes only occupancy), which is what lets one call
+// stand for any run of later cycles; a one-cycle tick is advance(now).
+func (w *writeBuffer) advance(to int64) {
+	if w.occupancy > 0 {
+		n := int64(w.occupancy)
+		if w.drainEvery > 0 {
+			n = min(n, (to-w.lastDrain)/w.drainEvery)
+		}
+		w.occupancy -= int(n)
+		w.lastDrain += n * w.drainEvery
 	}
-	if w.occupancy == 0 && now-w.lastDrain > w.drainEvery {
-		w.lastDrain = now
+	if gap := to - w.lastDrain; w.occupancy == 0 && gap > w.drainEvery {
+		w.lastDrain += gap / (w.drainEvery + 1) * (w.drainEvery + 1)
 	}
 }
 
@@ -314,14 +327,14 @@ func (c *Cache) live(l int, now int64) bool {
 
 // Tick advances the cache to cycle now: resets port credits, drains the
 // write buffer, runs the global-refresh schedule and the line-level
-// retention engine. It must be called once per cycle before any
-// Access/Fill at that cycle.
+// retention engine. It must be called on every stepped cycle before any
+// Access/Fill at that cycle; Advance covers the quiet cycles between.
 //
-//hotpath: called once per simulated cycle by the processor's Step
+// hotpath: called once per stepped cycle by the processor's Step
 func (c *Cache) Tick(now int64) {
 	c.now = now
 	c.C.Cycles++
-	c.wb.tick(now)
+	c.wb.advance(now)
 
 	// Last cycle's leftover port credits: the refresh machinery uses
 	// idle port cycles before stealing, so inspect them before reset.
@@ -348,6 +361,47 @@ func (c *Cache) Tick(now int64) {
 		c.readAvail--
 		c.writeAvail--
 	}
+}
+
+// NextEvent returns the first cycle at or after t (the cycle after the
+// last one ticked or advanced) whose Tick can do more than count the
+// cycle and drain the write buffer: the retention calendar's next due
+// time, or the next global pass start. It returns t while a line
+// operation, a promotion backlog or a global pass is in flight, since
+// those make every Tick do work. (A token left pending implies an
+// active operation: Tick services pending tokens until one starts.)
+//
+// hotpath: consulted after each Step that leaves the pipeline quiet
+func (c *Cache) NextEvent(t int64) int64 {
+	if c.cfg.Scheme.Refresh == RefreshGlobal {
+		switch {
+		case c.inPass:
+			return t
+		case c.Dead || c.period >= Infinite:
+			return math.MaxInt64
+		}
+		return (t + c.period - 1) / c.period * c.period
+	}
+	if c.opWork > 0 || len(c.shuffles) > 0 {
+		return t
+	}
+	return max(t, c.rq.next)
+}
+
+// Advance runs the cache through every cycle after the last one ticked
+// or advanced, up to and including to, as one quiet span: the result is
+// that of calling Tick on each of those cycles with no Access or Fill
+// between them. It requires to < NextEvent(last+1), so the span holds
+// no retention work: the cycles are counted, the write buffer drains,
+// and the port credits stay full.
+//
+// hotpath: covers each quiet span the processor skips
+func (c *Cache) Advance(to int64) {
+	c.C.Cycles += uint64(to - c.now)
+	c.now = to
+	c.wb.advance(to)
+	c.readAvail = c.cfg.ReadPorts
+	c.writeAvail = c.cfg.WritePorts
 }
 
 // writeHeld reports whether the retention pipeline is holding the write
@@ -545,7 +599,7 @@ func (c *Cache) scheduleEvent(l int, now int64) {
 
 // Access performs one demand access at the current cycle.
 //
-//hotpath: called for every demand load and store the core issues
+// hotpath: called for every demand load and store the core issues
 func (c *Cache) Access(addr uint64, kind AccessKind) Result {
 	set, tag := c.addrSetTag(addr)
 
@@ -648,7 +702,7 @@ func (c *Cache) countMiss(kind AccessKind) {
 // hierarchy. makeDirty marks the line dirty immediately (write-allocate
 // store miss).
 //
-//hotpath: called for every completed miss the MSHRs install
+// hotpath: called for every completed miss the MSHRs install
 func (c *Cache) Fill(addr uint64, makeDirty bool) FillResult {
 	set, tag := c.addrSetTag(addr)
 	if c.retentionAware() && int(c.deadWays[set]) == c.cfg.Ways {

@@ -45,6 +45,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.RefreshCycles = 0 },
 		func(c *Config) { c.CounterStep = 0 },
 		func(c *Config) { c.WriteBufferEntries = 0 },
+		func(c *Config) { c.WriteBufferDrainCycles = -1 },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(NoRefreshLRU)

@@ -224,6 +224,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: retention counter misconfigured")
 	case c.WriteBufferEntries <= 0:
 		return fmt.Errorf("core: WriteBufferEntries must be positive")
+	case c.WriteBufferDrainCycles < 0:
+		return fmt.Errorf("core: WriteBufferDrainCycles must not be negative, got %d", c.WriteBufferDrainCycles)
 	}
 	return nil
 }

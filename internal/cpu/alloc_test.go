@@ -7,7 +7,7 @@ import (
 	"tdcache/internal/workload"
 )
 
-// TestSystemStepZeroAllocs is the proof test behind the `//hotpath:` tag
+// TestSystemStepZeroAllocs is the proof test behind the `// hotpath:` tag
 // on System.Step: once the memory-hierarchy queues reach steady state, a
 // simulated cycle — fetch, dispatch, issue, commit, cache and L2 traffic
 // included — performs zero heap allocations, for an ideal 6T cache and

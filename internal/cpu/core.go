@@ -349,14 +349,29 @@ func lineOf(addr uint64) uint64 { return addr &^ 63 }
 
 // Run advances the simulation until the given number of additional
 // instructions has committed (or a safety cycle bound is hit) and
-// returns the cumulative metrics.
+// returns the cumulative metrics. It steps every cycle in which
+// something can happen and skips the quiet spans between them (see
+// skipQuiet); the metrics are those of calling Step on every cycle.
 func (s *System) Run(instructions uint64) Metrics {
-	target := s.M.Instructions + instructions
-	// Safety bound: no realistic configuration drops below 0.02 IPC.
-	maxCycles := s.now + int64(instructions)*50 + 10000
+	target, maxCycles := s.bounds(instructions)
 	for s.M.Instructions < target && s.now < maxCycles {
 		s.Step()
+		if s.M.Instructions < target {
+			s.skipQuiet(maxCycles)
+		}
 	}
+	return s.metrics()
+}
+
+// bounds returns Run's stopping points for the given number of further
+// instructions: the committed-instruction target, and a safety cycle
+// bound that no realistic configuration (IPC above 0.02) reaches.
+func (s *System) bounds(instructions uint64) (target uint64, maxCycles int64) {
+	return s.M.Instructions + instructions, s.now + int64(instructions)*50 + 10000
+}
+
+// metrics completes the cumulative metrics at the current cycle.
+func (s *System) metrics() Metrics {
 	s.M.Cycles = uint64(s.now)
 	if s.M.Cycles > 0 {
 		s.M.IPC = float64(s.M.Instructions) / float64(s.M.Cycles)
@@ -369,10 +384,12 @@ func (s *System) Run(instructions uint64) Metrics {
 	return s.M
 }
 
-// Step simulates one clock cycle.
+// Step simulates one clock cycle. It is the exact one-cycle primitive:
+// Run calls it on every cycle that can change the pipeline or the cache
+// and lets skipQuiet cover the rest.
 //
-//hotpath: runs once per simulated cycle — tens of millions of times per
-// sweep job; a single heap allocation here dominates sweep runtime
+// hotpath: runs once per stepped cycle — millions of times per sweep
+// job; a single heap allocation here dominates sweep runtime
 func (s *System) Step() {
 	s.Cache.Tick(s.now)
 	s.completeMisses()
@@ -381,6 +398,51 @@ func (s *System) Step() {
 	s.issue()
 	s.dispatch()
 	s.now++
+}
+
+// skipQuiet moves now past the quiet cycles that follow a Step, up to
+// limit. A cycle is quiet when Step would only count it: the store
+// buffer and the ready queue are empty, dispatch is blocked (the span
+// is charged to the stall counter dispatch would charge), and the cache
+// has no retention work before NextEvent. The span ends at the first
+// cycle in which anything can change: a wakeup (nextWake), a fill
+// (nextFill), fetch resuming, the ROB head completing (commit), the
+// youngest entry completing while a mispredict blocks fetch (issue
+// resolves it), or the cache's next event.
+//
+// hotpath: runs after every stepped cycle of Run
+func (s *System) skipQuiet(limit int64) {
+	if len(s.storeBuf) > 0 || len(s.iq) > 0 {
+		return
+	}
+	until := min(limit, s.nextWake, s.nextFill)
+	if s.robLen > 0 {
+		if h := s.robAt(0); h.state == sIssued {
+			until = min(until, h.doneAt)
+		}
+	}
+	stall := &s.M.FetchBlockedCycles
+	switch {
+	case s.fetchBlockedBy != 0:
+		if e := s.robAt(s.robLen - 1); e.state == sIssued {
+			until = min(until, e.doneAt)
+		}
+	case s.now < s.fetchResumeAt:
+		until = min(until, s.fetchResumeAt)
+	case s.robLen >= len(s.rob):
+		stall = &s.M.ROBFullCycles
+	case s.hasOverflow && !s.fits(s.overflow.Kind):
+		stall = &s.M.IQFullCycles
+	default:
+		return // dispatch would fetch
+	}
+	until = min(until, s.Cache.NextEvent(s.now))
+	if until <= s.now {
+		return
+	}
+	*stall += uint64(until - s.now)
+	s.Cache.Advance(until - 1)
+	s.now = until
 }
 
 // completeMisses installs finished fills and wakes their loads. It
@@ -648,38 +710,24 @@ func (s *System) dispatch() {
 				}
 			}
 		}
-		var ok bool
-		switch {
-		case in.Kind.IsFp():
-			ok = s.fpIQ < s.Cfg.FpIQ
-			if ok {
-				s.fpIQ++
-			}
-		case in.Kind == workload.KLoad:
-			ok = s.intIQ < s.Cfg.IntIQ && s.loadQ < s.Cfg.LoadQ
-			if ok {
-				s.intIQ++
-				s.loadQ++
-			}
-		case in.Kind == workload.KStore:
-			ok = s.intIQ < s.Cfg.IntIQ && s.storeQ < s.Cfg.StoreQ
-			if ok {
-				s.intIQ++
-				s.storeQ++
-			}
-		default:
-			ok = s.intIQ < s.Cfg.IntIQ
-			if ok {
-				s.intIQ++
-			}
-		}
-		if !ok {
+		if !s.fits(in.Kind) {
 			// Structural stall: the instruction must still dispatch next
 			// cycle; model by charging an IQ-full cycle and re-queueing
 			// via a one-slot buffer.
 			s.M.IQFullCycles++
 			s.pushback(in)
 			return
+		}
+		switch in.Kind {
+		case workload.KLoad:
+			s.loadQ++
+		case workload.KStore:
+			s.storeQ++
+		}
+		if in.Kind.IsFp() {
+			s.fpIQ++
+		} else {
+			s.intIQ++
 		}
 		tail := s.robSlot(s.robLen)
 		e := &s.rob[tail]
@@ -716,6 +764,20 @@ func (s *System) dispatch() {
 			}
 		}
 	}
+}
+
+// fits reports whether an instruction of kind k has a free issue-queue
+// entry and, for a load or store, a free load- or store-queue entry.
+func (s *System) fits(k workload.Kind) bool {
+	switch {
+	case k.IsFp():
+		return s.fpIQ < s.Cfg.FpIQ
+	case k == workload.KLoad:
+		return s.intIQ < s.Cfg.IntIQ && s.loadQ < s.Cfg.LoadQ
+	case k == workload.KStore:
+		return s.intIQ < s.Cfg.IntIQ && s.storeQ < s.Cfg.StoreQ
+	}
+	return s.intIQ < s.Cfg.IntIQ
 }
 
 // pushback re-queues an instruction that could not dispatch this cycle.

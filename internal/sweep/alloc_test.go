@@ -2,7 +2,7 @@ package sweep
 
 import "testing"
 
-// TestSweepDispatchZeroAllocs is the proof test behind the `//hotpath:`
+// TestSweepDispatchZeroAllocs is the proof test behind the `// hotpath:`
 // tag on drainJobs (and its `//lint:allow hotpath` on the job-body
 // call): dispatching a batch through a 1-worker pool — the sequential
 // semantics every parallel run must reproduce — allocates nothing, so

@@ -111,7 +111,7 @@ func (p *Pool) Run(n int, fn func(job int, w *Worker)) {
 // exhausted. Both the sequential (k==1) and parallel paths of Run funnel
 // through it, so the dispatch overhead per job is identical either way.
 //
-//hotpath: runs once per sweep job on every worker; dispatch overhead
+// hotpath: runs once per sweep job on every worker; dispatch overhead
 // multiplies across the ~10⁴-job cross-products the experiments fan out
 func drainJobs(n int, next *atomic.Int64, fn func(job int, w *Worker), w *Worker) {
 	for {

@@ -20,7 +20,7 @@ import (
 type QuadTreeField struct {
 	W, H   int
 	Levels int
-	Sigma  float64 //unit:dimensionless
+	Sigma  float64   //unit:dimensionless
 	values []float64 // field value per tile, row-major
 }
 

@@ -2,7 +2,7 @@ package workload
 
 import "testing"
 
-// TestGeneratorNextZeroAllocs is the proof test behind the `//hotpath:`
+// TestGeneratorNextZeroAllocs is the proof test behind the `// hotpath:`
 // tag on Generator.Next: producing an instruction — address generation,
 // branch behaviour, fetch-PC stream, generational heap bookkeeping — is
 // allocation-free for every benchmark profile.

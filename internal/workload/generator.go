@@ -218,7 +218,7 @@ func (g *Generator) Count() uint64 { return g.count }
 
 // Next produces the next dynamic instruction.
 //
-//hotpath: called once per fetched instruction by the core's dispatch
+// hotpath: called once per fetched instruction by the core's dispatch
 func (g *Generator) Next() Instr {
 	g.count++
 	r := g.rng.Float64()
