@@ -1,11 +1,10 @@
-// Command tdcache-lint is the determinism, physical-correctness,
-// concurrency-safety, and error-discipline lint suite: it runs the
-// three reproducibility analyzers (detrand, mapiter, resetcheck), the
-// two unit-discipline analyzers (unitflow, floatcmp), the two
-// interprocedural call-graph analyzers (hotpath, purecheck), the two
-// concurrency analyzers (lockcheck, lifecycle), and the three
-// error-and-resource analyzers (errflow, closecheck, exhaustcheck)
-// over the repository and fails on any finding.
+// Command tdcache-lint is the determinism, physical-correctness and
+// error-discipline lint suite: it runs the three reproducibility
+// analyzers (detrand, mapiter, resetcheck), the unit-discipline
+// analyzer (unitflow), the two interprocedural call-graph analyzers
+// (hotpath, purecheck), and the two error-discipline analyzers
+// (errflow, exhaustcheck) over the repository and fails on any
+// finding.
 //
 //	tdcache-lint ./...   # lint every package, test files included
 //	tdcache-lint -list   # print the roster
@@ -34,35 +33,26 @@ import (
 	"os"
 	"strings"
 
-	"tdcache/internal/analysis/closecheck"
 	"tdcache/internal/analysis/detrand"
 	"tdcache/internal/analysis/driver"
 	"tdcache/internal/analysis/errflow"
 	"tdcache/internal/analysis/exhaustcheck"
-	"tdcache/internal/analysis/floatcmp"
 	"tdcache/internal/analysis/framework"
 	"tdcache/internal/analysis/hotpath"
-	"tdcache/internal/analysis/lifecycle"
-	"tdcache/internal/analysis/lockcheck"
 	"tdcache/internal/analysis/mapiter"
 	"tdcache/internal/analysis/purecheck"
 	"tdcache/internal/analysis/resetcheck"
 	"tdcache/internal/analysis/unitflow"
 )
 
-// analyzers is the full suite — the three determinism rules, the two
-// physical-correctness rules, the two call-graph rules, the two
-// concurrency rules, and the three error-and-resource rules — in
-// reporting order.
+// analyzers is the full suite — the three determinism rules, the
+// physical-correctness rule, the two call-graph rules, and the two
+// error-discipline rules — in reporting order.
 var analyzers = []*framework.Analyzer{
-	closecheck.Analyzer,
 	detrand.Analyzer,
 	errflow.Analyzer,
 	exhaustcheck.Analyzer,
-	floatcmp.Analyzer,
 	hotpath.Analyzer,
-	lifecycle.Analyzer,
-	lockcheck.Analyzer,
 	mapiter.Analyzer,
 	purecheck.Analyzer,
 	resetcheck.Analyzer,

@@ -41,9 +41,6 @@ type CFG struct {
 	Blocks []*Block
 }
 
-// Entry returns the function's entry block.
-func (g *CFG) Entry() *Block { return g.Blocks[0] }
-
 // BuildCFG constructs the control-flow graph of a function body.
 func BuildCFG(body *ast.BlockStmt) *CFG {
 	b := &cfgBuilder{cfg: &CFG{}, labels: make(map[string]*loopFrame)}

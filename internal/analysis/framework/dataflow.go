@@ -43,9 +43,6 @@ func (f *Facts[F]) Set(obj types.Object, v F) {
 // Forget removes any fact for obj.
 func (f *Facts[F]) Forget(obj types.Object) { delete(f.m, obj) }
 
-// Len reports the number of tracked objects.
-func (f *Facts[F]) Len() int { return len(f.m) }
-
 // Each calls fn for every tracked object. Iteration order is map
 // order; callers that report from it must sort (by object position)
 // before emitting diagnostics.

@@ -328,8 +328,9 @@ func exitStates(t *testing.T, src string) (checked, unchecked, perExitLen int) {
 	prob := &errProblem{info: info}
 	sol := Solve[errState](BuildCFG(body), nil, prob)
 	for _, exit := range sol.Exits(prob) {
-		perExitLen = exit.Len()
+		perExitLen = 0
 		exit.Each(func(obj types.Object, v errState) {
+			perExitLen++
 			if obj.Name() != "err" {
 				t.Errorf("unexpected tracked object %s", obj.Name())
 			}

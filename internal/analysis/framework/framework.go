@@ -190,7 +190,8 @@ func (s *Suppressions) Suppressed(d Diagnostic) bool {
 }
 
 // AllowCheckRule is the rule name under which Audit reports directive
-// hygiene findings (stale suppressions, reasons with no proof test).
+// hygiene findings (unknown rules, stale suppressions, reasons with no
+// proof test).
 const AllowCheckRule = "allowcheck"
 
 // proofRe matches a Go test or benchmark identifier inside a reason —
@@ -198,22 +199,27 @@ const AllowCheckRule = "allowcheck"
 var proofRe = regexp.MustCompile(`\b(?:Test|Benchmark)\p{Lu}\w*`)
 
 // Audit reports on directive hygiene after a filtering run: a
-// directive for an active rule that suppressed nothing is stale (the
-// finding it excused is gone — delete it), and a surviving directive
-// must name the test that proves the excused behavior is safe.
-// Directives for the allowcheck rule itself are exempt (they suppress
-// meta-findings and have nothing to prove), as are directives for
-// rules outside active (their analyzer did not run, so "unused" means
-// nothing). Call only when every analyzer whose rules appear in the
-// files ran, or live directives will look stale; the driver gates this
-// on Context.AuditSuppressions.
+// directive naming a rule outside active names no analyzer (a typo, or
+// a rule since removed from the roster — delete it), a directive for
+// an active rule that suppressed nothing is stale (the finding it
+// excused is gone — delete it), and a surviving directive must name
+// the test that proves the excused behavior is safe. Directives for
+// the allowcheck rule itself are exempt (they suppress meta-findings
+// and have nothing to prove). Call only when active is the whole
+// roster and every analyzer in it ran, or live directives will look
+// unknown or stale; the driver gates this on Context.AuditSuppressions.
 func (s *Suppressions) Audit(active map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.directives {
-		if d.Rule == AllowCheckRule || !active[d.Rule] {
+		if d.Rule == AllowCheckRule {
 			continue
 		}
 		switch {
+		case !active[d.Rule]:
+			out = append(out, Diagnostic{
+				Rule: AllowCheckRule, Pos: d.Pos,
+				Message: fmt.Sprintf("unknown rule %q: no analyzer in the roster has that name; delete the //lint:allow", d.Rule),
+			})
 		case !d.used:
 			out = append(out, Diagnostic{
 				Rule: AllowCheckRule, Pos: d.Pos,

@@ -105,9 +105,8 @@ func f() {
 	a := 1 //lint:allow rulea excused; TestProofA pins the behavior
 	b := 2 //lint:allow rulea stale, nothing reported here anymore
 	c := 3 //lint:allow rulea excused but names no proof
-	d := 4 //lint:allow inactive rule not in this run
 	e := 5 //lint:allow allowcheck meta-suppression is exempt from proof naming
-	_, _, _, _, _ = a, b, c, d, e
+	_, _, _, _ = a, b, c, e
 }
 `
 
@@ -157,6 +156,26 @@ func TestAuditTestFileExemption(t *testing.T) {
 	out := collectAudit(t, "p_test.go", auditSrc, []int{4, 6})
 	if len(out) != 1 || !strings.Contains(out[0].Message, "stale suppression") {
 		t.Fatalf("Audit in _test.go = %+v, want only the stale finding", out)
+	}
+}
+
+// TestAuditUnknownRule: a directive naming a rule outside the roster
+// (a typo, or an analyzer since deleted) is a finding in its own right,
+// in test files too, rather than being skipped as "not run".
+func TestAuditUnknownRule(t *testing.T) {
+	const src = `package p
+
+func f() {
+	a := 1 //lint:allow lifecycle cap(jobs) bounds sends; TestLoadShed
+	_ = a
+}
+`
+	for _, name := range []string{"p.go", "p_test.go"} {
+		out := collectAudit(t, name, src, nil)
+		if len(out) != 1 || out[0].Rule != AllowCheckRule ||
+			!strings.Contains(out[0].Message, `unknown rule "lifecycle"`) {
+			t.Errorf("Audit in %s = %+v, want one unknown-rule finding", name, out)
+		}
 	}
 }
 

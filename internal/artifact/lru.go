@@ -29,17 +29,15 @@ type lruEntry struct {
 // least-recently-used order when the budget is exceeded. Safe for
 // concurrent use.
 type LRU struct {
-	mu sync.Mutex
 	// max is the immutable byte budget, set once at construction.
 	max int64
-	//guard:mu
+
+	// mu guards every field below it.
+	mu    sync.Mutex
 	bytes int64
-	//guard:mu
-	ll *list.List // front = most recently used; values are *lruEntry
-	//guard:mu
+	ll    *list.List // front = most recently used; values are *lruEntry
 	items map[CacheKey]*list.Element
 
-	//guard:mu
 	hits, misses, evictions uint64
 }
 

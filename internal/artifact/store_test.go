@@ -199,6 +199,32 @@ func orphanTmpDirs(t *testing.T, root string) []string {
 	return orphans
 }
 
+// TestStorePutClosesFiles: Put closes every file it creates, on the
+// success path too. Each file osCreate hands out is recorded; after one
+// Put, closing it again must report os.ErrClosed.
+func TestStorePutClosesFiles(t *testing.T) {
+	var created []*os.File
+	osCreate = func(name string) (*os.File, error) {
+		f, err := os.Create(name)
+		if err == nil {
+			created = append(created, f)
+		}
+		return f, err
+	}
+	defer func() { osCreate = os.Create }()
+	if _, err := newTestStore(t).Put(sample()); err != nil {
+		t.Fatal(err)
+	}
+	if len(created) == 0 {
+		t.Fatal("Put created no files through osCreate")
+	}
+	for _, f := range created {
+		if err := f.Close(); !errors.Is(err, os.ErrClosed) {
+			t.Errorf("Put left %s open (second Close = %v)", filepath.Base(f.Name()), err)
+		}
+	}
+}
+
 // TestStorePutFaultInjection drives Put's commit path into every
 // injectable failure — temp-dir creation, file creation (full disk),
 // and the final rename — and asserts the two crash-consistency

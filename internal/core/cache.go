@@ -822,9 +822,7 @@ func (c *Cache) fillRSP(set int, res *FillResult) int {
 		c.lines[dst].filledAt = c.lines[src].filledAt
 		c.lines[dst].lastUsed = c.lines[src].lastUsed
 		c.lines[dst].gen++
-		if c.cfg.Scheme.Refresh != RefreshGlobal {
-			c.scheduleEvent(dst, c.now)
-		}
+		c.scheduleEvent(dst, c.now)
 		moves++
 	}
 	if moves > 0 {
@@ -873,9 +871,7 @@ func (c *Cache) performPromotion(op shuffleOp, now int64) {
 		c.lines[dst] = c.lines[src]
 		c.lines[dst].writtenAt = now
 		c.lines[dst].gen++
-		if c.cfg.Scheme.Refresh != RefreshGlobal {
-			c.scheduleEvent(dst, now)
-		}
+		c.scheduleEvent(dst, now)
 		moves++
 	}
 	top := c.lineIndex(op.set, int(order[0]))
@@ -883,9 +879,7 @@ func (c *Cache) performPromotion(op shuffleOp, now int64) {
 	c.lines[top].writtenAt = now
 	c.lines[top].lastUsed = now
 	c.lines[top].gen++
-	if c.cfg.Scheme.Refresh != RefreshGlobal {
-		c.scheduleEvent(top, now)
-	}
+	c.scheduleEvent(top, now)
 	moves++
 	c.C.WayMoves += uint64(moves)
 	c.startOp(moves)

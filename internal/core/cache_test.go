@@ -46,6 +46,8 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.CounterStep = 0 },
 		func(c *Config) { c.WriteBufferEntries = 0 },
 		func(c *Config) { c.WriteBufferDrainCycles = -1 },
+		func(c *Config) { c.Scheme = Scheme{RefreshGlobal, PlaceRSPFIFO} },
+		func(c *Config) { c.Scheme = Scheme{RefreshGlobal, PlaceRSPLRU} },
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig(NoRefreshLRU)

@@ -9,6 +9,9 @@
 //	                      (DSP), Retention-Sensitive Placement FIFO
 //	                      (RSP-FIFO) and LRU (RSP-LRU) of §4.3.2.
 //
+// Global refresh pairs only with placements that never move ways (LRU
+// or DSP); Config.Validate rejects it with either RSP placement.
+//
 // The cache is cycle-accurate at the level the paper's evaluation needs:
 // port arbitration (2 read + 1 write), refresh operations stealing one
 // read and one write port for 8 cycles per line, retention counters with
@@ -226,6 +229,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: WriteBufferEntries must be positive")
 	case c.WriteBufferDrainCycles < 0:
 		return fmt.Errorf("core: WriteBufferDrainCycles must not be negative, got %d", c.WriteBufferDrainCycles)
+	case c.Scheme.Refresh == RefreshGlobal && (c.Scheme.Placement == PlaceRSPFIFO || c.Scheme.Placement == PlaceRSPLRU):
+		// The global pass never retires line operations, so an RSP way
+		// move would hold the write port forever. The paper pairs
+		// global refresh only with LRU (§4.1, Fig. 6b); RSP is a
+		// no-refresh scheme (Fig. 9).
+		return fmt.Errorf("core: scheme %v: global refresh cannot be combined with RSP placement", c.Scheme)
 	}
 	return nil
 }

@@ -145,8 +145,7 @@ type Server struct {
 	// closeMu guards closed against racing submissions; submissions take
 	// the read side, Close the write side.
 	closeMu sync.RWMutex
-	//guard:closeMu
-	closed bool
+	closed  bool
 
 	// computes counts actual simulations (store misses); tests assert
 	// repeated and restarted servers serve from the store instead.
@@ -393,7 +392,6 @@ func (s *Server) dispatch(key computeKey) computeResult {
 	done := make(chan computeResult, 1)
 	// Never blocks: cap(jobs) == maxInflight and the gate above admits
 	// at most maxInflight outstanding jobs.
-	//lint:allow lifecycle cap(jobs) == maxInflight bounds admitted sends; proven under -race by TestLoadShed and TestConcurrentComputeOverlap
 	s.jobs <- computeJob{key: key, done: done}
 	s.closeMu.RUnlock()
 	return <-done
@@ -408,7 +406,6 @@ func (s *Server) runWorker(w *computeWorker) {
 		s.inflight.Add(-1)
 		// done has capacity 1 and exactly one worker ever sends on it;
 		// proven drained under -race by TestCloseDrainsQueuedJobs.
-		//lint:allow lifecycle cap(done) == 1 with a single producer; proven by TestCloseDrainsQueuedJobs
 		job.done <- res
 	}
 }

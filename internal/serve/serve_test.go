@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -585,6 +586,113 @@ func TestCloseDrainsQueuedJobs(t *testing.T) {
 	rec2 := get(s, "/v1/experiments/tab2", nil)
 	if rec2.Code != http.StatusServiceUnavailable {
 		t.Errorf("status after close = %d, want 503", rec2.Code)
+	}
+}
+
+// TestCloseJoinsWorkers: Close waits for the workers. A compute still
+// running inside the simulator when Close is called must finish, and
+// its request must be answered, before Close returns.
+func TestCloseJoinsWorkers(t *testing.T) {
+	st, err := artifact.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Options{Store: st, Full: tiny(), Quick: tinier(), Workers: 1, MaxInflight: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := make(chan struct{})
+	release := make(chan struct{})
+	var ended atomic.Bool
+	s.testComputeStart = func(computeKey, int) {
+		close(pinned)
+		<-release
+	}
+	s.testComputeEnd = func(computeKey, int) { ended.Store(true) }
+
+	first := make(chan int, 1)
+	go func() { first <- get(s, "/v1/experiments/tab1", nil).Code }()
+	select {
+	case <-pinned:
+	case <-time.After(60 * time.Second):
+		t.Fatal("compute never started")
+	}
+
+	// endedAtReturn reports whether the compute had finished when
+	// Close returned.
+	endedAtReturn := make(chan bool, 1)
+	go func() {
+		s.Close()
+		endedAtReturn <- ended.Load()
+	}()
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(time.Millisecond) {
+		s.closeMu.RLock()
+		closed := s.closed
+		s.closeMu.RUnlock()
+		if closed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Close never marked the server closed")
+		}
+	}
+	close(release)
+
+	select {
+	case ok := <-endedAtReturn:
+		if !ok {
+			t.Error("Close returned before the in-flight compute finished")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("Close never returned")
+	}
+	if code := <-first; code != http.StatusOK {
+		t.Errorf("pinned request status = %d, want 200", code)
+	}
+}
+
+// TestCloseRacesRequests: Close lands among concurrent cold requests.
+// Each request is either served or refused with 503, never hung or
+// failed. The staggered starts put two requests ahead of Close and two
+// after it. Sleeps, not channels, stagger them: a sleep orders nothing
+// for the race detector, so the late requests reach dispatch joined to
+// Close by closeMu alone, and under -race an unlocked read of closed
+// there is reported. The outcome does not depend on the timing.
+func TestCloseRacesRequests(t *testing.T) {
+	s := newTestServerOpts(t, t.TempDir(), Options{Workers: 2, MaxInflight: 4})
+	ids := []string{"tab1", "tab2", "fig1", "fig4"}
+	start := make(chan struct{})
+	codes := make(chan int, len(ids))
+	for i, id := range ids {
+		go func(id string, delay time.Duration) {
+			<-start
+			time.Sleep(delay)
+			codes <- get(s, "/v1/experiments/"+id, nil).Code
+		}(id, time.Duration(i/2)*20*time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		<-start
+		time.Sleep(5 * time.Millisecond)
+		s.Close()
+		close(closed)
+	}()
+	close(start)
+
+	for range ids {
+		select {
+		case code := <-codes:
+			if code != http.StatusOK && code != http.StatusServiceUnavailable {
+				t.Errorf("status = %d, want 200 or 503", code)
+			}
+		case <-time.After(60 * time.Second):
+			t.Fatal("a request racing Close never returned")
+		}
+	}
+	select {
+	case <-closed:
+	case <-time.After(60 * time.Second):
+		t.Fatal("Close never returned")
 	}
 }
 

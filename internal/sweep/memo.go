@@ -13,11 +13,10 @@ import "sync"
 // guarantee relies on the value being the same no matter which caller
 // ran it). The zero Memo is ready to use.
 type Memo[K comparable, V any] struct {
+	// mu guards m and computes.
 	mu sync.Mutex
-	//guard:mu
-	m map[K]*memoEntry[V]
+	m  map[K]*memoEntry[V]
 	// computes counts compute invocations (diagnostics and tests).
-	//guard:mu
 	computes uint64
 }
 

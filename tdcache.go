@@ -11,8 +11,8 @@
 //   - a Monte-Carlo process-variation engine (quad-tree correlated gate
 //     length, random-dopant Vth);
 //   - the 3T1D cache with every retention scheme from the paper
-//     (global / no / partial / full refresh × LRU / DSP / RSP-FIFO /
-//     RSP-LRU placement);
+//     (no / partial / full refresh × LRU / DSP / RSP-FIFO / RSP-LRU
+//     placement, and global refresh with LRU or DSP);
 //   - a 4-wide out-of-order processor model with synthetic SPEC2000-like
 //     workloads;
 //   - power accounting and the complete experiment harness regenerating

@@ -33,6 +33,18 @@ func TestNewSystemUnknownBenchmark(t *testing.T) {
 	}
 }
 
+// TestNewSystemRejectsGlobalRSP: global refresh pairs only with
+// placements that never move ways, so a global+RSP system is refused
+// at construction instead of wedging its write port at run time.
+func TestNewSystemRejectsGlobalRSP(t *testing.T) {
+	for _, p := range []Placement{PlaceRSPFIFO, PlaceRSPLRU} {
+		scheme := Scheme{Refresh: RefreshGlobal, Placement: p}
+		if _, err := NewSystem(SystemOptions{Benchmark: "gzip", Scheme: scheme}); err == nil {
+			t.Errorf("NewSystem accepted %v", scheme)
+		}
+	}
+}
+
 func TestNewSystemWithChip(t *testing.T) {
 	chip := SampleChip(Severe, 77)
 	if len(chip.Retention) != 1024 {
