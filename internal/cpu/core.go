@@ -729,15 +729,23 @@ func (s *System) dispatch() {
 		} else {
 			s.intIQ++
 		}
+		// Fill the slot field by field: assigning a whole robEntry
+		// literal copies the struct through a temporary on every
+		// dispatch.
 		tail := s.robSlot(s.robLen)
 		e := &s.rob[tail]
-		*e = robEntry{
-			kind:     in.Kind,
-			seq:      s.seq,
-			addr:     in.Addr,
-			pc:       in.PC,
-			waitHead: -1,
-		}
+		e.kind = in.Kind
+		e.seq = s.seq
+		e.state = sWaiting
+		e.doneAt = 0
+		e.dep1, e.dep2 = 0, 0
+		e.addr = in.Addr
+		e.pc = in.PC
+		e.taken, e.predicted = false, false
+		e.wake = 0
+		e.pending = 0
+		e.waitHead = -1
+		e.waitNext = [2]int32{}
 		// Dependencies: convert distances to absolute sequence numbers;
 		// distances reaching before the window are treated as satisfied.
 		if in.Dep1 > 0 && uint64(in.Dep1) < s.seq {

@@ -92,14 +92,17 @@ type rig struct {
 }
 
 // memoSet holds the memo caches shared across a Params family and all
-// its Clones. The keys cover tech name, Vdd, and the per-experiment
-// shape knobs, but NOT Seed/Chips/Instructions/Benchmarks — those are
-// constant within a family, which is why a memo set must never be
-// shared between differently-scaled Params (Clone preserves every value
-// field, so clones always qualify).
+// its Clones. The baseline and study keys cover tech name, Vdd, and the
+// per-experiment shape knobs, but NOT Seed/Chips/Instructions/Benchmarks
+// — those are constant within a family, which is why a memo set must
+// never be shared between differently-scaled Params (Clone preserves
+// every value field, so clones always qualify). The trace memo holds
+// each benchmark's packed instruction stream, which every run of the
+// family replays; its key is the stream's (benchmark, seed, length).
 type memoSet struct {
 	base  sweep.Memo[baselineKey, runResult]
 	study sweep.Memo[studyKey, *montecarlo.Study]
+	trace sweep.Memo[traceKey, *workload.Trace]
 }
 
 func newRig() *rig { return &rig{memos: &memoSet{}} }
@@ -110,6 +113,12 @@ type baselineKey struct {
 	bench string
 	sets  int
 	ways  int
+}
+
+type traceKey struct {
+	bench string
+	seed  uint64
+	n     int
 }
 
 type studyKey struct {
@@ -242,7 +251,8 @@ type cacheSpec struct {
 
 // harness is one worker's recycled simulation rig: the cache, L2,
 // generator, and pipeline are allocated once and Reset between jobs, so
-// a sweep's steady-state allocation rate is near zero.
+// a sweep's steady-state allocation rate is near zero. The generator
+// replays the memoized trace of each job's stream.
 type harness struct {
 	cache *core.Cache
 	l2    *cpu.L2
@@ -250,15 +260,12 @@ type harness struct {
 	sys   *cpu.System
 }
 
-// runOne simulates one benchmark against one cache specification. When
-// w is non-nil the worker's harness is recycled; a fresh rig is built
-// otherwise. Results are identical either way (Reset restores the exact
-// NewX state), which is what makes parallel sweeps byte-deterministic.
-func (p *Params) runOne(w *sweep.Worker, spec cacheSpec, bench string, seed uint64) runResult {
-	prof, ok := workload.ByName(bench)
-	if !ok {
-		panic("experiments: unknown benchmark " + bench)
-	}
+// runOne replays one benchmark's recorded stream against one cache
+// specification. When w is non-nil the worker's harness is recycled; a
+// fresh rig is built otherwise. Results are identical either way (Reset
+// restores the exact NewX state), which is what makes parallel sweeps
+// byte-deterministic.
+func (p *Params) runOne(w *sweep.Worker, spec cacheSpec, tr *workload.Trace) runResult {
 	cfg := core.DefaultConfig(spec.Scheme)
 	if spec.Sets != 0 {
 		cfg.Sets = spec.Sets
@@ -287,8 +294,9 @@ func (p *Params) runOne(w *sweep.Worker, spec cacheSpec, bench string, seed uint
 		h = &harness{
 			cache: cache,
 			l2:    cpu.NewL2(cpu.DefaultL2()),
-			gen:   workload.NewGenerator(prof, seed),
+			gen:   new(workload.Generator),
 		}
+		h.gen.ResetFrom(tr)
 		h.sys = cpu.NewSystem(cpu.DefaultConfig(), h.cache, h.l2, h.gen)
 		if w != nil {
 			w.Harness = h
@@ -298,7 +306,7 @@ func (p *Params) runOne(w *sweep.Worker, spec cacheSpec, bench string, seed uint
 			panic("experiments: " + err.Error())
 		}
 		h.l2.Reset()
-		h.gen.Reset(prof, seed)
+		h.gen.ResetFrom(tr)
 		h.sys.Reset(h.cache, h.l2, h.gen)
 	}
 	m := h.sys.Run(p.Instructions)
@@ -312,6 +320,26 @@ func (p *Params) runOne(w *sweep.Worker, spec cacheSpec, bench string, seed uint
 		L2Acc:   l2,
 		Dyn:     power.Dynamic(p.Tech, &h.cache.C, l2, m.Cycles, spec.Scheme),
 	}
+}
+
+// trace returns (memoized) the packed instruction stream of one
+// benchmark and seed, long enough for any run of p.Instructions: Run
+// stops once a commit reaches the target, which overshoots it by less
+// than CommitWidth, with at most a full ROB and the dispatch retry
+// slot fetched beyond the committed instructions.
+func (p *Params) trace(bench string, seed uint64) *workload.Trace {
+	prof, ok := workload.ByName(bench)
+	if !ok {
+		panic("experiments: unknown benchmark " + bench)
+	}
+	cc := cpu.DefaultConfig()
+	n := int(p.Instructions) + cc.ROBSize + cc.CommitWidth + 1
+	key := traceKey{prof.Name, seed, n}
+	memo := &p.ensureRig().memos.trace
+	if t, ok := memo.Lookup(key); ok {
+		return t
+	}
+	return memo.Do(key, func() *workload.Trace { return workload.NewTrace(prof, seed, n) })
 }
 
 // reshapeRetention maps a retention map onto a different line count by
@@ -337,6 +365,9 @@ func (p *Params) baseline(w *sweep.Worker, bench string, sets, ways int) runResu
 	if v, ok := memo.Lookup(key); ok {
 		return v
 	}
+	// The trace is resolved before the kernel, which then mutates no
+	// part of p (trace lazily builds the rig).
+	tr := p.trace(bench, p.Seed)
 	return memo.Do(key, func() runResult {
 		lines := 1024
 		if sets != 0 && ways != 0 {
@@ -347,7 +378,7 @@ func (p *Params) baseline(w *sweep.Worker, bench string, sets, ways int) runResu
 			Retention: core.IdealRetention(lines),
 			Sets:      sets,
 			Ways:      ways,
-		}, bench, p.Seed)
+		}, tr)
 	})
 }
 
@@ -386,12 +417,12 @@ func (p *Params) suite(w *sweep.Worker, spec cacheSpec) (perBench map[string]run
 	base := make([]runResult, len(p.Benchmarks))
 	if w == nil {
 		p.Pool().Run(len(p.Benchmarks), func(job int, jw *sweep.Worker) {
-			res[job] = p.runOne(jw, spec, p.Benchmarks[job], p.Seed)
+			res[job] = p.runOne(jw, spec, p.trace(p.Benchmarks[job], p.Seed))
 			base[job] = p.baseline(jw, p.Benchmarks[job], spec.Sets, spec.Ways)
 		})
 	} else {
 		for i, b := range p.Benchmarks {
-			res[i] = p.runOne(w, spec, b, p.Seed)
+			res[i] = p.runOne(w, spec, p.trace(b, p.Seed))
 			base[i] = p.baseline(w, b, spec.Sets, spec.Ways)
 		}
 	}

@@ -19,7 +19,8 @@ const (
 
 // Generator produces an unbounded deterministic instruction stream for
 // one profile. It is not safe for concurrent use; create one per
-// simulation (or recycle one across simulations with Reset).
+// simulation (or recycle one across simulations with Reset, or with
+// ResetFrom to replay a recorded Trace of the stream).
 type Generator struct {
 	p   Profile
 	rng *stats.RNG
@@ -66,11 +67,17 @@ type Generator struct {
 	// execution clusters in hot code the way real programs do.
 	fetchPC     uint64
 	codeBytes   uint64
+	codeEnd     uint64 // codeBase + codeBytes
 	funcEntries []uint64
 	funcPick    *stats.Zipf
 
 	// count is the number of instructions generated so far.
 	count uint64
+
+	// trace, when set by ResetFrom, is replayed from instruction tpos
+	// and payload word ppos instead of generating; nil runs live.
+	trace      *Trace
+	tpos, ppos int
 }
 
 // activeBlock is one live generational heap block.
@@ -123,6 +130,7 @@ func (g *Generator) Reset(p Profile, seed uint64) {
 	g.streamPos, g.streamLeft, g.streamNext = 0, 0, 0
 	g.stackOff = 0
 	g.count = 0
+	g.trace, g.tpos, g.ppos = nil, 0, 0
 	g.branchBias = resize(g.branchBias, max(p.StaticBranches, 1))
 	clear(g.branchBias)
 	nActive := p.ActiveBlocks
@@ -168,6 +176,7 @@ func (g *Generator) Reset(p Profile, seed uint64) {
 	if g.codeBytes == 0 {
 		g.codeBytes = 64 * 1024
 	}
+	g.codeEnd = codeBase + g.codeBytes
 	g.fetchPC = codeBase
 	codeRNG := &g.scratch
 	rng.SplitLabeledInto(codeRNG, 6)
@@ -220,9 +229,15 @@ func (g *Generator) Count() uint64 { return g.count }
 //
 // hotpath: called once per fetched instruction by the core's dispatch
 func (g *Generator) Next() Instr {
+	if g.trace != nil {
+		if g.tpos < len(g.trace.hdr) {
+			return g.replay()
+		}
+		g.goLive()
+	}
 	g.count++
 	r := g.rng.Float64()
-	p := g.p
+	p := &g.p
 	var in Instr
 	switch {
 	case r < p.LoadFrac:
@@ -285,7 +300,10 @@ func (g *Generator) Next() Instr {
 			g.fetchPC = g.funcEntries[g.funcPick.Next()]
 		}
 	} else {
-		g.fetchPC = codeBase + (g.fetchPC-codeBase+4)%g.codeBytes
+		g.fetchPC += 4
+		if g.fetchPC == g.codeEnd {
+			g.fetchPC = codeBase
+		}
 	}
 	return in
 }
@@ -308,7 +326,7 @@ func (g *Generator) depDistance() int32 {
 // locality structure.
 func (g *Generator) address() uint64 {
 	r := g.rng.Float64()
-	p := g.p
+	p := &g.p
 	switch {
 	case r < p.StackFrac:
 		// Random walk within the hot stack window.
