@@ -288,6 +288,10 @@ func (c *Cache) Reset(cfg Config, ret RetentionMap) error {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// HitLatency returns the load-to-use latency of a hit in cycles, without
+// copying the whole Config the way Config does.
+func (c *Cache) HitLatency() int { return c.cfg.HitLatencyCycles }
+
 // Retention returns the cache's retention map.
 func (c *Cache) Retention() RetentionMap { return c.ret }
 

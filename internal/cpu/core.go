@@ -474,7 +474,7 @@ func (s *System) completeMisses() {
 			e := &s.rob[slot]
 			// The slot may have been recycled; check the state+kind.
 			if e.state == sWaitMem && e.kind == workload.KLoad && lineOf(e.addr) == m.line {
-				s.setDone(e, s.now+int64(s.Cache.Config().HitLatencyCycles))
+				s.setDone(e, s.now+int64(s.Cache.HitLatency()))
 			}
 		}
 		m.valid = false

@@ -20,9 +20,10 @@ type Fig6aResult struct {
 	result
 }
 
-// Fig6a runs the typical-variation Monte-Carlo frequency study.
+// Fig6a runs the typical-variation Monte-Carlo frequency study. It
+// reads only per-tile figures, so it needs no retention maps.
 func Fig6a(p *Params) *Fig6aResult {
-	s := p.study(variation.Typical, p.DistChips)
+	s := p.figures(variation.Typical, p.DistChips)
 	f1 := s.Column(func(c *montecarlo.Chip) float64 { return c.Freq1X })
 	f2 := s.Column(func(c *montecarlo.Chip) float64 { return c.Freq2X })
 	h1 := stats.NewHistogram(0.7625, 1.0625, 12)
@@ -63,9 +64,10 @@ type Fig7Result struct {
 // fig7Bins are the paper's x-axis labels (upper edge of each bucket).
 var fig7Bins = []float64{0.25, 0.5, 1, 1.5, 2, 3, 4, 6, 8, 10, 12}
 
-// Fig7 runs the typical-variation leakage study.
+// Fig7 runs the typical-variation leakage study. Like Fig6a, it reads
+// only per-tile figures and needs no retention maps.
 func Fig7(p *Params) *Fig7Result {
-	s := p.study(variation.Typical, p.DistChips)
+	s := p.figures(variation.Typical, p.DistChips)
 	l6 := s.Column(func(c *montecarlo.Chip) float64 { return c.Leak6T1X })
 	l3 := s.Column(func(c *montecarlo.Chip) float64 { return c.Leak3T1D })
 	r := &Fig7Result{

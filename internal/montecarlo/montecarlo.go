@@ -4,6 +4,10 @@
 // whole-cache retention, 6T frequency factors for both cell sizes,
 // leakage factors, and stability. Results are cached in the Study so the
 // many architecture simulations that follow reuse them.
+//
+// A map-free study (Options.MapFree) samples the same chips and fills
+// only the per-tile figures (frequency, leakage, stability), skipping
+// the per-line retention maps that dominate a full study's cost.
 package montecarlo
 
 import (
@@ -56,7 +60,11 @@ type Study struct {
 	// used for quantization.
 	CounterStep int64
 	CounterBits int
-	Chips       []Chip
+	// MapFree records that the study was built without retention maps:
+	// every chip's map fields (RetentionSec through MeanAliveNS) are
+	// zero, and the map readers GoodMedianBad and DiscardRate panic.
+	MapFree bool
+	Chips   []Chip
 
 	backend circuit.CellBackend
 }
@@ -80,6 +88,10 @@ type Options struct {
 	// Pool is the worker pool chip evaluation fans out over; nil builds
 	// a GOMAXPROCS-wide pool for this study alone.
 	Pool *sweep.Pool
+	// MapFree skips the per-line retention maps and fills only the
+	// per-tile figures (Freq1X, Freq2X, Leak6T1X, Leak3T1D, Unstable1X),
+	// which equal a full study's bit for bit.
+	MapFree bool
 }
 
 // New samples and evaluates a chip population. Evaluation parallelizes
@@ -100,6 +112,7 @@ func New(o Options) *Study {
 		Backend:     backend.Name(),
 		CounterStep: o.CounterStep,
 		CounterBits: o.CounterBits,
+		MapFree:     o.MapFree,
 		Chips:       make([]Chip, o.Chips),
 		backend:     backend,
 	}
@@ -120,6 +133,28 @@ func New(o Options) *Study {
 func evaluate(s *Study, idx int, ch *variation.Chip) Chip {
 	e := circuit.NewChipEval(s.Tech, circuit.L1D, ch)
 	e.Backend = s.backend
+	c := Chip{Index: idx}
+	tileFigures(&c, e)
+	if !s.MapFree {
+		mapFigures(&c, s, e)
+	}
+	return c
+}
+
+// tileFigures fills the figures computed per variation tile: both 6T
+// frequencies, both leakage factors and the 6T stability. Full and
+// map-free studies share this one code path.
+func tileFigures(c *Chip, e circuit.ChipEval) {
+	c.Freq1X = e.SRAMFrequencyFactor(circuit.SRAM1X)
+	c.Freq2X = e.SRAMFrequencyFactor(circuit.SRAM2X)
+	c.Leak6T1X = e.SRAMLeakageFactor(circuit.SRAM1X)
+	c.Leak3T1D = e.CellLeakageFactor()
+	c.Unstable1X = e.SRAMUnstableFraction(circuit.SRAM1X)
+}
+
+// mapFigures evaluates the per-line retention map and fills every field
+// derived from it.
+func mapFigures(c *Chip, s *Study, e circuit.ChipEval) {
 	sec := e.RetentionMap()
 	step := s.CounterStep
 	if step == 0 {
@@ -137,20 +172,12 @@ func evaluate(s *Study, idx int, ch *variation.Chip) Chip {
 			min = r
 		}
 	}
-	return Chip{
-		Index:            idx,
-		RetentionSec:     sec,
-		Retention:        q,
-		CounterStep:      step,
-		CacheRetentionNS: min * circuit.SecondsToNano,
-		DeadFrac:         q.DeadFraction(),
-		MeanAliveNS:      q.MeanAlive() * s.Tech.CycleSeconds() * circuit.SecondsToNano,
-		Freq1X:           e.SRAMFrequencyFactor(circuit.SRAM1X),
-		Freq2X:           e.SRAMFrequencyFactor(circuit.SRAM2X),
-		Leak6T1X:         e.SRAMLeakageFactor(circuit.SRAM1X),
-		Leak3T1D:         e.CellLeakageFactor(),
-		Unstable1X:       e.SRAMUnstableFraction(circuit.SRAM1X),
-	}
+	c.RetentionSec = sec
+	c.Retention = q
+	c.CounterStep = step
+	c.CacheRetentionNS = min * circuit.SecondsToNano
+	c.DeadFrac = q.DeadFraction()
+	c.MeanAliveNS = q.MeanAlive() * s.Tech.CycleSeconds() * circuit.SecondsToNano
 }
 
 // quality ranks a chip for good/median/bad selection: higher is better.
@@ -165,6 +192,7 @@ func (c *Chip) quality() float64 {
 // GoodMedianBad returns the indices of the best, median, and worst chips
 // by retention quality (§4.3's three analysis chips).
 func (s *Study) GoodMedianBad() (good, median, bad int) {
+	s.needMaps("GoodMedianBad")
 	order := make([]int, len(s.Chips))
 	for i := range order {
 		order[i] = i
@@ -181,6 +209,7 @@ func (s *Study) GoodMedianBad() (good, median, bad int) {
 //
 //unit:result dimensionless
 func (s *Study) DiscardRate() float64 {
+	s.needMaps("DiscardRate")
 	if len(s.Chips) == 0 {
 		return 0
 	}
@@ -195,6 +224,14 @@ func (s *Study) DiscardRate() float64 {
 		}
 	}
 	return float64(n) / float64(len(s.Chips))
+}
+
+// needMaps panics when a map reader is called on a map-free study,
+// whose zero maps would otherwise rank and discard chips silently.
+func (s *Study) needMaps(reader string) {
+	if s.MapFree {
+		panic("montecarlo: " + reader + " reads retention maps, but the study was built map-free (Options.MapFree)")
+	}
 }
 
 // Column extracts one per-chip metric as a slice (ordered by index).

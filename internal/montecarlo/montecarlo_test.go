@@ -1,10 +1,14 @@
 package montecarlo
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
+	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
 )
 
@@ -147,5 +151,79 @@ func TestColumnAndSummary(t *testing.T) {
 	sum := s.Summary(func(c *Chip) float64 { return c.Freq1X })
 	if sum.N != 4 || sum.Min > sum.Max {
 		t.Errorf("summary %+v", sum)
+	}
+}
+
+// TestMapFreeMatchesFull checks that a map-free study holds the full
+// study's per-tile figures bit for bit, chip by chip, for both backends
+// and both variation scenarios at pool widths 1 and 2, and that it
+// leaves every map field zero. CI runs it under the race detector,
+// since the map-free study fans out over the shared pool.
+func TestMapFreeMatchesFull(t *testing.T) {
+	const chips = 6
+	for _, backend := range []circuit.CellBackend{circuit.Backend3T1D, circuit.STTRAMBackend} {
+		for _, sc := range []variation.Scenario{variation.Typical, variation.Severe} {
+			opts := Options{Tech: circuit.Node32, Scenario: sc, Seed: 99, Chips: chips,
+				Backend: backend, Pool: sweep.New(2)}
+			full := New(opts)
+			for _, width := range []int{1, 2} {
+				o := opts
+				o.MapFree, o.Pool = true, sweep.New(width)
+				free := New(o)
+				name := fmt.Sprintf("%s/%s/width %d", backend.Name(), sc.Name, width)
+				if !free.MapFree || full.MapFree {
+					t.Fatalf("%s: MapFree recorded as %v (map-free) and %v (full)", name, free.MapFree, full.MapFree)
+				}
+				for i := range full.Chips {
+					f, m := &full.Chips[i], &free.Chips[i]
+					if m.Index != i {
+						t.Errorf("%s: chip %d has index %d", name, i, m.Index)
+					}
+					for _, col := range []struct {
+						field string
+						get   func(*Chip) float64
+					}{
+						{"Freq1X", func(c *Chip) float64 { return c.Freq1X }},
+						{"Freq2X", func(c *Chip) float64 { return c.Freq2X }},
+						{"Leak6T1X", func(c *Chip) float64 { return c.Leak6T1X }},
+						{"Leak3T1D", func(c *Chip) float64 { return c.Leak3T1D }},
+						{"Unstable1X", func(c *Chip) float64 { return c.Unstable1X }},
+					} {
+						if a, b := col.get(f), col.get(m); math.Float64bits(a) != math.Float64bits(b) {
+							t.Errorf("%s: chip %d %s = %v map-free, %v full", name, i, col.field, b, a)
+						}
+					}
+					if m.RetentionSec != nil || m.Retention != nil || m.CounterStep != 0 ||
+						m.CacheRetentionNS != 0 || m.DeadFrac != 0 || m.MeanAliveNS != 0 {
+						t.Errorf("%s: chip %d map fields set on a map-free study: %+v", name, i, *m)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMapReadersPanicOnMapFree checks that the readers that rank or
+// discard chips by their retention maps refuse a map-free study instead
+// of reading its zero maps.
+func TestMapReadersPanicOnMapFree(t *testing.T) {
+	s := New(Options{Tech: circuit.Node32, Scenario: variation.Severe, Seed: 99, Chips: 3, MapFree: true})
+	for _, r := range []struct {
+		name string
+		call func()
+	}{
+		{"GoodMedianBad", func() { s.GoodMedianBad() }},
+		{"DiscardRate", func() { s.DiscardRate() }},
+	} {
+		t.Run(r.name, func(t *testing.T) {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, r.name) || !strings.Contains(msg, "map-free") {
+					t.Errorf("panic message %q, want one naming %s and the map-free study", msg, r.name)
+				}
+			}()
+			r.call()
+			t.Errorf("%s returned on a map-free study", r.name)
+		})
 	}
 }
