@@ -135,7 +135,7 @@ func BenchmarkGlobalRefreshNoVariation(b *testing.B) {
 // BenchmarkSweepFig10 measures the sweep engine itself on the Fig. 10
 // chip × scheme × benchmark fan-out: the sequential lane (-parallel 1)
 // versus the full worker pool. Each iteration uses fresh Params so the
-// baseline/study memos are cold and the whole sweep is really re-run;
+// run/study memos are cold and the whole sweep is really re-run;
 // comparing the two lanes' ns/op gives the wall-clock speedup, and
 // -benchmem shows the allocation drop from per-worker harness reuse.
 func BenchmarkSweepFig10(b *testing.B) {

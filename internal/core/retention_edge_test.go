@@ -11,38 +11,66 @@ import (
 // treat every such line as dead rather than wrap into a huge bogus
 // deadline.
 func TestQuantizeRetentionEdges(t *testing.T) {
-	const (
-		cycleTime = 0.25e-9 // 4GHz
-		step      = int64(256)
-		bits      = 3
-	)
-	maxVal := (int64(1)<<uint(bits) - 1) * step
-
-	cases := []struct {
-		name    string
-		seconds float64
-		want    int64
-	}{
-		{"negative", -1e-6, 0},
-		{"negative-tiny", -math.SmallestNonzeroFloat64, 0},
-		{"nan", math.NaN(), 0},
-		{"zero", 0, 0},
-		{"below-one-step", float64(step-1) * cycleTime, 0},
-		{"exactly-one-step", float64(step) * cycleTime, step},
-		{"mid-range-floors", float64(step*3+step/2) * cycleTime, step * 3},
-		{"at-cap", float64(maxVal) * cycleTime, maxVal},
-		{"above-cap", 2 * float64(maxVal) * cycleTime, maxVal},
-		{"plus-inf", math.Inf(1), maxVal},
-		{"minus-inf", math.Inf(-1), 0},
-	}
-	for _, tc := range cases {
+	for _, tc := range quantizeEdgeCases {
 		t.Run(tc.name, func(t *testing.T) {
-			m := QuantizeRetention([]float64{tc.seconds}, cycleTime, step, bits)
+			m := QuantizeRetention([]float64{tc.seconds}, edgeCycleTime, edgeStep, edgeBits)
 			if got := m[0]; got != tc.want {
 				t.Errorf("QuantizeRetention(%v) = %d, want %d", tc.seconds, got, tc.want)
 			}
 		})
 	}
+}
+
+// The quantizer edge cases run at 4 GHz with a 256-cycle step and
+// 3-bit counters; FuzzQuantizeRetention starts from them.
+const (
+	edgeCycleTime = 0.25e-9
+	edgeStep      = int64(256)
+	edgeBits      = 3
+	edgeMaxVal    = (int64(1)<<edgeBits - 1) * edgeStep
+)
+
+var quantizeEdgeCases = []struct {
+	name    string
+	seconds float64
+	want    int64
+}{
+	{"negative", -1e-6, 0},
+	{"negative-tiny", -math.SmallestNonzeroFloat64, 0},
+	{"nan", math.NaN(), 0},
+	{"zero", 0, 0},
+	{"below-one-step", float64(edgeStep-1) * edgeCycleTime, 0},
+	{"exactly-one-step", float64(edgeStep) * edgeCycleTime, edgeStep},
+	{"mid-range-floors", float64(edgeStep*3+edgeStep/2) * edgeCycleTime, edgeStep * 3},
+	{"at-cap", float64(edgeMaxVal) * edgeCycleTime, edgeMaxVal},
+	{"above-cap", 2 * float64(edgeMaxVal) * edgeCycleTime, edgeMaxVal},
+	{"plus-inf", math.Inf(1), edgeMaxVal},
+	{"minus-inf", math.Inf(-1), 0},
+}
+
+// FuzzQuantizeRetention checks the counter contract on any retention,
+// cycle time, step and width: the value is a multiple of the step in
+// [0, (2^bits-1)·step] and never more cycles than the line holds.
+func FuzzQuantizeRetention(f *testing.F) {
+	for _, tc := range quantizeEdgeCases {
+		f.Add(tc.seconds, edgeCycleTime, uint32(edgeStep), uint8(edgeBits))
+	}
+	f.Fuzz(func(t *testing.T, seconds, cycleTime float64, rawStep uint32, bits uint8) {
+		step := int64(rawStep % (1 << 20))
+		if step == 0 || bits < 1 || bits > 16 || !(cycleTime > 0) || math.IsInf(cycleTime, 1) {
+			t.Skip("outside the counter's configuration space")
+		}
+		maxVal := (int64(1)<<bits - 1) * step
+		got := QuantizeRetention([]float64{seconds}, cycleTime, step, int(bits))[0]
+		if got%step != 0 || got < 0 || got > maxVal {
+			t.Fatalf("QuantizeRetention(%v, %v, %d, %d) = %d, want a multiple of %d in [0, %d]",
+				seconds, cycleTime, step, bits, got, step, maxVal)
+		}
+		if cycles := seconds / cycleTime; got > 0 && float64(got) > cycles {
+			t.Fatalf("QuantizeRetention(%v, %v, %d, %d) = %d overstates the line's %v cycles",
+				seconds, cycleTime, step, bits, got, cycles)
+		}
+	})
 }
 
 // TestChooseCounterStepEdges exercises the step chooser where the
@@ -126,6 +154,39 @@ func TestDeadlineCounterStep(t *testing.T) {
 		}
 		if got%256 != 0 {
 			t.Errorf("step = %d is not a multiple of 256", got)
+		}
+	})
+}
+
+// FuzzChooseCounterStep checks the step chooser on up to three line
+// retentions: the step is a positive multiple of 256, and every finite
+// non-negative line fits in the counter's levels·step. Lines of 2^53
+// cycles or more (about 26 days at 4 GHz) are left out of the fit
+// check, where the int64 cycle arithmetic stops being exact.
+func FuzzChooseCounterStep(f *testing.F) {
+	f.Add(uint8(3), 0.0, 0.0, 0.0, uint8(3))   // all-zero
+	f.Add(uint8(0), 0.0, 0.0, 0.0, uint8(3))   // empty
+	f.Add(uint8(3), 5e-6, 6e-6, 1.0, uint8(3)) // single-enormous-outlier
+	f.Add(uint8(1), 100e-6, 0.0, 0.0, uint8(1))
+	f.Fuzz(func(t *testing.T, n uint8, a, b, c float64, bits uint8) {
+		if bits < 1 || bits > 16 {
+			t.Skip("outside the counter's configuration space")
+		}
+		seconds := []float64{a, b, c}[:n%4]
+		step := ChooseCounterStep(seconds, edgeCycleTime, int(bits))
+		if step <= 0 || step%256 != 0 {
+			t.Fatalf("ChooseCounterStep(%v, %d bits) = %d, want a positive multiple of 256", seconds, bits, step)
+		}
+		levels := int64(1)<<bits - 1
+		for _, s := range seconds {
+			cycles := s / edgeCycleTime
+			if math.IsNaN(s) || s < 0 || cycles >= 1<<53 {
+				continue
+			}
+			if int64(cycles) > levels*step {
+				t.Fatalf("ChooseCounterStep(%v, %d bits) = %d: a %v-cycle line overflows %d levels",
+					seconds, bits, step, cycles, levels)
+			}
 		}
 	})
 }

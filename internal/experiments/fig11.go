@@ -5,6 +5,10 @@ import (
 	"tdcache/internal/variation"
 )
 
+// Fig11Assocs are the swept associativities; 4 ways is the default
+// 256×4 organisation the other figures simulate.
+var Fig11Assocs = []int{1, 2, 4, 8}
+
 // Fig11Result reproduces Figure 11: normalized performance of the three
 // line-level schemes at associativities 1/2/4/8 for the good, median,
 // and bad severe-variation chips.
@@ -22,7 +26,7 @@ func Fig11(p *Params) *Fig11Result {
 	s := p.study(variation.Severe, p.Chips)
 	g, m, b := s.GoodMedianBad()
 	chips := []int{g, m, b}
-	r := &Fig11Result{Assocs: []int{1, 2, 4, 8}, result: p.newResult("fig11")}
+	r := &Fig11Result{Assocs: Fig11Assocs, result: p.newResult("fig11")}
 	nS, nA := len(Fig10Schemes), len(r.Assocs)
 	perf := make([]float64, len(chips)*nS*nA)
 	p.Pool().Run(len(perf), func(job int, w *sweep.Worker) {

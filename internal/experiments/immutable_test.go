@@ -26,7 +26,7 @@ func TestWithTechLeavesReceiverUntouched(t *testing.T) {
 	if Digest(q) == before {
 		t.Error("derived digest equals receiver digest despite different Tech")
 	}
-	// Derivations share the rig: memoized baselines computed through one
+	// Derivations share the rig: memoized runs computed through one
 	// are visible through the other (keys embed tech name + Vdd).
 	if p.rig != q.rig {
 		t.Error("WithTech must share the compute rig")

@@ -19,6 +19,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"sync"
 
 	"tdcache/internal/circuit"
@@ -77,9 +79,9 @@ type Params struct {
 }
 
 // rig is the compute machinery behind a Params family: one worker pool
-// (single-coordinator) plus the singleflight memo caches for baselines
-// and Monte-Carlo studies. Memo keys embed the tech name and Vdd, so
-// WithTech derivations share a rig safely. The memo set is a separate
+// (single-coordinator) plus the singleflight memo caches for runs,
+// Monte-Carlo studies and traces. Memo keys embed the tech name and
+// Vdd, so WithTech derivations share a rig safely. The memo set is a separate
 // pointer so Clone can hand out an independent pool (its own
 // coordinator) while still deduplicating sub-computations with its
 // origin — the memos are singleflight-safe across goroutines and their
@@ -92,27 +94,61 @@ type rig struct {
 }
 
 // memoSet holds the memo caches shared across a Params family and all
-// its Clones. The baseline and study keys cover tech name, Vdd, and the
+// its Clones. The run and study keys cover tech name, Vdd, and the
 // per-experiment shape knobs, but NOT Seed/Chips/Instructions/Benchmarks
 // — those are constant within a family, which is why a memo set must
 // never be shared between differently-scaled Params (Clone preserves
-// every value field, so clones always qualify). The trace memo holds
+// every value field, so clones always qualify). The run memo holds
+// every simulation, ideal-6T baselines included: Fig. 10, Fig. 11 and
+// the yield curves re-run many of Fig. 9's chip × scheme × benchmark
+// simulations on the same severe population. The trace memo holds
 // each benchmark's packed instruction stream, which every run of the
 // family replays; its key is the stream's (benchmark, seed, length).
 type memoSet struct {
-	base  sweep.Memo[baselineKey, runResult]
+	run   sweep.Memo[runKey, runResult]
 	study sweep.Memo[studyKey, *montecarlo.Study]
 	trace sweep.Memo[traceKey, *workload.Trace]
 }
 
 func newRig() *rig { return &rig{memos: &memoSet{}} }
 
-type baselineKey struct {
+// runKey identifies one simulation: the operating point, the benchmark,
+// the cache configuration as core.DefaultConfig resolves it (so
+// Sets/Ways 0,0 and 256,4 share a key) and the retention map's identity.
+type runKey struct {
 	tech  string
 	vdd   float64
 	bench string
-	sets  int
-	ways  int
+	cfg   core.Config
+	ret   retentionID
+}
+
+// retentionID is the sha256 of a retention map's lines. The zero ID
+// stands for the ideal-6T map, which cacheSpec writes as a nil
+// Retention.
+type retentionID [sha256.Size]byte
+
+// retentionIdentity hashes a retention map once, so every benchmark of
+// a suite keys its run on the map without rehashing it.
+func retentionIdentity(m core.RetentionMap) retentionID {
+	var id retentionID
+	if m == nil {
+		return id
+	}
+	h := sha256.New()
+	var buf [512]byte
+	for len(m) > 0 {
+		n := min(len(m), len(buf)/8)
+		for i, v := range m[:n] {
+			binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
+		}
+		if _, err := h.Write(buf[:8*n]); err != nil {
+			panic("experiments: " + err.Error()) // hash.Hash.Write never fails
+		}
+		m = m[n:]
+	}
+	h.Sum(id[:0])
+	return id
 }
 
 type traceKey struct {
@@ -194,7 +230,7 @@ func (p *Params) backend() circuit.CellBackend {
 // Clone returns a copy of p that may coordinate builds concurrently
 // with the original: it gets its own worker pool (Pool.Run is a
 // single-coordinator API) but shares the origin's memo caches, so
-// baselines and Monte-Carlo studies common to several experiments are
+// runs and Monte-Carlo studies common to several experiments are
 // still simulated exactly once across all clones — the serve layer
 // gives each compute worker one clone and the singleflight memos
 // deduplicate across the shard. Because the memo keys assume the
@@ -245,10 +281,25 @@ type runResult struct {
 // cacheSpec fully describes the L1 to simulate.
 type cacheSpec struct {
 	Scheme    core.Scheme
-	Retention core.RetentionMap
-	Sets      int   // 0 = default 256
-	Ways      int   // 0 = default 4
-	Step      int64 // counter step N; 0 = default
+	Retention core.RetentionMap // nil = ideal 6T (never expires)
+	Sets      int               // 0 = default 256
+	Ways      int               // 0 = default 4
+	Step      int64             // counter step N; 0 = default
+}
+
+// config resolves the spec's organisation against core.DefaultConfig.
+func (spec cacheSpec) config() core.Config {
+	cfg := core.DefaultConfig(spec.Scheme)
+	if spec.Sets != 0 {
+		cfg.Sets = spec.Sets
+	}
+	if spec.Ways != 0 {
+		cfg.Ways = spec.Ways
+	}
+	if spec.Step != 0 {
+		cfg.CounterStep = int(spec.Step)
+	}
+	return cfg
 }
 
 // harness is one worker's recycled simulation rig: the cache, L2,
@@ -268,18 +319,12 @@ type harness struct {
 // restores the exact NewX state), which is what makes parallel sweeps
 // byte-deterministic.
 func (p *Params) runOne(w *sweep.Worker, spec cacheSpec, tr *workload.Trace) runResult {
-	cfg := core.DefaultConfig(spec.Scheme)
-	if spec.Sets != 0 {
-		cfg.Sets = spec.Sets
-	}
-	if spec.Ways != 0 {
-		cfg.Ways = spec.Ways
-	}
-	if spec.Step != 0 {
-		cfg.CounterStep = int(spec.Step)
-	}
+	cfg := spec.config()
 	ret := spec.Retention
-	if len(ret) != cfg.Lines() {
+	switch {
+	case ret == nil:
+		ret = core.IdealRetention(cfg.Lines())
+	case len(ret) != cfg.Lines():
 		// Re-shape a physical 1024-line map onto a different
 		// organization (Fig. 11's associativity sweep).
 		ret = reshapeRetention(spec.Retention, cfg.Lines())
@@ -355,13 +400,15 @@ func reshapeRetention(src core.RetentionMap, lines int) core.RetentionMap {
 	return out
 }
 
-// baseline returns (memoized) the ideal-6T result for a benchmark.
-// Concurrent callers of the same key block on a single computation —
-// the sweep engine's singleflight replaces the old check-then-recompute
-// locking, so a baseline is simulated exactly once per key.
-func (p *Params) baseline(w *sweep.Worker, bench string, sets, ways int) runResult {
-	key := baselineKey{p.Tech.Name, p.Tech.Vdd, bench, sets, ways}
-	memo := &p.ensureRig().memos.base
+// run returns (memoized) one benchmark's simulation under spec, whose
+// retention map has identity id. Concurrent callers of the same key
+// block on a single computation, so each distinct run is simulated
+// exactly once per Params family. The memo is valid for the same reason
+// the trace memo is: Seed, Instructions and Benchmarks are fixed within
+// a family.
+func (p *Params) run(w *sweep.Worker, spec cacheSpec, id retentionID, bench string) runResult {
+	key := runKey{p.Tech.Name, p.Tech.Vdd, bench, spec.config(), id}
+	memo := &p.ensureRig().memos.run
 	// Replay fast path: after the first computation every caller takes
 	// this branch, skipping the compute-closure Do would allocate.
 	if v, ok := memo.Lookup(key); ok {
@@ -370,18 +417,12 @@ func (p *Params) baseline(w *sweep.Worker, bench string, sets, ways int) runResu
 	// The trace is resolved before the kernel, which then mutates no
 	// part of p (trace lazily builds the rig).
 	tr := p.trace(bench, p.Seed)
-	return memo.Do(key, func() runResult {
-		lines := 1024
-		if sets != 0 && ways != 0 {
-			lines = sets * ways
-		}
-		return p.runOne(w, cacheSpec{
-			Scheme:    core.NoRefreshLRU,
-			Retention: core.IdealRetention(lines),
-			Sets:      sets,
-			Ways:      ways,
-		}, tr)
-	})
+	return memo.Do(key, func() runResult { return p.runOne(w, spec, tr) })
+}
+
+// baseline returns (memoized) the ideal-6T result for a benchmark.
+func (p *Params) baseline(w *sweep.Worker, bench string, sets, ways int) runResult {
+	return p.run(w, cacheSpec{Scheme: core.NoRefreshLRU, Sets: sets, Ways: ways}, retentionID{}, bench)
 }
 
 // study returns (memoized) a Monte-Carlo chip study with retention
@@ -430,18 +471,21 @@ func (p *Params) memoStudy(sc variation.Scenario, chips int, mapFree bool) *mont
 //
 // Called with w == nil (from an experiment's top level) the benchmarks
 // fan out over the worker pool; called with a worker (from inside a
-// sweep job) they run inline on that worker's harness.
+// sweep job) they run inline on that worker's harness. Every run goes
+// through the family's run memo, keyed on the map's identity, which is
+// hashed once here rather than once per benchmark.
 func (p *Params) suite(w *sweep.Worker, spec cacheSpec) (perBench map[string]runResult, normPerf float64) {
+	id := retentionIdentity(spec.Retention)
 	res := make([]runResult, len(p.Benchmarks))
 	base := make([]runResult, len(p.Benchmarks))
 	if w == nil {
 		p.Pool().Run(len(p.Benchmarks), func(job int, jw *sweep.Worker) {
-			res[job] = p.runOne(jw, spec, p.trace(p.Benchmarks[job], p.Seed))
+			res[job] = p.run(jw, spec, id, p.Benchmarks[job])
 			base[job] = p.baseline(jw, p.Benchmarks[job], spec.Sets, spec.Ways)
 		})
 	} else {
 		for i, b := range p.Benchmarks {
-			res[i] = p.runOne(w, spec, p.trace(b, p.Seed))
+			res[i] = p.run(w, spec, id, b)
 			base[i] = p.baseline(w, b, spec.Sets, spec.Ways)
 		}
 	}

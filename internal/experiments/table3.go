@@ -55,7 +55,7 @@ func Table3(p *Params) *Table3Result {
 		pn := p.WithTech(tech)
 		row := Table3Row{Node: tech.Name}
 
-		// Ideal 6T: warm the baseline memo for this node in parallel,
+		// Ideal 6T: warm the run memo's baselines for this node in parallel,
 		// then aggregate sequentially in benchmark order so the
 		// floating-point sums are reproducible.
 		pn.Pool().Run(len(pn.Benchmarks), func(job int, w *sweep.Worker) {

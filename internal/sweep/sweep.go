@@ -11,7 +11,7 @@
 //   - each job is a pure function of its inputs (all simulation
 //     randomness is explicitly seeded), so no output depends on which
 //     worker ran it;
-//   - shared sub-computations (ideal-6T baselines, Monte-Carlo studies)
+//   - shared sub-computations (simulation runs, Monte-Carlo studies)
 //     are deduplicated with the singleflight-style Memo, so exactly one
 //     worker computes each and the rest reuse the value.
 //

@@ -161,8 +161,8 @@ func TestMemoForget(t *testing.T) {
 // semantics the experiment harness relies on: when many workers miss
 // the same key at once, every caller must receive the one pointer the
 // single compute produced — not a value copied per caller and not a
-// second computation's result. (Params.baseline memoizes *runResult-
-// shaped values; aliasing is what makes the memo cheap.)
+// second computation's result. (The experiments' study memo holds
+// *montecarlo.Study values; aliasing is what makes the memo cheap.)
 func TestMemoConcurrentSameKeySharesPointer(t *testing.T) {
 	type result struct{ ipc float64 }
 	var m Memo[string, *result]
