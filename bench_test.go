@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"testing"
 
+	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/experiments"
@@ -28,50 +29,50 @@ var benchParams = experiments.QuickParams()
 func BenchmarkFig1ReuseDistance(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig1(benchParams)
-		b.ReportMetric(r.Within6K, "within6K")
+		b.ReportMetric(metric(b, r, "within_6k_cycles"), "within6K")
 	}
 }
 
 func BenchmarkFig4AccessCurve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig4(benchParams)
-		b.ReportMetric(r.NominalRetUS, "nominal-ret-us")
-		b.ReportMetric(r.WeakRetUS, "weak-ret-us")
+		b.ReportMetric(metric(b, r, "nominal_retention"), "nominal-ret-us")
+		b.ReportMetric(metric(b, r, "weak_retention"), "weak-ret-us")
 	}
 }
 
 func BenchmarkFig6a6TFrequency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig6a(benchParams)
-		b.ReportMetric(r.Median1X, "median-1x-freq")
-		b.ReportMetric(r.Median2X, "median-2x-freq")
+		b.ReportMetric(metric(b, r, "median_1x"), "median-1x-freq")
+		b.ReportMetric(metric(b, r, "median_2x"), "median-2x-freq")
 	}
 }
 
 func BenchmarkFig6bGlobalRefresh(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig6b(benchParams)
-		last := len(r.MeanPerf) - 1
-		b.ReportMetric(r.MeanPerf[last], "perf-at-3094ns")
-		b.ReportMetric(r.TotalDyn[0], "dyn-at-476ns")
+		meanPerf := series(b, r, "mean_perf")
+		b.ReportMetric(meanPerf[len(meanPerf)-1], "perf-at-3094ns")
+		b.ReportMetric(series(b, r, "total_dyn")[0], "dyn-at-476ns")
 	}
 }
 
 func BenchmarkFig7Leakage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig7(benchParams)
-		b.ReportMetric(r.Over1p5x6T, "6T-over-1.5x")
-		b.ReportMetric(r.OverGolden3T1D, "3T1D-over-golden")
+		b.ReportMetric(metric(b, r, "over_1p5x_6t"), "6T-over-1.5x")
+		b.ReportMetric(metric(b, r, "over_golden_3t1d"), "3T1D-over-golden")
 	}
 }
 
 func BenchmarkTable3Nodes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Table3(benchParams)
-		for _, row := range r.Rows {
-			if row.Node == "32nm" {
-				b.ReportMetric(row.TDBIPS/row.IdealBIPS, "3T1D-rel-BIPS-32nm")
-				b.ReportMetric(row.TDLeakMW/row.IdealLeakMW, "3T1D-rel-leak-32nm")
+		for i, node := range column(b, r, "node").S {
+			if node == "32nm" {
+				b.ReportMetric(column(b, r, "td_bips").F[i]/column(b, r, "ideal_bips").F[i], "3T1D-rel-BIPS-32nm")
+				b.ReportMetric(column(b, r, "td_leak").F[i]/column(b, r, "ideal_leak").F[i], "3T1D-rel-leak-32nm")
 			}
 		}
 	}
@@ -90,8 +91,9 @@ func BenchmarkFig9SchemeMatrix(b *testing.B) {
 		r := experiments.Fig9(benchParams)
 		// Bad-chip performance of no-refresh/LRU (index 0) versus
 		// RSP-FIFO (index 6): the paper's headline contrast.
-		b.ReportMetric(r.Perf[2][0], "bad-noRefLRU")
-		b.ReportMetric(r.Perf[2][6], "bad-RSPFIFO")
+		bad := column(b, r, "bad").F
+		b.ReportMetric(bad[0], "bad-noRefLRU")
+		b.ReportMetric(bad[6], "bad-RSPFIFO")
 	}
 }
 
@@ -107,7 +109,13 @@ func BenchmarkFig11Associativity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig11(benchParams)
 		// Bad chip, RSP-FIFO advantage over no-refresh/LRU at 4 ways.
-		b.ReportMetric(r.Perf[2][2][2]-r.Perf[2][0][2], "bad-4way-RSP-gain")
+		perf := map[string]float64{}
+		for i, c := range column(b, r, "chip").S {
+			if c == "bad" && column(b, r, "ways").I[i] == 4 {
+				perf[column(b, r, "scheme").S[i]] = column(b, r, "perf").F[i]
+			}
+		}
+		b.ReportMetric(perf["rsp_fifo"]-perf["norefresh_lru"], "bad-4way-RSP-gain")
 	}
 }
 
@@ -116,7 +124,7 @@ func BenchmarkFig12Sensitivity(b *testing.B) {
 	p.Benchmarks = []string{"gzip", "fma3d"}
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig12(p)
-		if r.CliffObserved() {
+		if r.Attrs["cliff_observed"] == "true" {
 			b.ReportMetric(1, "cliff-observed")
 		} else {
 			b.ReportMetric(0, "cliff-observed")
@@ -127,9 +135,41 @@ func BenchmarkFig12Sensitivity(b *testing.B) {
 func BenchmarkGlobalRefreshNoVariation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.GlobalRefreshNoVariation(benchParams)
-		b.ReportMetric(r.NormalizedPerf, "normalized-perf")
-		b.ReportMetric(r.BandwidthFrac, "refresh-bandwidth")
+		b.ReportMetric(metric(b, r, "normalized_perf"), "normalized-perf")
+		b.ReportMetric(metric(b, r, "bandwidth_share"), "refresh-bandwidth")
 	}
+}
+
+// metric returns r's metric called name, failing the benchmark if r
+// has none.
+func metric(b *testing.B, r *artifact.Table, name string) float64 {
+	v, ok := r.Metric(name)
+	if !ok {
+		b.Fatalf("%s: no metric %q", r.ID, name)
+	}
+	return v
+}
+
+// column returns r's column called name, failing the benchmark if r
+// has none.
+func column(b *testing.B, r *artifact.Table, name string) *artifact.Column {
+	c := r.Column(name)
+	if c == nil {
+		b.Fatalf("%s: no column %q", r.ID, name)
+	}
+	return c
+}
+
+// series returns the values of a long-form table's rows whose series
+// column reads name, in row order.
+func series(b *testing.B, r *artifact.Table, name string) []float64 {
+	var out []float64
+	for i, s := range column(b, r, "series").S {
+		if s == name {
+			out = append(out, column(b, r, "value").F[i])
+		}
+	}
+	return out
 }
 
 // BenchmarkSweepFig10 measures the sweep engine itself on the Fig. 10

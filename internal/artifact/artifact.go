@@ -1,4 +1,4 @@
-// Package artifact turns experiment results into typed, reusable
+// Package artifact holds experiment results as typed, reusable
 // artifacts. The paper's evaluation is a set of tables and figures; an
 // experiment produces an Artifact — structured, typed result data with
 // identity and provenance, in one Table — and presentation is one of
@@ -12,10 +12,10 @@
 // cached, machine-readable substrate instead of re-simulating per
 // consumer.
 //
-// Determinism contract: building a Table from a result is a pure
-// function of the result, and every encoder is a pure function of the
-// Table, so a given (experiment ID, params digest) key always maps to
-// byte-identical store content. Nothing in this package reads the
+// Determinism contract: an experiment fills its Table as a pure
+// function of its parameters, and every encoder is a pure function of
+// the Table, so a given (experiment ID, params digest) key always maps
+// to byte-identical store content. Nothing in this package reads the
 // clock or ambient randomness.
 package artifact
 
@@ -46,14 +46,15 @@ func Kinds() []Kind {
 	return []Kind{KindFigure, KindTable, KindSection, KindExtension}
 }
 
-// Artifact is one reproduced paper artifact. Concrete experiment
-// results implement it; the encoders and the Store consume it.
+// Artifact is one reproduced paper artifact. A *Table is one; so is
+// any typed result that can build its Table. The encoders and the
+// Store consume it.
 type Artifact interface {
 	// ArtifactID is the stable registry ID ("fig9", "tab3", "sec4.1").
 	ArtifactID() string
-	// ArtifactTable builds the structured form of the result. It must
-	// be deterministic: the same result yields an identical Table (and
-	// therefore byte-identical encodings and digest) on every call.
+	// ArtifactTable returns the structured form of the artifact. It
+	// must be deterministic: the same artifact yields an identical Table
+	// (and therefore byte-identical encodings and digest) on every call.
 	ArtifactTable() *Table
 }
 
@@ -142,6 +143,29 @@ func (t *Table) ArtifactID() string { return t.ID }
 
 // ArtifactTable implements Artifact.
 func (t *Table) ArtifactTable() *Table { return t }
+
+// Metric returns the value of the metric called name, and whether the
+// table has one.
+//
+//unit:result dimensionless
+func (t *Table) Metric(name string) (float64, bool) {
+	for _, m := range t.Metrics {
+		if m.Name == name {
+			return m.Value, true
+		}
+	}
+	return 0, false
+}
+
+// Column returns the column called name, or nil if the table has none.
+func (t *Table) Column(name string) *Column {
+	for i := range t.Columns {
+		if t.Columns[i].Name == name {
+			return &t.Columns[i]
+		}
+	}
+	return nil
+}
 
 // RowCount returns the number of rows, i.e. the shared column length
 // (0 for a metrics-only table).

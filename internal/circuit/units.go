@@ -37,4 +37,10 @@ const (
 	// by it erases the dimension on purpose — the idiom for feeding a
 	// physical quantity into unit-blind sinks like digest hashing.
 	OneSecond = 1.0 //unit:seconds
+	// OneMicrosecond, OneNanosecond and OnePicosecond do the same for
+	// times in those units, e.g. an artifact metric, whose unit travels
+	// beside the bare number as data.
+	OneMicrosecond = 1.0 //unit:microseconds
+	OneNanosecond  = 1.0 //unit:nanoseconds
+	OnePicosecond  = 1.0 //unit:picoseconds
 )

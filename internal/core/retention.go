@@ -52,7 +52,7 @@ func QuantizeRetention(seconds []float64, cycleTime float64, step int64, bits in
 func ChooseCounterStep(seconds []float64, cycleTime float64, bits int) int64 {
 	maxCycles := int64(0)
 	for _, s := range seconds {
-		if c := int64(s / cycleTime); c > maxCycles {
+		if c := wholeCycles(s, cycleTime); c > maxCycles {
 			maxCycles = c
 		}
 	}
@@ -75,7 +75,7 @@ func ChooseCounterStep(seconds []float64, cycleTime float64, bits int) int64 {
 // schemes exploit. The step keeps ChooseCounterStep's implementability
 // floor (a multiple of 256 cycles, at least 256).
 func DeadlineCounterStep(deadlineSec, cycleTime float64, bits int) int64 {
-	cycles := int64(deadlineSec / cycleTime)
+	cycles := wholeCycles(deadlineSec, cycleTime)
 	levels := int64(1)<<uint(bits) - 1
 	step := (cycles + levels - 1) / levels
 	step = (step + 255) / 256 * 256
@@ -83,6 +83,23 @@ func DeadlineCounterStep(deadlineSec, cycleTime float64, bits int) int64 {
 		step = 256
 	}
 	return step
+}
+
+// wholeCycles converts a retention in seconds to whole cycles for the
+// step choosers. It saturates at Infinite, so a line that never expires
+// (+Inf, or more cycles than an int64 holds) takes the counter to its
+// top level instead of wrapping negative and being ignored, and the
+// step arithmetic cannot overflow. Non-positive and NaN retention read
+// as 0 cycles, which no step has to cover.
+func wholeCycles(seconds, cycleTime float64) int64 {
+	c := seconds / cycleTime
+	switch {
+	case !(c > 0):
+		return 0
+	case c >= float64(Infinite):
+		return Infinite
+	}
+	return int64(c)
 }
 
 // UniformRetention returns a map with every line at the given value.

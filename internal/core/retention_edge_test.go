@@ -115,6 +115,20 @@ func TestChooseCounterStepEdges(t *testing.T) {
 		}
 	})
 
+	t.Run("never-expiring-line", func(t *testing.T) {
+		// A line that never expires (+Inf), or whose cycle count is past
+		// int64's range (3e9 s at 4 GHz), must still fit the counter:
+		// it quantizes to Infinite or more, which the cache treats as
+		// never expiring, not to a short-lived top level on a floor step.
+		for _, s := range []float64{math.Inf(1), 3e9} {
+			seconds := []float64{5e-6, s}
+			step := ChooseCounterStep(seconds, cycleTime, 3)
+			if got := QuantizeRetention(seconds, cycleTime, step, 3)[1]; got < Infinite {
+				t.Errorf("a %v s line quantizes to %d cycles on step %d, want >= Infinite (%d)", s, got, step, Infinite)
+			}
+		}
+	})
+
 	t.Run("bits-1", func(t *testing.T) {
 		// A 1-bit counter has a single live level: the step must cover
 		// the whole range by itself.
@@ -156,18 +170,28 @@ func TestDeadlineCounterStep(t *testing.T) {
 			t.Errorf("step = %d is not a multiple of 256", got)
 		}
 	})
+
+	t.Run("never-expiring-deadline", func(t *testing.T) {
+		for _, d := range []float64{math.Inf(1), 3e9} {
+			if got := DeadlineCounterStep(d, cycleTime, 3); got*7 < Infinite {
+				t.Errorf("a %v s deadline gives step %d, whose 7 levels fall short of Infinite (%d)", d, got, Infinite)
+			}
+		}
+	})
 }
 
 // FuzzChooseCounterStep checks the step chooser on up to three line
-// retentions: the step is a positive multiple of 256, and every finite
-// non-negative line fits in the counter's levels·step. Lines of 2^53
-// cycles or more (about 26 days at 4 GHz) are left out of the fit
-// check, where the int64 cycle arithmetic stops being exact.
+// retentions: the step is a positive multiple of 256, every
+// non-negative line fits in the counter's levels·step, and a line at or
+// above that range (a never-expiring one included) quantizes to the
+// top level.
 func FuzzChooseCounterStep(f *testing.F) {
 	f.Add(uint8(3), 0.0, 0.0, 0.0, uint8(3))   // all-zero
 	f.Add(uint8(0), 0.0, 0.0, 0.0, uint8(3))   // empty
 	f.Add(uint8(3), 5e-6, 6e-6, 1.0, uint8(3)) // single-enormous-outlier
 	f.Add(uint8(1), 100e-6, 0.0, 0.0, uint8(1))
+	f.Add(uint8(2), 5e-6, math.Inf(1), 0.0, uint8(3)) // never-expiring line
+	f.Add(uint8(2), 5e-6, 3e9, 0.0, uint8(3))         // past int64 cycles
 	f.Fuzz(func(t *testing.T, n uint8, a, b, c float64, bits uint8) {
 		if bits < 1 || bits > 16 {
 			t.Skip("outside the counter's configuration space")
@@ -178,12 +202,20 @@ func FuzzChooseCounterStep(f *testing.F) {
 			t.Fatalf("ChooseCounterStep(%v, %d bits) = %d, want a positive multiple of 256", seconds, bits, step)
 		}
 		levels := int64(1)<<bits - 1
+		top := levels * step
 		for _, s := range seconds {
 			cycles := s / edgeCycleTime
-			if math.IsNaN(s) || s < 0 || cycles >= 1<<53 {
+			if math.IsNaN(s) || s < 0 {
 				continue
 			}
-			if int64(cycles) > levels*step {
+			if cycles >= float64(top) {
+				if got := QuantizeRetention([]float64{s}, edgeCycleTime, step, int(bits))[0]; got != top {
+					t.Fatalf("ChooseCounterStep(%v, %d bits) = %d: a %v-cycle line quantizes to %d, want the top level %d",
+						seconds, bits, step, cycles, got, top)
+				}
+				continue
+			}
+			if int64(cycles) > top {
 				t.Fatalf("ChooseCounterStep(%v, %d bits) = %d: a %v-cycle line overflows %d levels",
 					seconds, bits, step, cycles, levels)
 			}

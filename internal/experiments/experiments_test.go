@@ -18,11 +18,19 @@ func TestFig1ReuseShape(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	r := Fig1(sharedQuick)
-	if len(r.CDF) != len(sharedQuick.Benchmarks) {
-		t.Fatalf("CDF benchmarks = %d", len(r.CDF))
+	series := column(t, r, "series").S
+	frac := column(t, r, "cum_fraction").F
+	cdfs := map[string][]float64{}
+	for i, name := range series {
+		if name != "average" {
+			cdfs[name] = append(cdfs[name], frac[i])
+		}
+	}
+	if len(cdfs) != len(sharedQuick.Benchmarks) {
+		t.Fatalf("CDF benchmarks = %d", len(cdfs))
 	}
 	// CDFs must be monotone and end high.
-	for b, cdf := range r.CDF {
+	for b, cdf := range cdfs {
 		prev := 0.0
 		for i, v := range cdf {
 			if v < prev-1e-9 {
@@ -35,26 +43,28 @@ func TestFig1ReuseShape(t *testing.T) {
 		}
 	}
 	// The paper's Fig. 1 claim: most references arrive early.
-	if r.Within6K < 0.6 {
-		t.Errorf("references within 6K cycles = %.2f, want >= 0.6 (paper: ~0.9)", r.Within6K)
+	if w := metric(t, r, "within_6k_cycles"); w < 0.6 {
+		t.Errorf("references within 6K cycles = %.2f, want >= 0.6 (paper: ~0.9)", w)
 	}
 }
 
 func TestFig4Shape(t *testing.T) {
 	r := Fig4(sharedQuick)
-	if r.WeakRetUS >= r.NominalRetUS || r.NominalRetUS >= r.StrongRetUS {
-		t.Errorf("retention ordering wrong: weak %.2f nominal %.2f strong %.2f",
-			r.WeakRetUS, r.NominalRetUS, r.StrongRetUS)
+	weak, nominal, strong := metric(t, r, "weak_retention"), metric(t, r, "nominal_retention"), metric(t, r, "strong_retention")
+	if weak >= nominal || nominal >= strong {
+		t.Errorf("retention ordering wrong: weak %.2f nominal %.2f strong %.2f", weak, nominal, strong)
 	}
-	if r.NominalRetUS < 5.5 || r.NominalRetUS > 6.1 {
-		t.Errorf("nominal retention = %.2f µs, want ~5.8", r.NominalRetUS)
+	if nominal < 5.5 || nominal > 6.1 {
+		t.Errorf("nominal retention = %.2f µs, want ~5.8", nominal)
 	}
 	// Fresh access beats the 6T line; late access exceeds it.
-	if r.NominalPS[0] >= r.SRAM6TPS {
+	sram := metric(t, r, "sram_6t_access")
+	nominalPS := column(t, r, "nominal").F
+	if nominalPS[0] >= sram {
 		t.Error("fresh 3T1D access should beat 6T")
 	}
-	last := len(r.NominalPS) - 1
-	if r.WeakPS[last] <= r.SRAM6TPS {
+	last := len(nominalPS) - 1
+	if column(t, r, "weak").F[last] <= sram {
 		t.Error("decayed weak-cell access should exceed 6T")
 	}
 }
@@ -64,14 +74,15 @@ func TestFig6aShape(t *testing.T) {
 		t.Skip("Monte-Carlo experiment")
 	}
 	r := Fig6a(sharedQuick)
-	if r.Median2X <= r.Median1X {
-		t.Errorf("2X median %.3f should beat 1X %.3f", r.Median2X, r.Median1X)
+	m1, m2 := metric(t, r, "median_1x"), metric(t, r, "median_2x")
+	if m2 <= m1 {
+		t.Errorf("2X median %.3f should beat 1X %.3f", m2, m1)
 	}
-	if r.Median1X < 0.7 || r.Median1X > 0.95 {
-		t.Errorf("1X median = %.3f, want 10-20%% loss territory", r.Median1X)
+	if m1 < 0.7 || m1 > 0.95 {
+		t.Errorf("1X median = %.3f, want 10-20%% loss territory", m1)
 	}
 	sum := 0.0
-	for _, v := range r.Prob1X {
+	for _, v := range column(t, r, "prob_1x").F {
 		sum += v
 	}
 	if sum < 0.999 {
@@ -84,14 +95,14 @@ func TestFig7Shape(t *testing.T) {
 		t.Skip("Monte-Carlo experiment")
 	}
 	r := Fig7(sharedQuick)
-	if r.Over1p5x6T < 0.3 {
-		t.Errorf("6T chips above 1.5X = %.2f, want >= 0.3 (paper: >0.5)", r.Over1p5x6T)
+	if v := metric(t, r, "over_1p5x_6t"); v < 0.3 {
+		t.Errorf("6T chips above 1.5X = %.2f, want >= 0.3 (paper: >0.5)", v)
 	}
-	if r.OverGolden3T1D > 0.35 {
-		t.Errorf("3T1D chips above golden = %.2f, want <= 0.35 (paper: ~0.11)", r.OverGolden3T1D)
+	if v := metric(t, r, "over_golden_3t1d"); v > 0.35 {
+		t.Errorf("3T1D chips above golden = %.2f, want <= 0.35 (paper: ~0.11)", v)
 	}
-	if r.Max6T <= r.Max3T1D {
-		t.Errorf("worst 6T (%.1fX) should leak more than worst 3T1D (%.1fX)", r.Max6T, r.Max3T1D)
+	if max6, max3 := metric(t, r, "max_6t"), metric(t, r, "max_3t1d"); max6 <= max3 {
+		t.Errorf("worst 6T (%.1fX) should leak more than worst 3T1D (%.1fX)", max6, max3)
 	}
 }
 
@@ -100,13 +111,13 @@ func TestGlobalRefreshNoVariation(t *testing.T) {
 		t.Skip("simulation experiment")
 	}
 	r := GlobalRefreshNoVariation(sharedQuick)
-	if r.BandwidthFrac < 0.06 || r.BandwidthFrac > 0.10 {
-		t.Errorf("refresh bandwidth = %.3f, want ~0.08", r.BandwidthFrac)
+	if bw := metric(t, r, "bandwidth_share"); bw < 0.06 || bw > 0.10 {
+		t.Errorf("refresh bandwidth = %.3f, want ~0.08", bw)
 	}
-	if r.NormalizedPerf < 0.97 {
-		t.Errorf("global-refresh performance = %.4f, want >= 0.97 (paper: >0.99)", r.NormalizedPerf)
+	if perf := metric(t, r, "normalized_perf"); perf < 0.97 {
+		t.Errorf("global-refresh performance = %.4f, want >= 0.97 (paper: >0.99)", perf)
 	}
-	if r.GlobalPasses == 0 {
+	if metric(t, r, "global_passes") == 0 {
 		t.Error("no global passes")
 	}
 }
@@ -118,15 +129,34 @@ func TestFig12Shapes(t *testing.T) {
 	p := QuickParams()
 	p.Benchmarks = []string{"gzip", "fma3d"}
 	r := Fig12(p)
-	// Higher µ at fixed σ/µ must not hurt (paper: larger mean helps).
-	for si := range Fig10Schemes {
-		lowMu := r.Perf[si][0][0]
-		highMu := r.Perf[si][len(r.MuCycles)-1][0]
-		if highMu < lowMu-0.03 {
-			t.Errorf("scheme %d: perf fell with larger µ: %.3f -> %.3f", si, lowMu, highMu)
+	// Higher µ at fixed σ/µ must not hurt (paper: larger mean helps):
+	// compare each scheme's smallest-µ and largest-µ rows at the first
+	// row's σ/µ.
+	scheme := column(t, r, "scheme").S
+	mu := column(t, r, "mu").F
+	sm := column(t, r, "sigma_over_mu").F
+	perf := column(t, r, "perf").F
+	for si, s := range Fig10Schemes {
+		lowMu, highMu := -1, -1
+		for i := range perf {
+			if scheme[i] != schemeKey(s) || sm[i] != sm[0] {
+				continue
+			}
+			if lowMu < 0 || mu[i] < mu[lowMu] {
+				lowMu = i
+			}
+			if highMu < 0 || mu[i] > mu[highMu] {
+				highMu = i
+			}
+		}
+		if lowMu < 0 {
+			t.Fatalf("scheme %d: no rows", si)
+		}
+		if perf[highMu] < perf[lowMu]-0.03 {
+			t.Errorf("scheme %d: perf fell with larger µ: %.3f -> %.3f", si, perf[lowMu], perf[highMu])
 		}
 	}
-	if !r.CliffObserved() {
+	if r.Attrs["cliff_observed"] != "true" {
 		t.Error("no σ/µ cliff observed for no-refresh (paper: sharp drop beyond 25%)")
 	}
 }
@@ -210,9 +240,34 @@ func TestGlobalRefreshDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation experiment")
 	}
-	a := GlobalRefreshNoVariation(sharedQuick)
-	b := GlobalRefreshNoVariation(sharedQuick)
-	if *a != *b {
-		t.Fatalf("GlobalRefreshNoVariation not deterministic:\n  first  %+v\n  second %+v", *a, *b)
+	var a, b bytes.Buffer
+	if err := artifact.EncodeJSON(&a, GlobalRefreshNoVariation(sharedQuick)); err != nil {
+		t.Fatal(err)
 	}
+	if err := artifact.EncodeJSON(&b, GlobalRefreshNoVariation(sharedQuick)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatalf("GlobalRefreshNoVariation not deterministic:\n  first  %s\n  second %s", a.Bytes(), b.Bytes())
+	}
+}
+
+// metric returns r's metric called name, failing the test if r has none.
+func metric(t *testing.T, r *artifact.Table, name string) float64 {
+	t.Helper()
+	v, ok := r.Metric(name)
+	if !ok {
+		t.Fatalf("%s: no metric %q", r.ID, name)
+	}
+	return v
+}
+
+// column returns r's column called name, failing the test if r has none.
+func column(t *testing.T, r *artifact.Table, name string) *artifact.Column {
+	t.Helper()
+	c := r.Column(name)
+	if c == nil {
+		t.Fatalf("%s: no column %q", r.ID, name)
+	}
+	return c
 }

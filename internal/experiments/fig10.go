@@ -25,7 +25,7 @@ type Fig10Result struct {
 	// MinPerf and MaxPower are each scheme's worst chip.
 	MinPerf  [3]float64
 	MaxPower [3]float64
-	result
+	header
 }
 
 // Fig10 runs the three schemes across the whole severe population —
@@ -34,7 +34,7 @@ type Fig10Result struct {
 func Fig10(p *Params) *Fig10Result {
 	s := p.study(variation.Severe, p.Chips)
 	n := len(s.Chips)
-	r := &Fig10Result{result: p.newResult("fig10")}
+	r := &Fig10Result{header: header{p.newTable("fig10")}}
 	perf := make([][3]float64, n)
 	pow := make([][3]float64, n)
 	p.Pool().Run(n*len(Fig10Schemes), func(job int, w *sweep.Worker) {

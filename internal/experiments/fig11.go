@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"tdcache/internal/artifact"
 	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
 )
@@ -9,42 +10,43 @@ import (
 // 256×4 organisation the other figures simulate.
 var Fig11Assocs = []int{1, 2, 4, 8}
 
-// Fig11Result reproduces Figure 11: normalized performance of the three
+// Fig11 reproduces Figure 11: normalized performance of the three
 // line-level schemes at associativities 1/2/4/8 for the good, median,
-// and bad severe-variation chips.
-type Fig11Result struct {
-	Assocs []int
-	// Perf[chip][scheme][assoc] with chips ordered good, median, bad.
-	Perf [3][3][]float64
-	result
-}
-
-// Fig11 sweeps associativity. The 64 KB capacity is held constant
-// (sets × ways × 64 B), and each chip's physical retention map is
-// re-shaped onto the organization.
-func Fig11(p *Params) *Fig11Result {
+// and bad severe-variation chips, as a long-form (chip, scheme, ways,
+// perf) table. The 64 KB capacity is held constant (sets × ways ×
+// 64 B), and each chip's physical retention map is re-shaped onto the
+// organization.
+func Fig11(p *Params) *artifact.Table {
 	s := p.study(variation.Severe, p.Chips)
 	g, m, b := s.GoodMedianBad()
 	chips := []int{g, m, b}
-	r := &Fig11Result{Assocs: Fig11Assocs, result: p.newResult("fig11")}
-	nS, nA := len(Fig10Schemes), len(r.Assocs)
-	perf := make([]float64, len(chips)*nS*nA)
-	p.Pool().Run(len(perf), func(job int, w *sweep.Worker) {
+	nS, nA := len(Fig10Schemes), len(Fig11Assocs)
+	// Jobs are numbered in the table's row order: chip, scheme, ways.
+	n := len(chips) * nS * nA
+	chip := make([]string, n)
+	scheme := make([]string, n)
+	ways := make([]int64, n)
+	perf := make([]float64, n)
+	p.Pool().Run(n, func(job int, w *sweep.Worker) {
 		ci, rem := job/(nS*nA), job%(nS*nA)
 		si, ai := rem/nA, rem%nA
-		chip := &s.Chips[chips[ci]]
-		ways := r.Assocs[ai]
+		c := &s.Chips[chips[ci]]
+		a := Fig11Assocs[ai]
 		_, norm := p.suite(w, cacheSpec{
-			Scheme: Fig10Schemes[si], Retention: chip.Retention,
-			Sets: 1024 / ways, Ways: ways, Step: chip.CounterStep,
+			Scheme: Fig10Schemes[si], Retention: c.Retention,
+			Sets: 1024 / a, Ways: a, Step: c.CounterStep,
 		})
+		chip[job] = chipNames[ci]
+		scheme[job] = schemeKey(Fig10Schemes[si])
+		ways[job] = int64(a)
 		perf[job] = norm
 	})
-	for ci := range chips {
-		for si := range Fig10Schemes {
-			base := ci*nS*nA + si*nA
-			r.Perf[ci][si] = perf[base : base+nA]
-		}
+	t := p.newTable("fig11")
+	t.Columns = []artifact.Column{
+		artifact.Strings("chip", chip),
+		artifact.Strings("scheme", scheme),
+		artifact.Ints("ways", artifact.UnitCount, ways),
+		artifact.Floats("perf", artifact.UnitRatio, perf),
 	}
-	return r
+	return t
 }

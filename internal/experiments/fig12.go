@@ -1,39 +1,31 @@
 package experiments
 
 import (
+	"strconv"
+
+	"tdcache/internal/artifact"
 	"tdcache/internal/core"
 	"tdcache/internal/stats"
 	"tdcache/internal/sweep"
 )
 
-// Fig12Result reproduces Figure 12: surfaces of normalized performance
-// over the retention-time mean µ (cycles) and coefficient of variation
-// σ/µ, for the three line-level schemes. §5 considers within-die
-// variation only: per-line retentions are drawn directly from N(µ, σ),
-// clipped at zero and quantized to the line counters.
-type Fig12Result struct {
-	MuCycles []float64
-	SigmaMu  []float64
-	// Perf[scheme][muIdx][sigmaIdx].
-	Perf [3][][]float64
-	result
-}
-
-// Fig12 sweeps the (µ, σ/µ) grid.
-func Fig12(p *Params) *Fig12Result {
-	r := &Fig12Result{
-		result:   p.newResult("fig12"),
-		MuCycles: []float64{2000, 6000, 12000, 20000, 30000},
-		SigmaMu:  []float64{0.05, 0.15, 0.25, 0.35},
-	}
+// Fig12 reproduces Figure 12: surfaces of normalized performance over
+// the retention-time mean µ (cycles) and coefficient of variation σ/µ,
+// for the three line-level schemes, as a long-form (scheme, µ, σ/µ,
+// perf) table. §5 considers within-die variation only: per-line
+// retentions are drawn directly from N(µ, σ), clipped at zero and
+// quantized to the line counters.
+//
+// The cliff_observed attr reports whether performance drops beyond
+// σ/µ = 25% for the no-refresh scheme while the retention-sensitive
+// scheme stays flat — the paper's conclusions that variance matters
+// more than the mean and that dead/retention-sensitive schemes behave
+// much better.
+func Fig12(p *Params) *artifact.Table {
+	muCycles := []float64{2000, 6000, 12000, 20000, 30000}
+	sigmaMu := []float64{0.05, 0.15, 0.25, 0.35}
 	rng := stats.NewRNG(p.Seed ^ 0xf16)
 	cfg := core.DefaultConfig(core.NoRefreshLRU)
-	for si := range Fig10Schemes {
-		r.Perf[si] = make([][]float64, len(r.MuCycles))
-		for mi := range r.MuCycles {
-			r.Perf[si][mi] = make([]float64, len(r.SigmaMu))
-		}
-	}
 	// Sequential prepass: synthesize one chip per grid point (cheap —
 	// drawing retentions costs nothing next to simulating them), so the
 	// expensive scheme × point simulations below can fan out freely.
@@ -41,10 +33,10 @@ func Fig12(p *Params) *Fig12Result {
 		ret  core.RetentionMap
 		step int64
 	}
-	nG := len(r.SigmaMu)
-	grid := make([]gridChip, len(r.MuCycles)*nG)
-	for mi, mu := range r.MuCycles {
-		for gi, sm := range r.SigmaMu {
+	nM, nG := len(muCycles), len(sigmaMu)
+	grid := make([]gridChip, nM*nG)
+	for mi, mu := range muCycles {
+		for gi, sm := range sigmaMu {
 			// One synthetic chip per grid point, shared by all schemes.
 			sec := make([]float64, 1024)
 			cyc := p.Tech.CycleSeconds()
@@ -61,29 +53,41 @@ func Fig12(p *Params) *Fig12Result {
 			grid[mi*nG+gi] = gridChip{ret: ret, step: step}
 		}
 	}
+	// Row r of the table is scheme r/len(grid) at grid point r%len(grid).
+	n := len(Fig10Schemes) * len(grid)
+	scheme := make([]string, n)
+	mu := make([]float64, n)
+	sm := make([]float64, n)
+	perf := make([]float64, n)
+	for r := range perf {
+		pi := r % len(grid)
+		scheme[r] = schemeKey(Fig10Schemes[r/len(grid)])
+		mu[r] = muCycles[pi/nG]
+		sm[r] = sigmaMu[pi%nG]
+	}
 	nS := len(Fig10Schemes)
-	p.Pool().Run(len(grid)*nS, func(job int, w *sweep.Worker) {
+	p.Pool().Run(n, func(job int, w *sweep.Worker) {
 		pi, si := job/nS, job%nS
-		mi, gi := pi/nG, pi%nG
 		_, norm := p.suite(w, cacheSpec{
 			Scheme: Fig10Schemes[si], Retention: grid[pi].ret, Step: grid[pi].step,
 		})
-		r.Perf[si][mi][gi] = norm
+		perf[si*len(grid)+pi] = norm
 	})
-	return r
-}
-
-// CliffObserved reports whether performance drops beyond σ/µ = 25% for
-// the no-refresh scheme while the retention-sensitive scheme stays flat
-// — the paper's conclusions that variance matters more than the mean and
-// that dead/retention-sensitive schemes behave much better.
-func (r *Fig12Result) CliffObserved() bool {
-	last := len(r.SigmaMu) - 1
+	at := func(si, mi, gi int) float64 { return perf[si*len(grid)+mi*nG+gi] }
 	var dropNoRef, dropRSP float64
-	for mi := range r.MuCycles {
-		dropNoRef += r.Perf[0][mi][1] - r.Perf[0][mi][last]
-		dropRSP += r.Perf[2][mi][1] - r.Perf[2][mi][last]
+	for mi := range muCycles {
+		dropNoRef += at(0, mi, 1) - at(0, mi, nG-1)
+		dropRSP += at(2, mi, 1) - at(2, mi, nG-1)
 	}
-	n := float64(len(r.MuCycles))
-	return dropNoRef/n >= 0.008 && dropNoRef > dropRSP
+	cliff := dropNoRef/float64(nM) >= 0.008 && dropNoRef > dropRSP
+
+	t := p.newTable("fig12")
+	t.Columns = []artifact.Column{
+		artifact.Strings("scheme", scheme),
+		artifact.Floats("mu", artifact.UnitCycles, mu),
+		artifact.Floats("sigma_over_mu", artifact.UnitFraction, sm),
+		artifact.Floats("perf", artifact.UnitRatio, perf),
+	}
+	t.Attrs = map[string]string{"cliff_observed": strconv.FormatBool(cliff)}
+	return t
 }

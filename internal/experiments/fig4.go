@@ -1,28 +1,17 @@
 package experiments
 
 import (
+	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/variation"
 )
 
-// Fig4Result reproduces Figure 4: 3T1D array access time versus time
-// since the last write, for the nominal cell, a weak corner (read path
-// at +1σ typical variation), and a strong corner (-1σ), against the 6T
-// nominal access-time line.
-type Fig4Result struct {
-	// ElapsedUS is the x axis (µs after write).
-	ElapsedUS []float64
-	// NominalPS, WeakPS, StrongPS are the 3T1D access times (ps).
-	NominalPS, WeakPS, StrongPS []float64
-	// SRAM6TPS is the flat 6T reference line (ps).
-	SRAM6TPS float64
-	// Retention times (µs) where each curve crosses the 6T line.
-	NominalRetUS, WeakRetUS, StrongRetUS float64
-	result
-}
-
-// Fig4 evaluates the access-time curves analytically.
-func Fig4(p *Params) *Fig4Result {
+// Fig4 reproduces Figure 4: 3T1D array access time versus time since
+// the last write, for the nominal cell, a weak corner (read path at +1σ
+// typical variation), and a strong corner (-1σ), against the 6T nominal
+// access-time line. The curves are evaluated analytically; the metrics
+// are the 6T line and the retention time where each curve crosses it.
+func Fig4(p *Params) *artifact.Table {
 	t := p.Tech
 	sigmaL := variation.Typical.SigmaLWithin
 	sigmaV := variation.Typical.SigmaVth
@@ -34,22 +23,30 @@ func Fig4(p *Params) *Fig4Result {
 		T2: circuit.Device{DL: -sigmaL, DVth: -sigmaV},
 		T3: circuit.Device{DL: -sigmaL, DVth: -sigmaV},
 	}
-	r := &Fig4Result{
-		result:       p.newResult("fig4"),
-		SRAM6TPS:     t.AccessTime6T * circuit.SecondsToPico,
-		NominalRetUS: t.RetentionTime(circuit.Nominal3T1D) * circuit.SecondsToMicro,
-		WeakRetUS:    t.RetentionTime(weak) * circuit.SecondsToMicro,
-		StrongRetUS:  t.RetentionTime(strong) * circuit.SecondsToMicro,
-	}
-	maxUS := r.StrongRetUS * 1.15
+	strongRetUS := t.RetentionTime(strong) * circuit.SecondsToMicro
+	var elapsedUS, nominalPS, weakPS, strongPS []float64
+	maxUS := strongRetUS * 1.15
 	steps := 16
 	for i := 0; i <= steps; i++ {
 		us := maxUS * float64(i) / float64(steps)
 		el := us * circuit.MicroToSeconds
-		r.ElapsedUS = append(r.ElapsedUS, us)
-		r.NominalPS = append(r.NominalPS, t.AccessTime3T1D(circuit.Nominal3T1D, el)*circuit.SecondsToPico)
-		r.WeakPS = append(r.WeakPS, t.AccessTime3T1D(weak, el)*circuit.SecondsToPico)
-		r.StrongPS = append(r.StrongPS, t.AccessTime3T1D(strong, el)*circuit.SecondsToPico)
+		elapsedUS = append(elapsedUS, us)
+		nominalPS = append(nominalPS, t.AccessTime3T1D(circuit.Nominal3T1D, el)*circuit.SecondsToPico)
+		weakPS = append(weakPS, t.AccessTime3T1D(weak, el)*circuit.SecondsToPico)
+		strongPS = append(strongPS, t.AccessTime3T1D(strong, el)*circuit.SecondsToPico)
 	}
-	return r
+	tb := p.newTable("fig4")
+	tb.Columns = []artifact.Column{
+		artifact.Floats("elapsed", artifact.UnitMicroseconds, elapsedUS),
+		artifact.Floats("nominal", artifact.UnitPicoseconds, nominalPS),
+		artifact.Floats("weak", artifact.UnitPicoseconds, weakPS),
+		artifact.Floats("strong", artifact.UnitPicoseconds, strongPS),
+	}
+	tb.Metrics = []artifact.Metric{
+		artifact.Met("sram_6t_access", artifact.UnitPicoseconds, t.AccessTime6T*circuit.SecondsToPico/circuit.OnePicosecond),
+		artifact.Met("nominal_retention", artifact.UnitMicroseconds, t.RetentionTime(circuit.Nominal3T1D)*circuit.SecondsToMicro/circuit.OneMicrosecond),
+		artifact.Met("weak_retention", artifact.UnitMicroseconds, t.RetentionTime(weak)*circuit.SecondsToMicro/circuit.OneMicrosecond),
+		artifact.Met("strong_retention", artifact.UnitMicroseconds, strongRetUS/circuit.OneMicrosecond),
+	}
+	return tb
 }

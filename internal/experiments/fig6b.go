@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/montecarlo"
@@ -8,37 +9,26 @@ import (
 	"tdcache/internal/variation"
 )
 
-// Fig6bResult reproduces Figure 6b: the typical-variation distribution
-// of whole-cache retention time, and — as a function of retention time —
-// the global-refresh scheme's performance (mean and worst benchmark) and
-// dynamic power (normal / refresh / total, normalized to ideal 6T).
-type Fig6bResult struct {
-	// HistEdgesNS / HistProb: retention-time histogram (Fig. 6b top).
-	HistEdgesNS []float64
-	HistProb    []float64
-	// DeadChipFrac is the fraction of chips whose cache retention cannot
-	// sustain the global scheme at all.
-	DeadChipFrac float64
+// Fig6b reproduces Figure 6b: the typical-variation distribution of
+// whole-cache retention time (a Monte-Carlo histogram), and — as a
+// function of retention time — the global-refresh scheme's performance
+// (mean and worst benchmark) and dynamic power (normal / refresh /
+// total, normalized to ideal 6T). The long-form (panel, series, x,
+// value) table covers all three panels.
+func Fig6b(p *Params) *artifact.Table {
+	var panel, series []string
+	var x, value []float64
+	add := func(pn, sr string, xs, vs []float64) {
+		for i, v := range vs {
+			panel = append(panel, pn)
+			series = append(series, sr)
+			x = append(x, xs[i])
+			value = append(value, v)
+		}
+	}
 
-	// RetentionNS is the x axis of the performance/power curves.
-	RetentionNS []float64
-	// MeanPerf / WorstPerf: normalized performance at each retention
-	// (Fig. 6b middle). WorstBench names the worst benchmark.
-	MeanPerf   []float64
-	WorstPerf  []float64
-	WorstBench string
-	// NormalDyn / RefreshDyn / TotalDyn: dynamic power vs. ideal 6T
-	// (Fig. 6b bottom).
-	NormalDyn, RefreshDyn, TotalDyn []float64
-	result
-}
-
-// Fig6b runs the retention histogram (Monte Carlo) and the global-
-// refresh performance/power sweep.
-func Fig6b(p *Params) *Fig6bResult {
-	r := &Fig6bResult{result: p.newResult("fig6b")}
-
-	// Top plot: retention histogram across the typical population.
+	// Top plot: retention histogram across the typical population. A
+	// chip at or below 238 ns cannot sustain the global scheme at all.
 	s := p.study(variation.Typical, p.DistChips)
 	rets := s.Column(func(c *montecarlo.Chip) float64 { return c.CacheRetentionNS })
 	h := stats.NewHistogram(238, 3332, 13) // 238ns bins from 238 to 3332, paper style
@@ -49,16 +39,17 @@ func Fig6b(p *Params) *Fig6bResult {
 		}
 		h.Add(v)
 	}
+	var edges []float64
 	for i := range h.Counts {
-		r.HistEdgesNS = append(r.HistEdgesNS, h.BinCenter(i))
+		edges = append(edges, h.BinCenter(i))
 	}
-	r.HistProb = h.Fractions()
-	r.DeadChipFrac = float64(dead) / float64(len(rets))
+	add("retention_hist", "chip_prob", edges, h.Fractions())
 
 	// Middle/bottom plots: sweep retention operating points with the
 	// global scheme on a uniform retention map.
 	points := []float64{476, 714, 952, 1190, 1666, 2142, 2618, 3094}
 	cyc := p.Tech.CycleSeconds()
+	var meanPerf, worstPerf, normalDyn, refreshDyn, totalDyn []float64
 	worstAt := map[string][]float64{}
 	for _, ns := range points {
 		retCycles := int64(ns * circuit.NanoToSeconds / cyc)
@@ -67,8 +58,7 @@ func Fig6b(p *Params) *Fig6bResult {
 			Retention: core.UniformRetention(1024, retCycles),
 		}
 		perBench, norm := p.suite(nil, spec)
-		r.RetentionNS = append(r.RetentionNS, ns)
-		r.MeanPerf = append(r.MeanPerf, norm)
+		meanPerf = append(meanPerf, norm)
 		worst := 2.0
 		for _, b := range p.Benchmarks {
 			rel := perBench[b].IPC / p.baseline(nil, b, 0, 0).IPC
@@ -77,38 +67,47 @@ func Fig6b(p *Params) *Fig6bResult {
 				worst = rel
 			}
 		}
-		r.WorstPerf = append(r.WorstPerf, worst)
+		worstPerf = append(worstPerf, worst)
 		n, ref, tot := p.suiteDyn(nil, perBench)
-		r.NormalDyn = append(r.NormalDyn, n)
-		r.RefreshDyn = append(r.RefreshDyn, ref)
-		r.TotalDyn = append(r.TotalDyn, tot)
+		normalDyn = append(normalDyn, n)
+		refreshDyn = append(refreshDyn, ref)
+		totalDyn = append(totalDyn, tot)
 	}
+	add("performance", "mean_perf", points, meanPerf)
+	add("performance", "worst_perf", points, worstPerf)
+	add("power", "normal_dyn", points, normalDyn)
+	add("power", "refresh_dyn", points, refreshDyn)
+	add("power", "total_dyn", points, totalDyn)
+
 	// Worst benchmark = lowest mean relative performance over the sweep.
 	// Scan in benchmark order so ties resolve the same way every run.
 	worstMean := 2.0
+	var worstBench string
 	for _, b := range p.Benchmarks {
 		if m := stats.Mean(worstAt[b]); m < worstMean {
 			worstMean = m
-			r.WorstBench = b
+			worstBench = b
 		}
 	}
-	return r
+	t := p.newTable("fig6b")
+	t.Columns = []artifact.Column{
+		artifact.Strings("panel", panel),
+		artifact.Strings("series", series),
+		artifact.Floats("retention", artifact.UnitNanoseconds, x),
+		artifact.Floats("value", artifact.UnitRatio, value),
+	}
+	t.Metrics = []artifact.Metric{
+		artifact.Met("dead_chip_frac", artifact.UnitFraction, float64(dead)/float64(len(rets))),
+	}
+	t.Attrs = map[string]string{"worst_bench": worstBench}
+	return t
 }
 
-// GlobalRefreshResult verifies §4.1's claims with no process variation:
-// the refresh pass occupies ~8% of cache bandwidth and costs <1%
-// performance.
-type GlobalRefreshResult struct {
-	RetentionNS    float64
-	PassNS         float64
-	BandwidthFrac  float64
-	NormalizedPerf float64
-	GlobalPasses   uint64
-	result
-}
-
-// GlobalRefreshNoVariation runs the §4.1 sanity experiment.
-func GlobalRefreshNoVariation(p *Params) *GlobalRefreshResult {
+// GlobalRefreshNoVariation runs the §4.1 sanity experiment, which
+// verifies the paper's claims with no process variation: the refresh
+// pass occupies ~8% of cache bandwidth and costs <1% performance. The
+// table holds metrics only.
+func GlobalRefreshNoVariation(p *Params) *artifact.Table {
 	cyc := p.Tech.CycleSeconds()
 	retCycles := int64(p.Tech.Retention3T1D / cyc)
 	spec := cacheSpec{
@@ -123,12 +122,13 @@ func GlobalRefreshNoVariation(p *Params) *GlobalRefreshResult {
 		passes += perBench[b].Cache.GlobalPasses
 	}
 	passCycles := float64(1024 / 4 * core.DefaultConfig(core.NoRefreshLRU).RefreshCycles)
-	return &GlobalRefreshResult{
-		result:         p.newResult("sec4.1"),
-		RetentionNS:    float64(retCycles) * cyc * circuit.SecondsToNano,
-		PassNS:         passCycles * cyc * circuit.SecondsToNano,
-		BandwidthFrac:  passCycles / float64(retCycles),
-		NormalizedPerf: norm,
-		GlobalPasses:   passes,
+	t := p.newTable("sec4.1")
+	t.Metrics = []artifact.Metric{
+		artifact.Met("retention", artifact.UnitNanoseconds, float64(retCycles)*cyc*circuit.SecondsToNano/circuit.OneNanosecond),
+		artifact.Met("refresh_pass", artifact.UnitNanoseconds, passCycles*cyc*circuit.SecondsToNano/circuit.OneNanosecond),
+		artifact.Met("bandwidth_share", artifact.UnitFraction, passCycles/float64(retCycles)),
+		artifact.Met("normalized_perf", artifact.UnitRatio, norm),
+		artifact.Met("global_passes", artifact.UnitCount, float64(passes)),
 	}
+	return t
 }

@@ -21,7 +21,7 @@ type Fig8Result struct {
 	DiscardRate float64
 	// ChipIndices records which population members were selected.
 	GoodIdx, MedianIdx, BadIdx int
-	result
+	header
 }
 
 // Fig8 selects the three analysis chips from the severe study and bins
@@ -30,7 +30,7 @@ func Fig8(p *Params) *Fig8Result {
 	s := p.study(variation.Severe, p.Chips)
 	g, m, b := s.GoodMedianBad()
 	r := &Fig8Result{
-		result:  p.newResult("fig8"),
+		header:  header{p.newTable("fig8")},
 		GoodIdx: g, MedianIdx: m, BadIdx: b,
 		DiscardRate: s.DiscardRate(),
 		GoodDead:    s.Chips[g].DeadFrac,

@@ -1,28 +1,22 @@
 package experiments
 
 import (
+	"tdcache/internal/artifact"
 	"tdcache/internal/core"
 	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
 )
 
-// Fig9Result reproduces Figure 9: normalized performance of the eight
+// Fig9 reproduces Figure 9: normalized performance of the eight
 // retention-scheme combinations (§4.3.3's evaluation matrix) on the
-// good, median, and bad severe-variation chips.
-type Fig9Result struct {
-	Schemes []core.Scheme
-	// Perf[chip][scheme] with chip order good, median, bad.
-	Perf [3][]float64
-	result
-}
-
-// Fig9 runs the full scheme matrix: 3 chips × 8 schemes, each a whole
-// benchmark suite, fanned over the sweep pool into indexed slots.
-func Fig9(p *Params) *Fig9Result {
+// good, median, and bad severe-variation chips. It runs the full scheme
+// matrix: 3 chips × 8 schemes, each a whole benchmark suite, fanned
+// over the sweep pool into indexed slots. The best_scheme_bad_chip
+// attr names the scheme with the highest bad-chip performance.
+func Fig9(p *Params) *artifact.Table {
 	s := p.study(variation.Severe, p.Chips)
 	g, m, b := s.GoodMedianBad()
 	chips := []int{g, m, b}
-	r := &Fig9Result{Schemes: core.Fig9Schemes, result: p.newResult("fig9")}
 	nS := len(core.Fig9Schemes)
 	perf := make([]float64, len(chips)*nS)
 	p.Pool().Run(len(perf), func(job int, w *sweep.Worker) {
@@ -33,19 +27,21 @@ func Fig9(p *Params) *Fig9Result {
 		})
 		perf[job] = norm
 	})
-	for ci := range chips {
-		r.Perf[ci] = perf[ci*nS : (ci+1)*nS]
-	}
-	return r
-}
-
-// Best returns the scheme with the highest bad-chip performance.
-func (r *Fig9Result) Best() core.Scheme {
+	names := make([]string, nS)
 	best, bestV := 0, -1.0
-	for i, v := range r.Perf[2] {
-		if v > bestV {
-			best, bestV = i, v
+	for si, sc := range core.Fig9Schemes {
+		names[si] = sc.String()
+		if v := perf[2*nS+si]; v > bestV {
+			best, bestV = si, v
 		}
 	}
-	return r.Schemes[best]
+	t := p.newTable("fig9")
+	t.Columns = []artifact.Column{
+		artifact.Strings("scheme", names),
+		artifact.Floats("good", artifact.UnitRatio, perf[:nS]),
+		artifact.Floats("median", artifact.UnitRatio, perf[nS:2*nS]),
+		artifact.Floats("bad", artifact.UnitRatio, perf[2*nS:]),
+	}
+	t.Attrs = map[string]string{"best_scheme_bad_chip": names[best]}
+	return t
 }

@@ -137,7 +137,7 @@ func TestArtifactJSONRoundTrip(t *testing.T) {
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Errorf("JSON round trip unstable:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
 	}
-	d1, err := a.ArtifactTable().Digest()
+	d1, err := a.Digest()
 	if err != nil {
 		t.Fatalf("digest: %v", err)
 	}

@@ -1,9 +1,12 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation. Each experiment is a function from Params to a typed
-// result whose ArtifactTable holds the rows/series the paper reports;
-// every encoding, text included, is printed from that table. The
-// registry in registry.go maps experiment IDs (fig1, fig6a, tab3, ...)
-// to runners for the CLI and the benchmark harness.
+// evaluation. Each experiment is a function from Params to the
+// artifact.Table holding the rows/series the paper reports, filled as
+// it computes; every encoding, text included, is printed from that
+// table. Fig8 and Fig10 alone return typed results (Fig8Result,
+// Fig10Result) whose ArtifactTable builds it, because perfbench's
+// traced mode reads their fields. The registry in registry.go maps
+// experiment IDs (fig1, fig6a, tab3, ...) to runners for the CLI and
+// the benchmark harness.
 //
 // Absolute numbers differ from the paper (the substrate is a synthetic
 // simulator, not the authors' Hspice + sim-alpha testbed); the

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/stats"
 	"tdcache/internal/variation"
@@ -27,42 +28,34 @@ func Fig12Points() []DesignPoint {
 	}
 }
 
-// PointResult is the evaluated state of one design point.
-type PointResult struct {
-	Point DesignPoint
-	// MuCycles and SigmaMu locate the point on the Fig. 12 surface:
-	// mean retention of the median chip's live lines (cycles at the
-	// derated frequency) and the coefficient of variation.
-	MuCycles float64
-	SigmaMu  float64
-	// DeadFrac is the median chip's dead-line fraction.
-	DeadFrac float64
-	// Perf is the normalized performance of the three line-level schemes
-	// (no-refresh/LRU, partial/DSP, RSP-FIFO), each versus the ideal 6T
-	// baseline at the same operating point.
-	Perf [3]float64
-}
-
-// Fig12PointsResult reproduces the Fig. 12 design-point annotations.
-type Fig12PointsResult struct {
-	Points []PointResult
-	result
-}
-
-// Fig12PointsRun evaluates each design point: derate the node to the
-// point's Vdd, sample a small chip population under its scenario, take
-// the median chip, and run the three schemes.
-func Fig12PointsRun(p *Params) *Fig12PointsResult {
-	// Each point gets a WithTech derivation at its derated operating
-	// point; the caller's Params is never mutated, so concurrent Digest
-	// or provenance reads stay race-free.
-	res := &Fig12PointsResult{result: p.newResult("fig12pts")}
-
+// Fig12PointsRun reproduces the Fig. 12 design-point annotations. It
+// evaluates each design point: derate the node to the point's Vdd,
+// sample a small chip population under its scenario, take the median
+// chip, and run the three line-level schemes. A point's row locates it
+// on the Fig. 12 surface — mu is the mean retention of the median
+// chip's live lines (cycles at the derated frequency), sigma_over_mu
+// their coefficient of variation — and gives the chip's dead-line
+// fraction and each scheme's performance versus the ideal 6T baseline
+// at the same operating point.
+func Fig12PointsRun(p *Params) *artifact.Table {
 	chips := p.Chips / 4
 	if chips < 6 {
 		chips = 6
 	}
-	for _, pt := range Fig12Points() {
+	points := Fig12Points()
+	n := len(points)
+	label := make([]string, n)
+	mu := make([]float64, n)
+	sm := make([]float64, n)
+	dead := make([]float64, n)
+	perf := make([][]float64, len(Fig10Schemes))
+	for si := range perf {
+		perf[si] = make([]float64, n)
+	}
+	for i, pt := range points {
+		// Each point gets a WithTech derivation at its derated operating
+		// point; the caller's Params is never mutated, so concurrent
+		// Digest or provenance reads stay race-free.
 		pp := p.WithTech(pt.Tech.AtVdd(pt.Vdd))
 		study := pp.study(pt.Scenario, chips)
 		_, medianIdx, _ := study.GoodMedianBad()
@@ -76,13 +69,11 @@ func Fig12PointsRun(p *Params) *Fig12PointsResult {
 			}
 		}
 		sum := stats.Describe(live)
-		pr := PointResult{
-			Point:    pt,
-			MuCycles: sum.Mean,
-			DeadFrac: chip.DeadFrac,
-		}
+		label[i] = pt.Label
+		mu[i] = sum.Mean
+		dead[i] = chip.DeadFrac
 		if sum.Mean > 0 {
-			pr.SigmaMu = sum.Std / sum.Mean
+			sm[i] = sum.Std / sum.Mean
 		}
 		for si, scheme := range Fig10Schemes {
 			_, norm := pp.suite(nil, cacheSpec{
@@ -90,9 +81,19 @@ func Fig12PointsRun(p *Params) *Fig12PointsResult {
 				Retention: chip.Retention,
 				Step:      chip.CounterStep,
 			})
-			pr.Perf[si] = norm
+			perf[si][i] = norm
 		}
-		res.Points = append(res.Points, pr)
 	}
-	return res
+	t := p.newTable("fig12pts")
+	t.Columns = []artifact.Column{
+		artifact.Strings("point", label),
+		artifact.Floats("mu", artifact.UnitCycles, mu),
+		artifact.Floats("sigma_over_mu", artifact.UnitFraction, sm),
+		artifact.Floats("dead_frac", artifact.UnitFraction, dead),
+	}
+	for si, s := range Fig10Schemes {
+		t.Columns = append(t.Columns,
+			artifact.Floats("perf_"+schemeKey(s), artifact.UnitRatio, perf[si]))
+	}
+	return t
 }

@@ -26,44 +26,51 @@ type Spec struct {
 // Specs lists every experiment in the paper's presentation order —
 // figures, then tables, then in-text sections, then extensions. The
 // order is part of the public contract: `-experiment all` and the
-// serving API list experiments exactly in this sequence.
-var Specs = []Spec{
-	{"fig1", "Cache references vs. cycles since line fill (CDF)", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig1(p) }},
-	{"fig4", "3T1D access time vs. time since write", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig4(p) }},
-	{"fig6a", "6T cache normalized frequency/performance distribution", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig6a(p) }},
-	{"fig6b", "3T1D cache under typical variation, global refresh", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig6b(p) }},
-	{"fig7", "Cache leakage power distribution vs. golden 6T", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig7(p) }},
-	{"fig8", "Line retention distribution for good/median/bad chips", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig8(p) }},
-	{"fig9", "Normalized performance of retention schemes", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig9(p) }},
-	{"fig10", "Performance and dynamic power across the severe population", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig10(p) }},
-	{"fig11", "Performance vs. associativity", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig11(p) }},
-	{"fig12", "Performance over retention µ and σ/µ", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig12(p) }},
-	{"fig12pts", "Fig. 12 design points on the µ-σ/µ surface", artifact.KindFigure,
-		func(p *Params) artifact.Artifact { return Fig12PointsRun(p) }},
-	{"tab1", "Circuit simulation parameters", artifact.KindTable,
-		func(p *Params) artifact.Artifact { return Table1(p) }},
-	{"tab2", "Baseline processor configuration", artifact.KindTable,
-		func(p *Params) artifact.Artifact { return Table2(p) }},
-	{"tab3", "Cache designs across technology nodes", artifact.KindTable,
-		func(p *Params) artifact.Artifact { return Table3(p) }},
-	{"sec4.1", "Global refresh without process variation", artifact.KindSection,
-		func(p *Params) artifact.Artifact { return GlobalRefreshNoVariation(p) }},
-	{"yield", "Yield curves under severe variation", artifact.KindExtension,
-		func(p *Params) artifact.Artifact { return Yield(p) }},
-	{"dvfs", "STT-RAM DVFS sweep: frequency scale vs. retention deadline", artifact.KindExtension,
-		func(p *Params) artifact.Artifact { return DVFS(p) }},
-	{"sttyield", "STT-RAM retention-class yield under severe variation", artifact.KindExtension,
-		func(p *Params) artifact.Artifact { return STTYield(p) }},
+// serving API list experiments exactly in this sequence. It is filled
+// in init because every experiment stamps its table's title and kind
+// from it (newTable), which a package-level initializer naming the
+// experiment functions would make an initialization cycle.
+var Specs []Spec
+
+func init() {
+	Specs = []Spec{
+		{"fig1", "Cache references vs. cycles since line fill (CDF)", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig1(p) }},
+		{"fig4", "3T1D access time vs. time since write", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig4(p) }},
+		{"fig6a", "6T cache normalized frequency/performance distribution", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig6a(p) }},
+		{"fig6b", "3T1D cache under typical variation, global refresh", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig6b(p) }},
+		{"fig7", "Cache leakage power distribution vs. golden 6T", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig7(p) }},
+		{"fig8", "Line retention distribution for good/median/bad chips", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig8(p) }},
+		{"fig9", "Normalized performance of retention schemes", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig9(p) }},
+		{"fig10", "Performance and dynamic power across the severe population", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig10(p) }},
+		{"fig11", "Performance vs. associativity", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig11(p) }},
+		{"fig12", "Performance over retention µ and σ/µ", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig12(p) }},
+		{"fig12pts", "Fig. 12 design points on the µ-σ/µ surface", artifact.KindFigure,
+			func(p *Params) artifact.Artifact { return Fig12PointsRun(p) }},
+		{"tab1", "Circuit simulation parameters", artifact.KindTable,
+			func(p *Params) artifact.Artifact { return Table1(p) }},
+		{"tab2", "Baseline processor configuration", artifact.KindTable,
+			func(p *Params) artifact.Artifact { return Table2(p) }},
+		{"tab3", "Cache designs across technology nodes", artifact.KindTable,
+			func(p *Params) artifact.Artifact { return Table3(p) }},
+		{"sec4.1", "Global refresh without process variation", artifact.KindSection,
+			func(p *Params) artifact.Artifact { return GlobalRefreshNoVariation(p) }},
+		{"yield", "Yield curves under severe variation", artifact.KindExtension,
+			func(p *Params) artifact.Artifact { return Yield(p) }},
+		{"dvfs", "STT-RAM DVFS sweep: frequency scale vs. retention deadline", artifact.KindExtension,
+			func(p *Params) artifact.Artifact { return DVFS(p) }},
+		{"sttyield", "STT-RAM retention-class yield under severe variation", artifact.KindExtension,
+			func(p *Params) artifact.Artifact { return STTYield(p) }},
+	}
 }
 
 // Lookup finds a spec by ID.

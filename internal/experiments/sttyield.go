@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/montecarlo"
 	"tdcache/internal/variation"
@@ -25,47 +26,27 @@ var sttClassConfigs = []struct {
 // meet to count as yielding.
 var STTYieldThresholds = []float64{0, 0.05, 0.10, 0.25, 0.50}
 
-// STTYieldResult is the STT-RAM retention-class yield suite: for each
-// class mix, the fraction of severe-variation chips whose dead-line
-// fraction stays under each ceiling, plus the population's retention
-// summary.
-type STTYieldResult struct {
-	// Backend is the cell backend the suite ran on.
-	Backend string
-	// Configs and HiWays describe the swept class mixes.
-	Configs []string
-	HiWays  []int
-	// Thresholds are the dead-line-fraction ceilings.
-	Thresholds []float64
-	// Yield[config][threshold] is the fraction of chips meeting it.
-	Yield [][]float64
-	// MeanDeadFrac[config] is the population-mean dead-line fraction.
-	MeanDeadFrac []float64
-	// MeanAliveNS[config] is the population mean of the chips' mean
-	// live-line retention (ns).
-	MeanAliveNS []float64
-	result
-}
-
-// STTYield evaluates the class mixes over the severe-variation
-// population (retention-only Monte-Carlo studies; no architecture
-// simulation). The asymmetric split is the robust design, and for a
-// subtler reason than raw retention: the class-deadline policy anchors
-// the counter step to the weakest class present, so asym's
-// high-retention ways sit orders of magnitude above their dead
-// threshold, while a uniform array — relaxed or high — holds only a
-// fixed relative margin (2·nominal over 2³−1 levels) that severe
-// variation's exponential retention spread overruns. Its floor is its
-// relaxed ways: roughly half the lines die, and nothing more.
-func STTYield(p *Params) *STTYieldResult {
-	r := &STTYieldResult{
-		Backend:    circuit.STTRAMBackend.Name(),
-		Thresholds: STTYieldThresholds,
-		// Provenance reflects the Params handed in (the store keys
-		// artifacts by their digest); the class variants are fixed
-		// constants of this suite, not Params knobs.
-		result: p.newResult("sttyield"),
-	}
+// STTYield is the STT-RAM retention-class yield suite: for each class
+// mix, the fraction of severe-variation chips whose dead-line fraction
+// stays under each ceiling, plus the population's retention summary
+// (the mean dead-line fraction and the mean of the chips' mean
+// live-line retention), as a long-form (config, hi_ways, dead_ceiling,
+// yield) table with the per-config summaries as extra columns.
+//
+// It evaluates the class mixes over the severe-variation population
+// (retention-only Monte-Carlo studies; no architecture simulation). The
+// asymmetric split is the robust design, and for a subtler reason than
+// raw retention: the class-deadline policy anchors the counter step to
+// the weakest class present, so asym's high-retention ways sit orders
+// of magnitude above their dead threshold, while a uniform array —
+// relaxed or high — holds only a fixed relative margin (2·nominal over
+// 2³−1 levels) that severe variation's exponential retention spread
+// overruns. Its floor is its relaxed ways: roughly half the lines die,
+// and nothing more.
+func STTYield(p *Params) *artifact.Table {
+	var config []string
+	var hiWays []int64
+	var ceiling, yield, meanDead, meanAlive []float64
 	pool := p.Pool()
 	for _, cfg := range sttClassConfigs {
 		variant := circuit.STTRAMBackend.WithHiWays(cfg.hiWays)
@@ -74,26 +55,39 @@ func STTYield(p *Params) *STTYieldResult {
 			Chips: p.DistChips, Backend: variant, Pool: pool,
 		})
 		n := float64(len(st.Chips))
-		yield := make([]float64, len(r.Thresholds))
-		var meanDead, meanAlive float64
+		counts := make([]float64, len(STTYieldThresholds))
+		var sumDead, sumAlive float64
 		for i := range st.Chips {
 			ch := &st.Chips[i]
-			meanDead += ch.DeadFrac
-			meanAlive += ch.MeanAliveNS
-			for ti, th := range r.Thresholds {
+			sumDead += ch.DeadFrac
+			sumAlive += ch.MeanAliveNS
+			for ti, th := range STTYieldThresholds {
 				if ch.DeadFrac <= th {
-					yield[ti]++
+					counts[ti]++
 				}
 			}
 		}
-		for ti := range yield {
-			yield[ti] /= n
+		for ti, th := range STTYieldThresholds {
+			config = append(config, cfg.key)
+			hiWays = append(hiWays, int64(cfg.hiWays))
+			ceiling = append(ceiling, th)
+			yield = append(yield, counts[ti]/n)
+			meanDead = append(meanDead, sumDead/n)
+			meanAlive = append(meanAlive, sumAlive/n)
 		}
-		r.Configs = append(r.Configs, cfg.key)
-		r.HiWays = append(r.HiWays, cfg.hiWays)
-		r.Yield = append(r.Yield, yield)
-		r.MeanDeadFrac = append(r.MeanDeadFrac, meanDead/n)
-		r.MeanAliveNS = append(r.MeanAliveNS, meanAlive/n)
 	}
-	return r
+	// Provenance reflects the Params handed in (the store keys artifacts
+	// by their digest); the class variants are fixed constants of this
+	// suite, not Params knobs.
+	t := p.newTable("sttyield")
+	t.Columns = []artifact.Column{
+		artifact.Strings("config", config),
+		artifact.Ints("hi_ways", artifact.UnitCount, hiWays),
+		artifact.Floats("dead_ceiling", artifact.UnitFraction, ceiling),
+		artifact.Floats("yield", artifact.UnitFraction, yield),
+		artifact.Floats("mean_dead_frac", artifact.UnitFraction, meanDead),
+		artifact.Floats("mean_alive", artifact.UnitNanoseconds, meanAlive),
+	}
+	t.Attrs = map[string]string{"backend": circuit.STTRAMBackend.Name()}
+	return t
 }

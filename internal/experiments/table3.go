@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/montecarlo"
@@ -10,50 +11,47 @@ import (
 	"tdcache/internal/variation"
 )
 
-// Table3Row is one technology node's worth of Table 3.
-type Table3Row struct {
-	Node string
-	// Ideal 6T design (no variation).
-	IdealAccessPS  float64
-	IdealBIPS      float64
-	IdealMeanDynMW float64
-	IdealFullDynMW float64
-	IdealLeakMW    float64
-	// 1X 6T, median chip under typical variation.
-	SRAMAccessPS  float64
-	SRAMBIPS      float64
-	SRAMMeanDynMW float64
-	SRAMFullDynMW float64
-	SRAMLeakMW    float64
-	// 3T1D, median chip under typical variation.
-	TDRetentionNS float64
-	TDBIPS        float64
-	TDMeanDynMW   float64
-	TDFullDynMW   float64
-	TDLeakMW      float64
-}
+// Table3 reproduces Table 3 across the three technology nodes: one
+// wide row per node comparing the ideal 6T design (no variation), the
+// 1X 6T median chip under typical variation, and the 3T1D median chip
+// under typical variation. Per node it needs: the ideal baseline suite,
+// a typical-variation Monte-Carlo study (for median-chip frequency,
+// leakage, and retention), and a global-refresh suite at the median
+// retention. The power_saving_32nm metric is the 3T1D design's total
+// cache power saving against ideal 6T at 32nm.
+func Table3(p *Params) *artifact.Table {
+	t := p.newTable("tab3")
+	n := len(circuit.Nodes)
+	node := make([]string, n)
+	t.Columns = []artifact.Column{artifact.Strings("node", node)}
+	col := func(name, unit string) []float64 {
+		vals := make([]float64, n)
+		t.Columns = append(t.Columns, artifact.Floats(name, unit, vals))
+		return vals
+	}
+	idealAccess := col("ideal_access", artifact.UnitPicoseconds)
+	idealBIPS := col("ideal_bips", artifact.UnitBIPS)
+	idealMeanDyn := col("ideal_mean_dyn", artifact.UnitMilliwatts)
+	idealFullDyn := col("ideal_full_dyn", artifact.UnitMilliwatts)
+	idealLeak := col("ideal_leak", artifact.UnitMilliwatts)
+	sramAccess := col("sram_access", artifact.UnitPicoseconds)
+	sramBIPS := col("sram_bips", artifact.UnitBIPS)
+	sramMeanDyn := col("sram_mean_dyn", artifact.UnitMilliwatts)
+	sramFullDyn := col("sram_full_dyn", artifact.UnitMilliwatts)
+	sramLeak := col("sram_leak", artifact.UnitMilliwatts)
+	tdRetention := col("td_retention", artifact.UnitNanoseconds)
+	tdBIPS := col("td_bips", artifact.UnitBIPS)
+	tdMeanDyn := col("td_mean_dyn", artifact.UnitMilliwatts)
+	tdFullDyn := col("td_full_dyn", artifact.UnitMilliwatts)
+	tdLeak := col("td_leak", artifact.UnitMilliwatts)
+	var powerSaving float64
 
-// Table3Result reproduces Table 3 across the three technology nodes.
-type Table3Result struct {
-	Rows []Table3Row
-	// Paper anchors for the printout.
-	PowerSavingFrac float64 // 3T1D total cache power saving vs ideal at 32nm
-	result
-}
-
-// Table3 runs the per-node simulations. Per node it needs: the ideal
-// baseline suite, a typical-variation Monte-Carlo study (for median-chip
-// frequency, leakage, and retention), and a global-refresh suite at the
-// median retention.
-func Table3(p *Params) *Table3Result {
-	// The caller's Params stays untouched: each node gets a WithTech
-	// derivation (same rig, new Tech value), so concurrent Digest or
-	// provenance reads of p never observe a mid-sweep node.
-	res := &Table3Result{result: p.newResult("tab3")}
-
-	for _, tech := range circuit.Nodes {
+	for i, tech := range circuit.Nodes {
+		// The caller's Params stays untouched: each node gets a WithTech
+		// derivation (same rig, new Tech value), so concurrent Digest or
+		// provenance reads of p never observe a mid-sweep node.
 		pn := p.WithTech(tech)
-		row := Table3Row{Node: tech.Name}
+		node[i] = tech.Name
 
 		// Ideal 6T: warm the run memo's baselines for this node in parallel,
 		// then aggregate sequentially in benchmark order so the
@@ -70,11 +68,11 @@ func Table3(p *Params) *Table3Result {
 		}
 		meanDyn /= float64(len(pn.Benchmarks))
 		hm := stats.HarmonicMean(idealIPC)
-		row.IdealAccessPS = tech.AccessTime6T * circuit.SecondsToPico
-		row.IdealBIPS = hm * tech.FreqGHz
-		row.IdealMeanDynMW = meanDyn * circuit.WattsToMilli
-		row.IdealFullDynMW = power.FullDynamicPower(tech) * circuit.WattsToMilli
-		row.IdealLeakMW = tech.LeakagePower6T * circuit.WattsToMilli
+		idealAccess[i] = tech.AccessTime6T * circuit.SecondsToPico
+		idealBIPS[i] = hm * tech.FreqGHz
+		idealMeanDyn[i] = meanDyn * circuit.WattsToMilli
+		idealFullDyn[i] = power.FullDynamicPower(tech) * circuit.WattsToMilli
+		idealLeak[i] = tech.LeakagePower6T * circuit.WattsToMilli
 
 		// Median typical-variation chip.
 		study := pn.study(variation.Typical, pn.DistChips)
@@ -84,15 +82,15 @@ func Table3(p *Params) *Table3Result {
 		// 1X 6T: the whole chip slows to the worst cell's frequency;
 		// IPC is unchanged, so BIPS and dynamic power scale with f.
 		f1 := stats.Quantile(study.Column(func(c *montecarlo.Chip) float64 { return c.Freq1X }), 0.5)
-		row.SRAMAccessPS = tech.AccessTime6T / f1 * circuit.SecondsToPico
-		row.SRAMBIPS = row.IdealBIPS * f1
-		row.SRAMMeanDynMW = row.IdealMeanDynMW * f1
-		row.SRAMFullDynMW = row.IdealFullDynMW * f1
+		sramAccess[i] = tech.AccessTime6T / f1 * circuit.SecondsToPico
+		sramBIPS[i] = idealBIPS[i] * f1
+		sramMeanDyn[i] = idealMeanDyn[i] * f1
+		sramFullDyn[i] = idealFullDyn[i] * f1
 		leak6 := stats.Quantile(study.Column(func(c *montecarlo.Chip) float64 { return c.Leak6T1X }), 0.5)
-		row.SRAMLeakMW = power.Leakage6T(tech, leak6) * circuit.WattsToMilli
+		sramLeak[i] = power.Leakage6T(tech, leak6) * circuit.WattsToMilli
 
 		// 3T1D: global refresh at the median chip's cache retention.
-		row.TDRetentionNS = chip.CacheRetentionNS
+		tdRetention[i] = chip.CacheRetentionNS
 		retCycles := int64(chip.CacheRetentionNS * circuit.NanoToSeconds / tech.CycleSeconds())
 		if retCycles < 1 {
 			retCycles = 1
@@ -102,25 +100,27 @@ func Table3(p *Params) *Table3Result {
 			Retention: core.UniformRetention(1024, retCycles),
 		}
 		perBench, norm := pn.suite(nil, spec)
-		row.TDBIPS = row.IdealBIPS * norm
+		tdBIPS[i] = idealBIPS[i] * norm
 		var tdDyn float64
 		for _, b := range pn.Benchmarks {
 			tdDyn += perBench[b].Dyn.TotalW()
 		}
 		tdDyn /= float64(len(perBench))
-		row.TDMeanDynMW = tdDyn * circuit.WattsToMilli
-		row.TDFullDynMW = row.IdealFullDynMW // same array, same full-rate energy
+		tdMeanDyn[i] = tdDyn * circuit.WattsToMilli
+		tdFullDyn[i] = idealFullDyn[i] // same array, same full-rate energy
 		leak3 := stats.Quantile(study.Column(func(c *montecarlo.Chip) float64 { return c.Leak3T1D }), 0.5)
-		row.TDLeakMW = power.Leakage3T1D(tech, leak3) * circuit.WattsToMilli
+		tdLeak[i] = power.Leakage3T1D(tech, leak3) * circuit.WattsToMilli
 
-		res.Rows = append(res.Rows, row)
 		if tech.NodeNM == 32 {
-			idealTotal := row.IdealMeanDynMW + row.IdealLeakMW
-			tdTotal := row.TDMeanDynMW + row.TDLeakMW
+			idealTotal := idealMeanDyn[i] + idealLeak[i]
+			tdTotal := tdMeanDyn[i] + tdLeak[i]
 			if idealTotal > 0 {
-				res.PowerSavingFrac = 1 - tdTotal/idealTotal
+				powerSaving = 1 - tdTotal/idealTotal
 			}
 		}
 	}
-	return res
+	t.Metrics = []artifact.Metric{
+		artifact.Met("power_saving_32nm", artifact.UnitFraction, powerSaving),
+	}
+	return t
 }

@@ -523,47 +523,88 @@ func TestConcurrentMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEtagMatch pins the entity-tag list scanner against RFC 9110
-// §8.8.3 edge cases: opaque tags may contain commas, weak tags may be
-// surrounded by list whitespace, and malformed input must not match.
+// etagCases are entity-tag list edge cases from RFC 9110 §8.8.3, each
+// against the tag etagCase: opaque tags may contain commas, weak tags
+// may be surrounded by list whitespace, and malformed input must not
+// match. FuzzETagMatch starts from them.
+const etagCase = `"abc"`
+
+var etagCases = []struct {
+	header string
+	want   bool
+}{
+	{"", false},
+	{"   ", false},
+	{`"abc"`, true},
+	{`W/"abc"`, true},
+	{"*", true},
+	{`"xyz", *`, true}, // * mixed into a list still matches
+	{`"xyz"`, false},
+	// Opaque tags containing commas must not be split apart: the
+	// comma inside "x,abc" is tag content, not a list separator.
+	{`"x,abc"`, false},
+	{`"x,abc", "abc"`, true},
+	{`"abc,y"`, false},
+	// W/ entries with surrounding list whitespace.
+	{`  W/"abc"  `, true},
+	{`"one" ,	W/"abc" , "two"`, true},
+	{`"one", W/"two"`, false},
+	// Malformed: unclosed quote, bare token, stray weak prefix.
+	{`"abc`, false},
+	{`abc`, false},
+	{`W/abc`, false},
+	{`W/`, false},
+	// Malformed prefix hides a later valid tag: scanning stops at
+	// the first unparseable element (conservative: no match).
+	{`abc, "abc"`, false},
+	// Control byte inside a tag is invalid.
+	{"\"a\x07bc\"", false},
+}
+
+// TestEtagMatch pins the entity-tag list scanner against etagCases.
 func TestEtagMatch(t *testing.T) {
-	const etag = `"abc"`
-	cases := []struct {
-		header string
-		want   bool
-	}{
-		{"", false},
-		{"   ", false},
-		{`"abc"`, true},
-		{`W/"abc"`, true},
-		{"*", true},
-		{`"xyz", *`, true}, // * mixed into a list still matches
-		{`"xyz"`, false},
-		// Opaque tags containing commas must not be split apart: the
-		// comma inside "x,abc" is tag content, not a list separator.
-		{`"x,abc"`, false},
-		{`"x,abc", "abc"`, true},
-		{`"abc,y"`, false},
-		// W/ entries with surrounding list whitespace.
-		{`  W/"abc"  `, true},
-		{`"one" ,	W/"abc" , "two"`, true},
-		{`"one", W/"two"`, false},
-		// Malformed: unclosed quote, bare token, stray weak prefix.
-		{`"abc`, false},
-		{`abc`, false},
-		{`W/abc`, false},
-		{`W/`, false},
-		// Malformed prefix hides a later valid tag: scanning stops at
-		// the first unparseable element (conservative: no match).
-		{`abc, "abc"`, false},
-		// Control byte inside a tag is invalid.
-		{"\"a\x07bc\"", false},
-	}
-	for _, c := range cases {
-		if got := etagMatch(c.header, etag); got != c.want {
+	for _, c := range etagCases {
+		if got := etagMatch(c.header, etagCase); got != c.want {
 			t.Errorf("etagMatch(%q) = %v, want %v", c.header, got, c.want)
 		}
 	}
+}
+
+// FuzzETagMatch checks the If-None-Match scanner on any header: it
+// never panics, "*" matches every tag, a tag scanETag parses is a
+// prefix of its input with the remainder after it, and any tag made of
+// valid opaque-tag bytes is found in a list that carries it weak
+// between two other tags.
+func FuzzETagMatch(f *testing.F) {
+	for _, c := range etagCases {
+		f.Add(c.header, "abc", "x,y", "")
+	}
+	f.Fuzz(func(t *testing.T, header, opaque, x, y string) {
+		etag := `"` + opaqueBytes(opaque) + `"`
+		etagMatch(header, etag)
+		if !etagMatch("*", etag) {
+			t.Fatalf("* does not match %q", etag)
+		}
+		if tag, rest, ok := scanETag(header); ok && tag+rest != header {
+			t.Fatalf("scanETag(%q) = %q, %q: not a split of its input", header, tag, rest)
+		}
+		list := `"` + opaqueBytes(x) + `", W/` + etag + `, "` + opaqueBytes(y) + `"`
+		if !etagMatch(list, etag) {
+			t.Fatalf("etagMatch(%q, %q) = false, want true", list, etag)
+		}
+	})
+}
+
+// opaqueBytes keeps the bytes of s that may appear inside an entity
+// tag's quotes: 0x21, 0x23-0x7E and obs-text (0x80 and up).
+func opaqueBytes(s string) string {
+	b := make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == 0x21 || (c >= 0x23 && c <= 0x7E) || c >= 0x80 {
+			b = append(b, c)
+		}
+	}
+	return string(b)
 }
 
 // TestCloseDrainsQueuedJobs: jobs admitted before Close still complete,
