@@ -31,47 +31,62 @@ import (
 )
 
 func main() {
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli is the whole command: it parses args, regenerates the requested
+// artifacts onto stdout, reports problems on stderr, and returns the
+// exit code. main exits only after cli returns, so the deferred
+// profile writers run on every path, failing runs included.
+func cli(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tdcache-experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		experiment   = flag.String("experiment", "all", "experiment ID (fig1..fig12, tab1..tab3, sec4.1) or 'all'")
-		list         = flag.Bool("list", false, "list experiment IDs and exit")
-		chips        = flag.Int("chips", 0, "Monte-Carlo population for architecture studies (default 100)")
-		distChips    = flag.Int("dist-chips", 0, "population for distribution-only studies (default 300)")
-		instructions = flag.Uint64("instructions", 0, "instructions per benchmark run (default 200000)")
-		seed         = flag.Uint64("seed", 0, "root random seed")
-		benchmarks   = flag.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
-		quick        = flag.Bool("quick", false, "use the reduced smoke-test configuration")
-		backend      = flag.String("backend", "", "cell backend: "+strings.Join(tdcache.Backends(), ", ")+" (default "+tdcache.DefaultBackend+")")
-		parallel     = flag.Int("parallel", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = sequential; output is identical)")
-		format       = flag.String("format", "text", "output format: text, json, or csv")
-		storeDir     = flag.String("store", "", "content-addressed result store directory (empty = no store)")
-		cpuprofile   = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile   = flag.String("memprofile", "", "write a heap profile to this file on exit")
+		experiment   = fs.String("experiment", "all", "experiment ID (fig1..fig12, tab1..tab3, sec4.1) or 'all'")
+		list         = fs.Bool("list", false, "list experiment IDs and exit")
+		chips        = fs.Int("chips", 0, "Monte-Carlo population for architecture studies (default 100)")
+		distChips    = fs.Int("dist-chips", 0, "population for distribution-only studies (default 300)")
+		instructions = fs.Uint64("instructions", 0, "instructions per benchmark run (default 200000)")
+		seed         = fs.Uint64("seed", 0, "root random seed")
+		benchmarks   = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
+		quick        = fs.Bool("quick", false, "use the reduced smoke-test configuration")
+		backend      = fs.String("backend", "", "cell backend: "+strings.Join(tdcache.Backends(), ", ")+" (default "+tdcache.DefaultBackend+")")
+		parallel     = fs.Int("parallel", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = sequential; output is identical)")
+		format       = fs.String("format", "text", "output format: text, json, or csv")
+		storeDir     = fs.String("store", "", "content-addressed result store directory (empty = no store)")
+		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memprofile   = fs.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	// Distinguish explicitly set flags from defaults so that zero values
 	// (-seed 0, -parallel 0, -chips 0) are honored rather than silently
 	// conflated with "unset".
 	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer func() {
 			// The profile is flushed by StopCPUProfile (deferred after
 			// us, so it runs first); a failed close means a truncated
 			// profile and deserves a complaint.
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tdcache-experiments: closing cpu profile:", err)
+				fmt.Fprintln(stderr, "tdcache-experiments: closing cpu profile:", err)
 			}
 		}()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -80,25 +95,25 @@ func main() {
 		// not after minutes of simulation; the write happens at exit.
 		f, err := os.Create(*memprofile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 		defer func() {
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
+				fmt.Fprintln(stderr, err)
 			}
 			if err := f.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "tdcache-experiments: closing heap profile:", err)
+				fmt.Fprintln(stderr, "tdcache-experiments: closing heap profile:", err)
 			}
 		}()
 	}
 
 	if *list {
 		for _, sp := range tdcache.ExperimentSpecs() {
-			fmt.Printf("%-10s %-10s %s\n", sp.ID, sp.Kind, sp.Title)
+			fmt.Fprintf(stdout, "%-10s %-10s %s\n", sp.ID, sp.Kind, sp.Title)
 		}
-		return
+		return 0
 	}
 
 	p := tdcache.DefaultExperimentParams()
@@ -124,30 +139,31 @@ func main() {
 		p.Parallel = *parallel
 	}
 	if err := applyBackend(p, *backend); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	f, err := tdcache.ParseArtifactFormat(*format)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	var store *tdcache.ArtifactStore
 	if *storeDir != "" {
 		store, err = tdcache.NewArtifactStore(*storeDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 
 	start := time.Now()
-	if err := run(*experiment, p, f, store, os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := run(*experiment, p, f, store, stdout); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "[%s in %v]\n", *experiment, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "[%s in %v]\n", *experiment, time.Since(start).Round(time.Millisecond))
+	return 0
 }
 
 // applyBackend validates the -backend flag value and sets it on the

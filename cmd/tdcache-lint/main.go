@@ -1,7 +1,6 @@
-// Command tdcache-lint is the determinism, physical-correctness and
-// error-discipline lint suite: it runs the three reproducibility
-// analyzers (detrand, mapiter, resetcheck), the unit-discipline
-// analyzer (unitflow), the two interprocedural call-graph analyzers
+// Command tdcache-lint is the determinism and error-discipline lint
+// suite: it runs the three reproducibility analyzers (detrand,
+// mapiter, resetcheck), the two interprocedural call-graph analyzers
 // (hotpath, purecheck), and the two error-discipline analyzers
 // (errflow, exhaustcheck) over the repository and fails on any
 // finding.
@@ -42,12 +41,11 @@ import (
 	"tdcache/internal/analysis/mapiter"
 	"tdcache/internal/analysis/purecheck"
 	"tdcache/internal/analysis/resetcheck"
-	"tdcache/internal/analysis/unitflow"
 )
 
-// analyzers is the full suite — the three determinism rules, the
-// physical-correctness rule, the two call-graph rules, and the two
-// error-discipline rules — in reporting order.
+// analyzers is the full suite — the three determinism rules, the two
+// call-graph rules, and the two error-discipline rules — in reporting
+// order.
 var analyzers = []*framework.Analyzer{
 	detrand.Analyzer,
 	errflow.Analyzer,
@@ -56,7 +54,6 @@ var analyzers = []*framework.Analyzer{
 	mapiter.Analyzer,
 	purecheck.Analyzer,
 	resetcheck.Analyzer,
-	unitflow.Analyzer,
 }
 
 func main() {

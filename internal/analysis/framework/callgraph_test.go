@@ -256,8 +256,11 @@ func caller() { dep.Exported() }
 	// "Analyze" dep: export a summary fact keyed by its function object.
 	facts := NewFactStore()
 	type summary struct{ clean bool }
+	summaries := func() map[types.Object]*summary {
+		return facts.Shared("summaries", func() any { return make(map[types.Object]*summary) }).(map[types.Object]*summary)
+	}
 	for _, n := range depNodes {
-		facts.SetObject(n.Fn, &summary{clean: true})
+		summaries()[n.Fn] = &summary{clean: true}
 	}
 
 	// From use's side, follow the call edge and read the fact back.
@@ -274,9 +277,8 @@ func caller() { dep.Exported() }
 	if callee.Pkg().Path() != "dep" || callee.Name() != "Exported" {
 		t.Fatalf("callee = %v, want dep.Exported", callee)
 	}
-	v, ok := facts.Object(callee)
-	got, isSum := v.(*summary)
-	if !ok || !isSum || !got.clean {
-		t.Errorf("fact for dep.Exported not readable through the call edge: %v, %v", v, ok)
+	got, ok := summaries()[callee]
+	if !ok || !got.clean {
+		t.Errorf("fact for dep.Exported not readable through the call edge: %v, %v", got, ok)
 	}
 }

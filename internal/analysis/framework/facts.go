@@ -1,14 +1,14 @@
 package framework
 
-// Cross-package fact plumbing. Analyzers that derive facts from source
-// annotations (unitflow's //unit: tags) need to see the *syntax* of
-// imported packages, not just their type objects, and they need the
-// derived facts to be shared across the many passes of one lint run so
-// each package's declarations are only parsed once. PackageSyntax is
-// the window a driver provides onto an imported package; FactStore is
-// the shared memo, keyed by types.Object — object identity is stable
+// Cross-package fact plumbing. The interprocedural analyzers need to
+// see the *syntax* of imported packages, not just their type objects,
+// and they build one call graph and one set of per-function summaries
+// for the whole lint run. PackageSyntax is the window a driver
+// provides onto an imported package; FactStore is the run-wide memo
+// those analyzers keep their state in. Object identity is stable
 // across passes because the driver type-checks every package in one
-// shared universe.
+// shared universe, so state keyed by types.Object stays valid from one
+// package's pass to the next.
 
 import (
 	"go/ast"
@@ -25,42 +25,17 @@ type PackageSyntax struct {
 	Info *types.Info
 }
 
-// FactStore memoizes analyzer-derived facts keyed by the declaring
-// types.Object, plus a per-package marker so an analyzer can record
-// "this package's declarations have been scanned" and skip re-scans.
-// The driver runs passes one at a time, so the store is not
-// synchronized.
-//
-// Object/SetObject are a single slot per object, owned by unitflow.
-// Shared holds run-wide singletons (each interprocedural analyzer's
+// FactStore holds run-wide singletons (each interprocedural analyzer's
 // call graph and summaries) built once and reused by every pass of a
-// lint run; those analyzers keep their per-function facts there.
+// lint run; those analyzers keep their per-function facts there. The
+// driver runs passes one at a time, so the store is not synchronized.
 type FactStore struct {
-	objs   map[types.Object]any
 	shared map[string]any
-	pkgs   map[*types.Package]bool
 }
 
 // NewFactStore returns an empty store.
 func NewFactStore() *FactStore {
-	return &FactStore{
-		objs:   make(map[types.Object]any),
-		shared: make(map[string]any),
-		pkgs:   make(map[*types.Package]bool),
-	}
-}
-
-// Object returns the fact recorded for obj, if any.
-func (s *FactStore) Object(obj types.Object) (any, bool) {
-	f, ok := s.objs[obj]
-	return f, ok
-}
-
-// SetObject records a fact for obj.
-func (s *FactStore) SetObject(obj types.Object, fact any) {
-	if obj != nil {
-		s.objs[obj] = fact
-	}
+	return &FactStore{shared: make(map[string]any)}
 }
 
 // Shared returns the run-wide singleton stored under key, calling
@@ -72,17 +47,4 @@ func (s *FactStore) Shared(key string, build func() any) any {
 	v := build()
 	s.shared[key] = v
 	return v
-}
-
-// MarkPackage records that pkg's declarations have been scanned and
-// reports whether it was already marked.
-func (s *FactStore) MarkPackage(pkg *types.Package) (alreadyMarked bool) {
-	if pkg == nil {
-		return false
-	}
-	if s.pkgs[pkg] {
-		return true
-	}
-	s.pkgs[pkg] = true
-	return false
 }

@@ -100,9 +100,8 @@ type Column struct {
 	S []string `json:"s,omitempty"`
 	// I holds integer cells (their unit, e.g. cycles, travels in Unit).
 	I []int64 `json:"i,omitempty"`
-	// F holds raw float cells; the physical unit travels in Unit as
-	// data, so the storage itself is a bare number at the lint level.
-	F []float64 `json:"f,omitempty"` //unit:dimensionless
+	// F holds raw float cells; the physical unit travels in Unit.
+	F []float64 `json:"f,omitempty"`
 }
 
 // Metric is one headline scalar of an artifact (the numbers the paper
@@ -113,7 +112,7 @@ type Metric struct {
 	// Unit is the metric's physical unit from the units.go vocabulary.
 	Unit string `json:"unit,omitempty"`
 	// Value is the raw number; its physical unit travels in Unit.
-	Value float64 `json:"value"` //unit:dimensionless
+	Value float64 `json:"value"`
 }
 
 // Table is the concrete artifact payload: identified, typed, columnar
@@ -146,8 +145,6 @@ func (t *Table) ArtifactTable() *Table { return t }
 
 // Metric returns the value of the metric called name, and whether the
 // table has one.
-//
-//unit:result dimensionless
 func (t *Table) Metric(name string) (float64, bool) {
 	for _, m := range t.Metrics {
 		if m.Name == name {
@@ -215,15 +212,11 @@ func Ints(name, unit string, vals []int64) Column {
 }
 
 // Floats builds a float column carrying unit.
-//
-//unit:param vals dimensionless
 func Floats(name, unit string, vals []float64) Column {
 	return Column{Name: name, Unit: unit, Kind: ColFloat, F: vals}
 }
 
 // Met builds a headline metric.
-//
-//unit:param v dimensionless
 func Met(name, unit string, v float64) Metric {
 	return Metric{Name: name, Unit: unit, Value: v}
 }

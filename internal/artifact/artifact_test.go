@@ -204,8 +204,6 @@ func TestHasherFraming(t *testing.T) {
 }
 
 // negZero constructs -0.0 without tripping go vet's literal checks.
-//
-//unit:result dimensionless
 func negZero() float64 {
 	z := 0.0
 	return -z

@@ -49,8 +49,6 @@ func (h *Hasher) Int(label string, v int64) {
 }
 
 // Float mixes a labeled float field by exact bit pattern.
-//
-//unit:param v dimensionless
 func (h *Hasher) Float(label string, v float64) {
 	h.frame(label, strconv.FormatUint(math.Float64bits(v), 16))
 }

@@ -394,8 +394,6 @@ func formatInt(v int64) string { return strconv.FormatInt(v, 10) }
 
 // formatFloat renders a float cell with the shortest representation
 // that round-trips, so encodings are deterministic and lossless.
-//
-//unit:param v dimensionless
 func formatFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // sortedKeys returns m's keys in sorted order (deterministic encoding

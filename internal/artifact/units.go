@@ -5,45 +5,42 @@ import "strconv"
 // Column-unit vocabulary. Every Column.Unit / Metric.Unit value in the
 // repo's artifacts is one of these named constants, so the schema stays
 // a closed set that Validate can check and downstream consumers can
-// switch on. Each constant carries the unit it names as its own
-// //unit: tag; the tags both document the vocabulary in the same
-// grammar the unitflow analyzer speaks and opt this package into the
-// unitflow completeness lanes.
+// switch on.
 const (
 	// UnitNone marks label columns and unitless identifiers.
-	UnitNone = "" //unit:dimensionless
+	UnitNone = ""
 	// UnitCount marks plain event counts (accesses, lines, chips).
-	UnitCount = "count" //unit:dimensionless
+	UnitCount = "count"
 	// UnitFraction marks rates in [0,1] (miss rates, discard rates).
-	UnitFraction = "fraction" //unit:dimensionless
+	UnitFraction = "fraction"
 	// UnitPercent marks rates scaled to [0,100].
-	UnitPercent = "percent" //unit:dimensionless
+	UnitPercent = "percent"
 	// UnitRatio marks values normalized to a baseline (perf, power).
-	UnitRatio = "ratio" //unit:dimensionless
+	UnitRatio = "ratio"
 	// UnitIPC marks instructions-per-cycle throughput.
-	UnitIPC = "ipc" //unit:dimensionless
+	UnitIPC = "ipc"
 	// UnitCycles marks durations counted in clock cycles.
-	UnitCycles = "cycles" //unit:cycles
+	UnitCycles = "cycles"
 	// UnitNanoseconds marks times in nanoseconds (retention times).
-	UnitNanoseconds = "nanoseconds" //unit:nanoseconds
+	UnitNanoseconds = "nanoseconds"
 	// UnitMicroseconds marks times in microseconds (refresh periods).
-	UnitMicroseconds = "microseconds" //unit:microseconds
+	UnitMicroseconds = "microseconds"
 	// UnitPicoseconds marks times in picoseconds (access delays).
-	UnitPicoseconds = "picoseconds" //unit:picoseconds
+	UnitPicoseconds = "picoseconds"
 	// UnitGigahertz marks clock frequencies in gigahertz.
-	UnitGigahertz = "gigahertz" //unit:gigahertz
+	UnitGigahertz = "gigahertz"
 	// UnitMilliwatts marks powers in milliwatts.
-	UnitMilliwatts = "milliwatts" //unit:milliwatts
+	UnitMilliwatts = "milliwatts"
 	// UnitVolts marks supply voltages in volts.
-	UnitVolts = "volts" //unit:volts
+	UnitVolts = "volts"
 	// UnitBIPS marks throughput in billions of instructions per second.
-	UnitBIPS = "bips" //unit:bips
+	UnitBIPS = "bips"
 	// UnitNanometers marks feature sizes in nanometers (tech nodes).
-	UnitNanometers = "nanometers" //unit:nanometers
+	UnitNanometers = "nanometers"
 	// UnitMicrometers marks lateral dimensions in micrometers (wires).
-	UnitMicrometers = "micrometers" //unit:micrometers
+	UnitMicrometers = "micrometers"
 	// UnitSquareMicrometers marks cell/array areas in square micrometers.
-	UnitSquareMicrometers = "micrometers^2" //unit:micrometers^2
+	UnitSquareMicrometers = "micrometers^2"
 )
 
 // unitFormat is how the text encoder prints a float of one unit: the
@@ -88,8 +85,6 @@ func KnownUnit(u string) bool {
 // appendUnitFloat appends v in unit's text format. A unit outside the
 // vocabulary (a table that fails Validate) prints in the shortest exact
 // form.
-//
-//unit:param v dimensionless
 func appendUnitFloat(b []byte, unit string, v float64) []byte {
 	f, ok := knownUnits[unit]
 	if !ok {

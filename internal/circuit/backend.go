@@ -79,15 +79,15 @@ type Policy struct {
 	// CounterDeadlineSec anchors the counter step for
 	// PolicyClassDeadline backends: the architectural retention horizon
 	// the counters must resolve. Zero for PolicyRefreshCounter.
-	CounterDeadlineSec float64 //unit:seconds
+	CounterDeadlineSec float64
 }
 
 // BackendParam is one named scalar of a backend's configuration, listed
-// for provenance hashing. Value is unit-erased by design: a digest has
-// no physical dimension and mixes the IEEE-754 bit pattern.
+// for provenance hashing; the digest mixes Value's IEEE-754 bit
+// pattern.
 type BackendParam struct {
 	Name  string
-	Value float64 //unit:dimensionless
+	Value float64
 }
 
 // CellBackend is the pluggable cell-physics model behind the cache

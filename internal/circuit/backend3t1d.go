@@ -17,13 +17,9 @@ type backend3T1D struct{}
 func (backend3T1D) Name() string { return DefaultBackendName }
 
 // NominalRetention is the calibrated zero-deviation retention (§2.2).
-//
-//unit:result seconds
 func (backend3T1D) NominalRetention(t Tech) float64 { return t.Retention3T1D }
 
 // LineRetention delegates to the hoisted hot kernel.
-//
-//unit:result seconds
 func (backend3T1D) LineRetention(e ChipEval, line int) float64 {
 	return e.lineRetention3T1D(line)
 }
@@ -31,8 +27,6 @@ func (backend3T1D) LineRetention(e ChipEval, line int) float64 {
 // RetentionMap evaluates every line through the hoisted kernel. The
 // per-line loop runs inside the backend so the interface is crossed
 // once per chip, not once per line.
-//
-//unit:result seconds
 func (backend3T1D) RetentionMap(e ChipEval) []float64 {
 	m := make([]float64, e.Geom.Lines)
 	for l := range m {
@@ -42,16 +36,11 @@ func (backend3T1D) RetentionMap(e ChipEval) []float64 {
 }
 
 // AccessTime is the Fig. 4 curve for the requested corner.
-//
-//unit:param elapsed seconds
-//unit:result seconds
 func (backend3T1D) AccessTime(t Tech, c Corner, elapsed float64) float64 {
 	return t.AccessTime3T1D(cornerCell3T1D(c), elapsed)
 }
 
 // LeakageFactor is the Fig. 7 normalization versus the golden 6T.
-//
-//unit:result dimensionless
 func (backend3T1D) LeakageFactor(e ChipEval) float64 { return e.Leakage3T1DFactor() }
 
 // Policy implements CellBackend: the §4.3.1 per-chip adaptive counter

@@ -38,27 +38,27 @@ const slotMTJ uint8 = slotKeepB + 1
 // montecarlo.Options.Backend directly, bypassing the registry.
 type STTRAM struct {
 	// Tau0Sec is the thermal attempt period τ0 (~1 ns).
-	Tau0Sec float64 //unit:seconds
+	Tau0Sec float64
 	// DeltaLo is the relaxed (low-retention) class's nominal thermal
 	// stability factor Δ = E/kT.
-	DeltaLo float64 //unit:dimensionless
+	DeltaLo float64
 	// DeltaHi is the high-retention class's nominal Δ.
-	DeltaHi float64 //unit:dimensionless
+	DeltaHi float64
 	// HiWays is the number of ways (from way 0) built with the
 	// high-retention cell; the remaining ways use the relaxed cell.
 	HiWays int
 	// DeltaSigmaScale converts the scenario's σVth into the per-cell
 	// relative Δ deviation σΔ/Δ (MTJ geometry variability).
-	DeltaSigmaScale float64 //unit:dimensionless
+	DeltaSigmaScale float64
 	// DeltaLSens couples the systematic gate-length deviation into Δ:
 	// a longer channel means a larger free layer and a more stable bit.
-	DeltaLSens float64 //unit:dimensionless
+	DeltaLSens float64
 	// ReadFactor is the MTJ sensing latency relative to the 6T array.
-	ReadFactor float64 //unit:dimensionless
+	ReadFactor float64
 	// PeripheryLeakRatio is the cache leakage versus the golden 6T
 	// design: the MTJ cell is non-volatile and leaks nothing, so only
 	// the periphery (decoders, sense amplifiers) contributes.
-	PeripheryLeakRatio float64 //unit:dimensionless
+	PeripheryLeakRatio float64
 }
 
 // STTRAMBackend is the registered reference configuration: a relaxed
@@ -102,8 +102,6 @@ func (b *STTRAM) lineIsHi(g Geometry, line int) bool {
 }
 
 // classDelta is the nominal Δ of the line's retention class.
-//
-//unit:result dimensionless
 func (b *STTRAM) classDelta(g Geometry, line int) float64 {
 	if b.lineIsHi(g, line) {
 		return b.DeltaHi
@@ -113,8 +111,6 @@ func (b *STTRAM) classDelta(g Geometry, line int) float64 {
 
 // minClassDelta is the nominal Δ of the weakest class actually present
 // in the array — the class that sets the architectural counter horizon.
-//
-//unit:result dimensionless
 func (b *STTRAM) minClassDelta() float64 {
 	if b.HiWays >= ways(L1D) {
 		return b.DeltaHi
@@ -124,8 +120,6 @@ func (b *STTRAM) minClassDelta() float64 {
 
 // NominalRetention implements CellBackend: the weakest present class's
 // zero-deviation retention — the refresh-relevant horizon.
-//
-//unit:result seconds
 func (b *STTRAM) NominalRetention(t Tech) float64 {
 	return b.Tau0Sec * math.Exp(b.minClassDelta())
 }
@@ -145,8 +139,6 @@ const sttWindow = 1e-6
 // its own minimum (see sttGroup), evaluating the inverse normal CDF only
 // for the few cells whose uniform is near the group's extreme. The
 // result is bit-identical to evaluating Δ for every cell.
-//
-//unit:result seconds
 func (b *STTRAM) LineRetention(e ChipEval, line int) float64 {
 	x0, x1, y := e.Geom.LineTiles(line)
 	nom := b.classDelta(e.Geom, line)
@@ -178,12 +170,12 @@ func (b *STTRAM) LineRetention(e ChipEval, line int) float64 {
 // smallest u holds the minimum when dir > 0, the largest when dir < 0,
 // and every cell has Δ = nomSys when dir == 0.
 type sttGroup struct {
-	nomSys float64 //unit:dimensionless // nominal Δ times the tile's systematic factor
-	s      float64 //unit:dimensionless // DeltaSigmaScale
-	sigma  float64 //unit:dimensionless // the scenario's σVth
+	nomSys float64 // nominal Δ times the tile's systematic factor
+	s      float64 // DeltaSigmaScale
+	sigma  float64 // the scenario's σVth
 	dir    float64 // +1, -1 or 0: the sign of dΔ/du
 	key    float64 // the smallest dir·u scanned so far
-	min    float64 //unit:dimensionless // the smallest Δ evaluated so far
+	min    float64 // the smallest Δ evaluated so far
 }
 
 func (b *STTRAM) newGroup(nomSys, sigma float64) sttGroup {
@@ -234,8 +226,6 @@ func (g *sttGroup) scan(seed, base uint64, lo, hi int) {
 
 // RetentionMap implements CellBackend; the interface is crossed once
 // per chip.
-//
-//unit:result seconds
 func (b *STTRAM) RetentionMap(e ChipEval) []float64 {
 	m := make([]float64, e.Geom.Lines)
 	for l := range m {
@@ -247,8 +237,6 @@ func (b *STTRAM) RetentionMap(e ChipEval) []float64 {
 // cornerRetention is the retention of the plotted corner cell: the
 // relaxed class nominal, the relaxed class at -2σ of typical Δ
 // variability (weak), and the high-retention class nominal (strong).
-//
-//unit:result seconds
 func (b *STTRAM) cornerRetention(c Corner) float64 {
 	switch c {
 	case CornerNominal:
@@ -266,9 +254,6 @@ func (b *STTRAM) cornerRetention(c Corner) float64 {
 // while the bit is thermally stable; past the corner's retention the
 // stored value is lost and the read diverges (capped exactly like the
 // 3T1D curve, for the same numerical hygiene).
-//
-//unit:param elapsed seconds
-//unit:result seconds
 func (b *STTRAM) AccessTime(t Tech, c Corner, elapsed float64) float64 {
 	if elapsed <= b.cornerRetention(c) {
 		return t.AccessTime6T * b.ReadFactor
@@ -280,8 +265,6 @@ func (b *STTRAM) AccessTime(t Tech, c Corner, elapsed float64) float64 {
 // LeakageFactor implements CellBackend: periphery-only leakage, scaled
 // by the floorplan's systematic corner average (the cell array itself
 // is non-volatile and contributes nothing).
-//
-//unit:result dimensionless
 func (b *STTRAM) LeakageFactor(e ChipEval) float64 {
 	sum := 0.0
 	n := 0
@@ -317,7 +300,7 @@ func (b *STTRAM) Policy() Policy {
 // differently-configured STT-RAM variants.
 func (b *STTRAM) DigestParams() []BackendParam {
 	return []BackendParam{
-		{"tau0_sec", b.Tau0Sec / OneSecond},
+		{"tau0_sec", b.Tau0Sec},
 		{"delta_lo", b.DeltaLo},
 		{"delta_hi", b.DeltaHi},
 		{"hi_ways", float64(b.HiWays)},

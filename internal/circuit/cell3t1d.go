@@ -21,8 +21,6 @@ var Nominal3T1D = Cell3T1D{}
 
 // storedLevel returns the freshly-written "1" level on the storage node:
 // the write transistor drops its threshold (degraded level, §2.2).
-//
-//unit:result volts
 func (t Tech) storedLevel(c Cell3T1D) float64 {
 	v := t.Vdd - t.VthEff(c.T1)
 	if v < 0 {
@@ -32,8 +30,6 @@ func (t Tech) storedLevel(c Cell3T1D) float64 {
 }
 
 // nominalStoredLevel is V0 for a nominal cell.
-//
-//unit:result volts
 func (t Tech) nominalStoredLevel() float64 { return t.Vdd - t.Vth0 }
 
 // requiredLevel returns the storage-node voltage at which the cell's
@@ -46,8 +42,6 @@ func (t Tech) nominalStoredLevel() float64 { return t.Vdd - t.Vth0 }
 //   - a higher T2 threshold needs a higher boosted gate voltage;
 //   - weaker drive (longer channel, weaker T3 in series) needs more
 //     overdrive, scaled through the alpha-power law.
-//
-//unit:result volts
 func (t Tech) requiredLevel(c Cell3T1D) float64 {
 	v0n := t.nominalStoredLevel()
 	vreqNom := v0n * (1 - t.MarginFrac)
@@ -72,8 +66,6 @@ func (t Tech) requiredLevel(c Cell3T1D) float64 {
 // level exactly at Tech.Retention3T1D; the write transistor's leakage
 // corner then scales it with the softened exponential sensitivity
 // RetLeakSens (sub-threshold plus junction and gate leakage lumped).
-//
-//unit:result volts/seconds
 func (t Tech) decayRate(c Cell3T1D) float64 {
 	v0n := t.nominalStoredLevel()
 	marginNom := v0n * t.MarginFrac
@@ -82,9 +74,6 @@ func (t Tech) decayRate(c Cell3T1D) float64 {
 
 // StorageLevel returns the storage-node voltage a time elapsed (seconds)
 // after a "1" was written, clipped at zero.
-//
-//unit:param elapsed seconds
-//unit:result volts
 func (t Tech) StorageLevel(c Cell3T1D, elapsed float64) float64 {
 	v := t.storedLevel(c) - t.decayRate(c)*elapsed
 	if v < 0 {
@@ -98,8 +87,6 @@ func (t Tech) StorageLevel(c Cell3T1D, elapsed float64) float64 {
 // fast as the nominal 6T array (§2.2's redefinition). A cell whose read
 // path cannot match 6T speed even immediately after the write has zero
 // retention — it is dead.
-//
-//unit:result seconds
 func (t Tech) RetentionTime(c Cell3T1D) float64 {
 	margin := t.storedLevel(c) - t.requiredLevel(c)
 	if margin <= 0 {
@@ -115,9 +102,6 @@ func (t Tech) RetentionTime(c Cell3T1D) float64 {
 // time. Once the boosted gate falls to the T2 threshold the cell is
 // effectively unreadable and the access time diverges (capped for
 // numerical hygiene).
-//
-//unit:param elapsed seconds
-//unit:result seconds
 func (t Tech) AccessTime3T1D(c Cell3T1D, elapsed float64) float64 {
 	// Current available from T2 at the boosted gate level, in series
 	// with T3, normalized against the current needed to match 6T.
@@ -143,13 +127,11 @@ func (t Tech) AccessTime3T1D(c Cell3T1D, elapsed float64) float64 {
 // has a single path that is slightly strong only while a fresh "1" is
 // stored and weak otherwise (§2.2). The blend assumes roughly half the
 // cells hold decayed or zero data at any instant.
-const Leak3T1DRatio = 0.22 //unit:dimensionless
+const Leak3T1DRatio = 0.22
 
 // LeakFactor3T1D returns a 3T1D cell's leakage relative to a *nominal 1X
 // 6T* cell, given the cell's devices. Only the single storage-path
 // device matters; its corner scales the one path.
-//
-//unit:result dimensionless
 func (t Tech) LeakFactor3T1D(c Cell3T1D) float64 {
 	return Leak3T1DRatio * t.LeakFactor(c.T1)
 }

@@ -107,8 +107,6 @@ func (e ChipEval) cellDevice(line, cell int, slot uint8, tileX, tileY int) Devic
 // under the active cell backend: the minimum retention over its data
 // and tag cells (§4.3.1 — a line's retention is defined by its worst
 // cell so no data is ever lost during it).
-//
-//unit:result seconds
 func (e ChipEval) LineRetention(line int) float64 {
 	return e.ActiveBackend().LineRetention(e, line)
 }
@@ -130,8 +128,6 @@ const retentionChunk = 16
 // most the rest of its chunk is evaluated for nothing. Each stage sees
 // the same operands in the same order as a per-cell loop would, so the
 // result is bit-identical to one.
-//
-//unit:result seconds
 func (e ChipEval) lineRetention3T1D(line int) float64 {
 	x0, x1, y := e.Geom.LineTiles(line)
 	p0 := e.tileParams(x0, y)
@@ -188,12 +184,12 @@ func (e ChipEval) lineRetention3T1D(line int) float64 {
 // tileParams holds the per-tile (systematic) quantities hoisted out of
 // the per-cell retention kernel.
 type tileParams struct {
-	dL       float64 //unit:dimensionless // gate-length deviation of the tile
-	vthShift float64 //unit:volts // SCE·dL·Vth0, added to every device threshold
+	dL       float64 // gate-length deviation of the tile
+	vthShift float64 // SCE·dL·Vth0, added to every device threshold
 	ln1pdL   float64 // ln(1+dL)
-	invDecay float64 //unit:seconds/volts // T0 / (margin0 · (1+dL)^-1), Vth part applied per cell
-	vreqNom  float64 //unit:volts // nominal required storage level
-	overNom  float64 //unit:volts // nominal T2 gate overdrive at the crossing
+	invDecay float64 // T0 / (margin0 · (1+dL)^-1), Vth part applied per cell
+	vreqNom  float64 // nominal required storage level
+	overNom  float64 // nominal T2 gate overdrive at the crossing
 	lnOver3  float64 // ln of nominal T3 overdrive, for the drive-factor log
 }
 
@@ -228,10 +224,6 @@ func (e ChipEval) tileParams(tx, ty int) tileParams {
 // cellLeakTerms returns the log of T3's gate overdrive and T1's decay
 // factor retLeakFactor (its (1+dL) part is folded into invDecay, leaving
 // the Vth exponential per cell).
-//
-//unit:param g1 dimensionless
-//unit:param g3 dimensionless
-//unit:result dimensionless
 func cellLeakTerms(t *Tech, p *tileParams, g1, g3 float64) (lnOver3, retLeak float64) {
 	over3 := t.Vdd - (t.Vth0*(1+g3) + p.vthShift)
 	if over3 < 1e-3 {
@@ -244,9 +236,6 @@ func cellLeakTerms(t *Tech, p *tileParams, g1, g3 float64) (lnOver3, retLeak flo
 // cellScale is the required-level scale (DF3^-T3Weight · (1+dL))^(1/α),
 // with T3's drive factor taken in log space: α·ln(over/overNom) -
 // ln(1+dL).
-//
-//unit:param lnOver3 dimensionless
-//unit:result dimensionless
 func cellScale(t *Tech, p *tileParams, lnOver3 float64) float64 {
 	lnDF3 := t.Alpha*(lnOver3-p.lnOver3) - p.ln1pdL
 	return math.Exp((-t.T3Weight*lnDF3 + p.ln1pdL) / t.Alpha)
@@ -255,12 +244,6 @@ func cellScale(t *Tech, p *tileParams, lnOver3 float64) float64 {
 // cellRetention is the cell's retention: zero when T1 cannot store a
 // level or the stored level is below the required one, else the margin
 // over the decay rate margin0/T0 · retLeakFactor(T1).
-//
-//unit:param g1 dimensionless
-//unit:param g2 dimensionless
-//unit:param scale dimensionless
-//unit:param retLeak dimensionless
-//unit:result seconds
 func cellRetention(t *Tech, p *tileParams, g1, g2, scale, retLeak float64) float64 {
 	v0 := t.Vdd - (t.Vth0*(1+g1) + p.vthShift)
 	if v0 <= 0 {
@@ -277,16 +260,12 @@ func cellRetention(t *Tech, p *tileParams, g1, g2, scale, retLeak float64) float
 // RetentionMap returns the retention time of every line, in seconds,
 // produced by the active cell backend. The interface is crossed once
 // per chip; the per-line loop runs inside the backend.
-//
-//unit:result seconds
 func (e ChipEval) RetentionMap() []float64 {
 	return e.ActiveBackend().RetentionMap(e)
 }
 
 // CellLeakageFactor returns the active backend's cache leakage relative
 // to the golden 6T design (the Fig. 7 normalization).
-//
-//unit:result dimensionless
 func (e ChipEval) CellLeakageFactor() float64 {
 	return e.ActiveBackend().LeakageFactor(e)
 }
@@ -295,8 +274,6 @@ func (e ChipEval) CellLeakageFactor() float64 {
 // scheme: the minimum line retention (§4.3 — "the memory cell with the
 // shortest retention time determines the retention time of the entire
 // structure").
-//
-//unit:result seconds
 func (e ChipEval) CacheRetention() float64 {
 	min := math.Inf(1)
 	for l := 0; l < e.Geom.Lines; l++ {
@@ -311,8 +288,6 @@ func (e ChipEval) CacheRetention() float64 {
 // slowest array access time (seconds) for the given 6T cell variant.
 // This is the exact (sampled) evaluation; SRAMWorstAccessTimeFast is the
 // extreme-value approximation used inside large Monte-Carlo sweeps.
-//
-//unit:result seconds
 func (e ChipEval) SRAMWorstAccessTime(cell SRAM6T) float64 {
 	worst := 0.0
 	for line := 0; line < e.Geom.Lines; line++ {
@@ -342,8 +317,6 @@ func (e ChipEval) SRAMWorstAccessTime(cell SRAM6T) float64 {
 // draws plus a Gumbel fluctuation (hash-seeded per tile so the result is
 // deterministic per chip). Agreement with the exact scan is verified in
 // tests; the fast path makes 1000-chip distribution studies cheap.
-//
-//unit:result seconds
 func (e ChipEval) SRAMWorstAccessTimeFast(cell SRAM6T) float64 {
 	g := e.Geom
 	cellsPerTile := g.Lines / (g.TileCols / 2) / g.TileRows * (g.CellsPerLine + g.TagBits) / 2
@@ -378,8 +351,6 @@ func (e ChipEval) SRAMWorstAccessTimeFast(cell SRAM6T) float64 {
 
 // SRAMFrequencyFactor returns the chip's normalized frequency (≤1) for
 // the given cell variant using the fast worst-cell evaluation.
-//
-//unit:result dimensionless
 func (e ChipEval) SRAMFrequencyFactor(cell SRAM6T) float64 {
 	return FrequencyFactor(e.Tech, e.SRAMWorstAccessTimeFast(cell))
 }
@@ -388,8 +359,6 @@ func (e ChipEval) SRAMFrequencyFactor(cell SRAM6T) float64 {
 // read is pseudo-destructive, computed analytically: the mismatch of the
 // two cross-coupled keepers is N(0, 2·(σVth·Vth0·scale)²) and the cell
 // flips when |mismatch| exceeds the threshold.
-//
-//unit:result dimensionless
 func (e ChipEval) SRAMUnstableFraction(cell SRAM6T) float64 {
 	sigma := e.Chip.Scenario.SigmaVth * e.Tech.Vth0 * cell.VthSigmaScale()
 	if sigma == 0 {
@@ -403,8 +372,6 @@ func (e ChipEval) SRAMUnstableFraction(cell SRAM6T) float64 {
 // cells contains at least one unstable cell — the paper's §2.1 point
 // that 256-bit lines fail with 1-(1-p)^256 probability, which defeats
 // line-level redundancy.
-//
-//unit:result dimensionless
 func (e ChipEval) SRAMLineFailureProbability(cell SRAM6T, n int) float64 {
 	p := e.SRAMUnstableFraction(cell)
 	return 1 - math.Pow(1-p, float64(n))
@@ -413,9 +380,6 @@ func (e ChipEval) SRAMLineFailureProbability(cell SRAM6T, n int) float64 {
 // iidLeakMultiplier is E[exp(-ΔVth·Vth0/s)] over the random-dopant
 // distribution: the lognormal mean shift that i.i.d. Vth noise adds to
 // every chip's leakage.
-//
-//unit:param sigmaScale dimensionless
-//unit:result dimensionless
 func (e ChipEval) iidLeakMultiplier(sigmaScale float64) float64 {
 	s := e.Chip.Scenario.SigmaVth * e.Tech.Vth0 * sigmaScale
 	return math.Exp(s * s / (2 * e.Tech.SubVTSlope * e.Tech.SubVTSlope))
@@ -424,8 +388,6 @@ func (e ChipEval) iidLeakMultiplier(sigmaScale float64) float64 {
 // SRAMLeakageFactor returns the chip's total 6T cache leakage relative
 // to the golden (no-variation) design: the tile-systematic corner factor
 // averaged over the floorplan times the analytic i.i.d. multiplier.
-//
-//unit:result dimensionless
 func (e ChipEval) SRAMLeakageFactor(cell SRAM6T) float64 {
 	sum := 0.0
 	n := 0
@@ -441,8 +403,6 @@ func (e ChipEval) SRAMLeakageFactor(cell SRAM6T) float64 {
 
 // Leakage3T1DFactor returns the chip's 3T1D cache leakage relative to
 // the *golden 6T* design (the Fig. 7 normalization).
-//
-//unit:result dimensionless
 func (e ChipEval) Leakage3T1DFactor() float64 {
 	sum := 0.0
 	n := 0

@@ -4,16 +4,9 @@ import "math"
 
 // Thin aliases so the model files read like the equations in the paper's
 // references without repeating the package qualifier everywhere. Both
-// are transcendental, so their arguments must be dimensionless — the
-// unit tags make the analyzer enforce that every exponent and every
-// exp() argument is a ratio, which is what forces conversion constants
-// like LeakageDoublingCelsius to exist.
-//
-//unit:param x dimensionless
-//unit:param y dimensionless
-//unit:result dimensionless
+// are transcendental, so their arguments must be dimensionless: every
+// exponent and every exp() argument is a ratio, which is why
+// conversion constants like LeakageDoublingCelsius exist.
 func pow(x, y float64) float64 { return math.Pow(x, y) }
 
-//unit:param x dimensionless
-//unit:result dimensionless
 func exp(x float64) float64 { return math.Exp(x) }

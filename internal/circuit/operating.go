@@ -9,20 +9,20 @@ package circuit
 // operating point so those studies can be reproduced and extended.
 
 // ReferenceTempC is the paper's simulation temperature (§3.1).
-const ReferenceTempC = 80.0 //unit:celsius
+const ReferenceTempC = 80.0
 
 // LeakageDoublingCelsius is the temperature rise that doubles
 // sub-threshold leakage (the classic DRAM-retention rule of thumb).
-const LeakageDoublingCelsius = 10.0 //unit:celsius
+const LeakageDoublingCelsius = 10.0
 
 // SlowdownPerCelsius is the mobility-driven drive-current derating:
 // arrays slow by this fraction per degree above the reference point.
-const SlowdownPerCelsius = 0.0005 //unit:1/celsius
+const SlowdownPerCelsius = 0.0005
 
 // DIBLReferenceVolts is the voltage scale of the DIBL leakage
 // exponential (≈2.5× leakage change per volt of supply swing at these
 // nodes).
-const DIBLReferenceVolts = 2.75 //unit:volts
+const DIBLReferenceVolts = 2.75
 
 // AtTemperature returns a copy of the node derated to the given junction
 // temperature (°C):
@@ -34,8 +34,6 @@ const DIBLReferenceVolts = 2.75 //unit:volts
 //     temperature, softening the leakage's Vth sensitivity;
 //   - drive current falls mildly with temperature (mobility), slowing
 //     the arrays by ~0.05 %/°C.
-//
-//unit:param celsius celsius
 func (t Tech) AtTemperature(celsius float64) Tech {
 	d := t
 	dT := celsius - ReferenceTempC
@@ -63,8 +61,6 @@ func (t Tech) AtTemperature(celsius float64) Tech {
 //     observation that "scaling voltage to lower levels also impacts
 //     retention times and degrades performance";
 //   - leakage drops with Vdd through DIBL (≈2.5×/V at these nodes).
-//
-//unit:param vdd volts
 func (t Tech) AtVdd(vdd float64) Tech {
 	d := t
 	if vdd <= t.Vth0+0.05 {
@@ -91,10 +87,6 @@ func (t Tech) AtVdd(vdd float64) Tech {
 // assumes worstTempC but the silicon runs at runTempC (§4.3.1: "we
 // assume worst-case temperatures to set retention times"). A value
 // below 1 means the counters are conservative at run time.
-//
-//unit:param worstTempC celsius
-//unit:param runTempC celsius
-//unit:result dimensionless
 func RetentionDeratingForTestTemp(worstTempC, runTempC float64) float64 {
 	return pow(2, (runTempC-worstTempC)/LeakageDoublingCelsius)
 }

@@ -8,7 +8,7 @@ import "math"
 // is the linear device-sizing factor: 1 for the 1X cell, 2 for the 2X
 // cell whose devices have twice the width and length.
 type SRAM6T struct {
-	Size float64 //unit:dimensionless
+	Size float64
 }
 
 var (
@@ -23,8 +23,6 @@ var (
 // 2X); the doubled gate length additionally suppresses line-edge-
 // roughness-induced Vth spread, modelled together as Size^-1.5.
 // Systematic gate-length deviation is lithographic and does not shrink.
-//
-//unit:result dimensionless
 func (c SRAM6T) VthSigmaScale() float64 { return math.Pow(c.Size, -1.5) }
 
 // scale returns d with its random-dopant component shrunk per cell size.
@@ -37,8 +35,6 @@ func (c SRAM6T) scale(d Device) Device {
 // transistor and the pull-down driver conduct in series; the slower of
 // the two dominates, modelled as a harmonic combination of their drive
 // strengths).
-//
-//unit:result dimensionless
 func (c SRAM6T) ReadDelayFactor(t Tech, access, driver Device) float64 {
 	ga := t.DriveFactor(c.scale(access))
 	gd := t.DriveFactor(c.scale(driver))
@@ -65,8 +61,6 @@ func (c SRAM6T) Unstable(t Tech, keepA, keepB Device) bool {
 // double L keeps W/L, but doubled W raises the absolute off current of
 // the wider device; we model leakage ∝ W/L · exp(-Vth/n·vT) so sizing is
 // leakage-neutral per path before the Pelgrom-narrowed Vth spread).
-//
-//unit:result dimensionless
 func (c SRAM6T) LeakFactor(t Tech, p1, p2, p3 Device) float64 {
 	return (t.LeakFactor(c.scale(p1)) + t.LeakFactor(c.scale(p2)) + t.LeakFactor(c.scale(p3))) / 3
 }
@@ -76,9 +70,6 @@ func (c SRAM6T) LeakFactor(t Tech, p1, p2, p3 Device) float64 {
 // BitlineFrac share of the nominal path tracks the worst cell; the rest
 // (decoder, wordline drivers, sense amps, output mux) tracks the
 // periphery device corner of the region.
-//
-//unit:param worstCellDelayFactor dimensionless
-//unit:result seconds
 func ArrayAccessTime(t Tech, worstCellDelayFactor float64, periphery Device) float64 {
 	per := math.Pow(t.DriveFactor(periphery), -0.3)
 	return t.AccessTime6T * ((1-t.BitlineFrac)*per + t.BitlineFrac*worstCellDelayFactor)
@@ -88,9 +79,6 @@ func ArrayAccessTime(t Tech, worstCellDelayFactor float64, periphery Device) flo
 // nominal given its worst array access time: the L1 is on the critical
 // path (one pipeline cycle is reserved for the array access, §3.2), so
 // the clock stretches with the slowest cell.
-//
-//unit:param worstAccessTime seconds
-//unit:result dimensionless
 func FrequencyFactor(t Tech, worstAccessTime float64) float64 {
 	if worstAccessTime <= 0 {
 		return 1

@@ -28,75 +28,75 @@ type Tech struct {
 	// NodeNM is the feature size in nanometres (65, 45, 32).
 	NodeNM int
 	// Vdd is the nominal supply voltage in volts.
-	Vdd float64 //unit:volts
+	Vdd float64
 	// Vth0 is the nominal threshold voltage in volts.
-	Vth0 float64 //unit:volts
+	Vth0 float64
 	// FreqGHz is the nominal chip frequency from Table 1.
-	FreqGHz float64 //unit:gigahertz
+	FreqGHz float64
 	// CellAreaUM2 is the minimum-size 6T cell area from Table 1 (µm²).
-	CellAreaUM2 float64 //unit:micrometers^2
+	CellAreaUM2 float64
 	// WireWidthUM and WireThickUM are the wire geometry from Table 1 (µm).
-	WireWidthUM, WireThickUM float64 //unit:micrometers
+	WireWidthUM, WireThickUM float64
 	// OxideNM is the gate-oxide thickness from Table 1 (nm).
-	OxideNM float64 //unit:nanometers
+	OxideNM float64
 
 	// AccessTime6T is the ideal (no-variation) 6T L1 array access time in
 	// seconds; Table 3 column 1.
-	AccessTime6T float64 //unit:seconds
+	AccessTime6T float64
 	// Retention3T1D is the nominal (no-variation) 3T1D cell retention
 	// time in seconds (≈5.8 µs at 32 nm per Fig. 4; §4.1 quotes ≈6000 ns
 	// for the cache).
-	Retention3T1D float64 //unit:seconds
+	Retention3T1D float64
 	// LeakagePower6T is the ideal 6T 64 KB cache leakage power in watts
 	// (Table 3).
-	LeakagePower6T float64 //unit:watts
+	LeakagePower6T float64
 	// EnergyPerAccess is the dynamic energy of one full-width cache
 	// access in joules, derived from Table 3's full dynamic power at the
 	// nominal frequency.
-	EnergyPerAccess float64 //unit:joules
+	EnergyPerAccess float64
 
 	// --- Model constants (calibrated, see calibration_test.go) ---
 
 	// Alpha is the alpha-power-law velocity-saturation exponent.
-	Alpha float64 //unit:dimensionless
+	Alpha float64
 	// SubVTSlope is the effective sub-threshold swing parameter n·vT in
 	// volts (vT at the 80 °C simulation temperature of §3.1).
-	SubVTSlope float64 //unit:volts
+	SubVTSlope float64
 	// SCE couples gate-length deviation into threshold voltage
 	// (short-channel effect): ΔVth = -SCE · (ΔL/L) · Vth0 for shorter
 	// channels (negative ΔL lowers Vth).
-	SCE float64 //unit:dimensionless
+	SCE float64
 	// LeakSCE is the (stronger) gate-length coupling used for static
 	// leakage only: sub-threshold current responds to ΔL through DIBL
 	// and Vth roll-off much more sharply than drive current does. It
 	// produces the paper's ≈5-10× chip-to-chip leakage spread (§2.1).
-	LeakSCE float64 //unit:dimensionless
+	LeakSCE float64
 	// BitlineFrac is the fraction of the array access path that scales
 	// with cell read current (the rest is decoder/wire/sense-amp).
-	BitlineFrac float64 //unit:dimensionless
+	BitlineFrac float64
 	// DiodeBoost is the gated-diode voltage gain when reading a stored
 	// "1" (the paper's Fig. 3 shows 0.6 V boosted to 1.13 V, ≈1.9×).
-	DiodeBoost float64 //unit:dimensionless
+	DiodeBoost float64
 	// MarginFrac is the nominal read margin of the 3T1D cell: the
 	// fraction of the freshly-written storage level that can decay before
 	// the access time exceeds the 6T nominal. Together with Retention3T1D
 	// it fixes the decay rate.
-	MarginFrac float64 //unit:dimensionless
+	MarginFrac float64
 	// T3Weight is the weight of the series read-wordline transistor (T3)
 	// in the 3T1D required-level computation: T3 runs at full gate drive
 	// and contributes only part of the read-path resistance at the
 	// retention crossing.
-	T3Weight float64 //unit:dimensionless
+	T3Weight float64
 	// RetleakSens is the effective sensitivity (volts) of storage-node
 	// decay current to the write-transistor threshold deviation; larger
 	// values mean retention varies less with Vth. It is an effective
 	// lumped parameter (sub-threshold plus junction and gate leakage),
 	// deliberately softer than SubVTSlope.
-	RetLeakSens float64 //unit:volts
+	RetLeakSens float64
 	// FlipThreshold is the cross-coupled mismatch (volts) beyond which a
 	// 6T cell's read becomes pseudo-destructive (§2.1); calibrated to the
 	// ≈0.4 % bit-flip rate at 32 nm typical variation.
-	FlipThreshold float64 //unit:volts
+	FlipThreshold float64
 }
 
 // Technology nodes from Table 1 of the paper. AccessTime6T, frequency,
@@ -141,19 +141,13 @@ var (
 var Nodes = []Tech{Node65, Node45, Node32}
 
 // CyclePS returns the nominal clock period in picoseconds.
-//
-//unit:result picoseconds
 func (t Tech) CyclePS() float64 { return GigahertzPeriodPicoseconds / t.FreqGHz }
 
 // CycleSeconds returns the nominal clock period in seconds.
-//
-//unit:result seconds
 func (t Tech) CycleSeconds() float64 { return GigahertzPeriodSeconds / t.FreqGHz }
 
 // RetentionCycles returns the nominal 3T1D retention time expressed in
 // clock cycles at the nominal frequency.
-//
-//unit:result dimensionless
 func (t Tech) RetentionCycles() float64 {
 	return t.Retention3T1D / t.CycleSeconds()
 }
@@ -162,8 +156,8 @@ func (t Tech) RetentionCycles() float64 {
 // length (ΔL/L) and threshold voltage (ΔVth/Vth0) as produced by
 // internal/variation.
 type Device struct {
-	DL   float64 //unit:dimensionless
-	DVth float64 //unit:dimensionless
+	DL   float64
+	DVth float64
 }
 
 // Nominal is the zero-deviation device.
@@ -172,8 +166,6 @@ var Nominal = Device{}
 // VthEff returns the device's effective threshold voltage in volts,
 // combining random-dopant deviation with the short-channel-effect
 // coupling of gate-length deviation (shorter channel → lower Vth).
-//
-//unit:result volts
 func (t Tech) VthEff(d Device) float64 {
 	return t.Vth0*(1+d.DVth) + t.SCE*d.DL*t.Vth0
 }
@@ -183,17 +175,12 @@ func (t Tech) VthEff(d Device) float64 {
 // Vdd. A device whose Vth reaches Vgs has (almost) no drive; the result
 // is floored at a small positive value so downstream delay computations
 // yield very-slow rather than infinite.
-//
-//unit:result dimensionless
 func (t Tech) DriveFactor(d Device) float64 {
 	return t.DriveFactorAt(d, t.Vdd)
 }
 
 // DriveFactorAt is DriveFactor with an explicit gate voltage, used for
 // the 3T1D read transistor whose gate is the boosted storage node.
-//
-//unit:param vgs volts
-//unit:result dimensionless
 func (t Tech) DriveFactorAt(d Device, vgs float64) float64 {
 	over := vgs - t.VthEff(d)
 	overNom := t.Vdd - t.Vth0
@@ -210,8 +197,6 @@ func (t Tech) DriveFactorAt(d Device, vgs float64) float64 {
 // LeakFactor returns the device's sub-threshold leakage current relative
 // to nominal: I_off ∝ exp(-Vth/(n·vT)) / L, with the stronger LeakSCE
 // channel-length coupling (DIBL / Vth roll-off).
-//
-//unit:result dimensionless
 func (t Tech) LeakFactor(d Device) float64 {
 	dv := t.Vth0*d.DVth + t.LeakSCE*d.DL*t.Vth0
 	return exp(-dv/t.SubVTSlope) / (1 + d.DL)
@@ -219,8 +204,6 @@ func (t Tech) LeakFactor(d Device) float64 {
 
 // retLeakFactor is the softened leakage factor used for storage-node
 // decay (see RetLeakSens).
-//
-//unit:result dimensionless
 func (t Tech) retLeakFactor(d Device) float64 {
 	dv := t.VthEff(d) - t.Vth0
 	return exp(-dv/t.RetLeakSens) / (1 + d.DL)

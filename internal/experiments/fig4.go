@@ -43,10 +43,10 @@ func Fig4(p *Params) *artifact.Table {
 		artifact.Floats("strong", artifact.UnitPicoseconds, strongPS),
 	}
 	tb.Metrics = []artifact.Metric{
-		artifact.Met("sram_6t_access", artifact.UnitPicoseconds, t.AccessTime6T*circuit.SecondsToPico/circuit.OnePicosecond),
-		artifact.Met("nominal_retention", artifact.UnitMicroseconds, t.RetentionTime(circuit.Nominal3T1D)*circuit.SecondsToMicro/circuit.OneMicrosecond),
-		artifact.Met("weak_retention", artifact.UnitMicroseconds, t.RetentionTime(weak)*circuit.SecondsToMicro/circuit.OneMicrosecond),
-		artifact.Met("strong_retention", artifact.UnitMicroseconds, strongRetUS/circuit.OneMicrosecond),
+		artifact.Met("sram_6t_access", artifact.UnitPicoseconds, t.AccessTime6T*circuit.SecondsToPico),
+		artifact.Met("nominal_retention", artifact.UnitMicroseconds, t.RetentionTime(circuit.Nominal3T1D)*circuit.SecondsToMicro),
+		artifact.Met("weak_retention", artifact.UnitMicroseconds, t.RetentionTime(weak)*circuit.SecondsToMicro),
+		artifact.Met("strong_retention", artifact.UnitMicroseconds, strongRetUS),
 	}
 	return tb
 }

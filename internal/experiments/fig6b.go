@@ -124,8 +124,8 @@ func GlobalRefreshNoVariation(p *Params) *artifact.Table {
 	passCycles := float64(1024 / 4 * core.DefaultConfig(core.NoRefreshLRU).RefreshCycles)
 	t := p.newTable("sec4.1")
 	t.Metrics = []artifact.Metric{
-		artifact.Met("retention", artifact.UnitNanoseconds, float64(retCycles)*cyc*circuit.SecondsToNano/circuit.OneNanosecond),
-		artifact.Met("refresh_pass", artifact.UnitNanoseconds, passCycles*cyc*circuit.SecondsToNano/circuit.OneNanosecond),
+		artifact.Met("retention", artifact.UnitNanoseconds, float64(retCycles)*cyc*circuit.SecondsToNano),
+		artifact.Met("refresh_pass", artifact.UnitNanoseconds, passCycles*cyc*circuit.SecondsToNano),
 		artifact.Met("bandwidth_share", artifact.UnitFraction, passCycles/float64(retCycles)),
 		artifact.Met("normalized_perf", artifact.UnitRatio, norm),
 		artifact.Met("global_passes", artifact.UnitCount, float64(passes)),

@@ -25,7 +25,7 @@ type Chip struct {
 	// Index within the population.
 	Index int
 	// RetentionSec is the per-line retention in seconds (exact).
-	RetentionSec []float64 //unit:seconds
+	RetentionSec []float64
 	// Retention is the per-line counter map (cycles, quantized with the
 	// chip's CounterStep).
 	Retention core.RetentionMap
@@ -34,17 +34,17 @@ type Chip struct {
 	CounterStep int64
 	// CacheRetentionNS is the whole-cache (minimum-line) retention in
 	// nanoseconds — the global scheme's operating point.
-	CacheRetentionNS float64 //unit:nanoseconds
+	CacheRetentionNS float64
 	// DeadFrac is the fraction of lines with zero quantized retention.
-	DeadFrac float64 //unit:dimensionless
+	DeadFrac float64
 	// MeanAliveNS is the mean retention over live lines (ns).
-	MeanAliveNS float64 //unit:nanoseconds
+	MeanAliveNS float64
 	// Freq1X and Freq2X are the normalized 6T frequencies (≤1).
-	Freq1X, Freq2X float64 //unit:dimensionless
+	Freq1X, Freq2X float64
 	// Leak6T1X and Leak3T1D are leakage factors versus the golden 6T.
-	Leak6T1X, Leak3T1D float64 //unit:dimensionless
+	Leak6T1X, Leak3T1D float64
 	// Unstable1X is the 6T 1X bit-flip probability per cell.
-	Unstable1X float64 //unit:dimensionless
+	Unstable1X float64
 }
 
 // Study is a population of evaluated chips for one (technology,
@@ -183,8 +183,6 @@ func mapFigures(c *Chip, s *Study, e circuit.ChipEval) {
 // quality ranks a chip for good/median/bad selection: higher is better.
 // Chips are ranked by mean live retention penalized by dead lines, the
 // §4.3 notion of "process corners that result in longest retention".
-//
-//unit:result nanoseconds
 func (c *Chip) quality() float64 {
 	return c.MeanAliveNS * (1 - c.DeadFrac)
 }
@@ -206,8 +204,6 @@ func (s *Study) GoodMedianBad() (good, median, bad int) {
 // DiscardRate returns the fraction of chips unusable under the global
 // scheme: at least one line cannot survive a refresh pass (§4.3 reports
 // ~80% under severe variation).
-//
-//unit:result dimensionless
 func (s *Study) DiscardRate() float64 {
 	s.needMaps("DiscardRate")
 	if len(s.Chips) == 0 {
@@ -235,7 +231,7 @@ func (s *Study) needMaps(reader string) {
 }
 
 // Column extracts one per-chip metric as a slice (ordered by index).
-func (s *Study) Column(f func(*Chip) float64) []float64 { //lint:allow unitflow element unit depends on the metric extractor; TestColumnAndSummary pins the unit contract per column
+func (s *Study) Column(f func(*Chip) float64) []float64 {
 	out := make([]float64, len(s.Chips))
 	for i := range s.Chips {
 		out[i] = f(&s.Chips[i])

@@ -17,28 +17,26 @@ const (
 	// RefreshEnergyRatio is the energy of refreshing one line (a
 	// pipelined row read + write-back through the shared sense amps)
 	// relative to a demand port access.
-	RefreshEnergyRatio = 0.8 //unit:dimensionless
+	RefreshEnergyRatio = 0.8
 	// MoveEnergyRatio is the energy of one RSP way move (read one way,
 	// write another through the MUX network).
-	MoveEnergyRatio = 0.9 //unit:dimensionless
+	MoveEnergyRatio = 0.9
 	// L2EnergyRatio is the energy of one L2 access relative to an L1
 	// port access (the 2 MB array burns more per access but activates
 	// only one sub-bank).
-	L2EnergyRatio = 4.0 //unit:dimensionless
+	L2EnergyRatio = 4.0
 	// CounterOverhead is the dynamic overhead of the per-line retention
 	// counters and control logic for line-level schemes (§4.3.1 sizes
 	// the hardware at ~10%).
-	CounterOverhead = 0.05 //unit:dimensionless
+	CounterOverhead = 0.05
 	// MUXOverhead is the extra dynamic cost of accessing through the RSP
 	// way-switching MUX network (§4.3.2's ~7% hardware overhead).
-	MUXOverhead = 0.07 //unit:dimensionless
+	MUXOverhead = 0.07
 )
 
 // portEnergy returns the energy of one L1 port access in joules: the
 // node's full dynamic power divided across its three ports at the
 // nominal frequency.
-//
-//unit:result joules
 func portEnergy(t circuit.Tech) float64 {
 	return t.EnergyPerAccess / 3
 }
@@ -46,8 +44,6 @@ func portEnergy(t circuit.Tech) float64 {
 // FullDynamicPower returns the node's 100%-utilization L1 dynamic power
 // in watts (all three ports active every cycle) — Table 3's "Full Dyn
 // Pwr" column.
-//
-//unit:result watts
 func FullDynamicPower(t circuit.Tech) float64 {
 	return t.EnergyPerAccess * t.FreqGHz * circuit.HertzPerGigahertz
 }
@@ -55,18 +51,16 @@ func FullDynamicPower(t circuit.Tech) float64 {
 // Breakdown is the dynamic-power decomposition of one simulation run.
 type Breakdown struct {
 	// NormalW is demand traffic (loads, stores, fills, write-backs).
-	NormalW float64 //unit:watts
+	NormalW float64
 	// RefreshW is retention maintenance (line refreshes, global passes,
 	// forced refreshes, RSP way moves).
-	RefreshW float64 //unit:watts
+	RefreshW float64
 	// ExtraL2W is the L1-bypass / extra-miss L2 energy attributable to
 	// the scheme (charged in full; baselines subtract their own).
-	ExtraL2W float64 //unit:watts
+	ExtraL2W float64
 }
 
 // TotalW returns the total dynamic power.
-//
-//unit:result watts
 func (b Breakdown) TotalW() float64 { return b.NormalW + b.RefreshW + b.ExtraL2W }
 
 // Dynamic computes the dynamic-power breakdown of a run: cache event
@@ -103,18 +97,12 @@ func Dynamic(t circuit.Tech, c *core.Counters, l2Accesses uint64, cycles uint64,
 
 // Leakage6T returns a chip's 6T L1 leakage power in watts given its
 // Monte-Carlo leakage factor (1.0 = golden design).
-//
-//unit:param factor dimensionless
-//unit:result watts
 func Leakage6T(t circuit.Tech, factor float64) float64 {
 	return t.LeakagePower6T * factor
 }
 
 // Leakage3T1D returns a chip's 3T1D L1 leakage power in watts given its
 // factor relative to the golden 6T design.
-//
-//unit:param factorVsGolden6T dimensionless
-//unit:result watts
 func Leakage3T1D(t circuit.Tech, factorVsGolden6T float64) float64 {
 	return t.LeakagePower6T * factorVsGolden6T
 }
@@ -122,8 +110,6 @@ func Leakage3T1D(t circuit.Tech, factorVsGolden6T float64) float64 {
 // Normalized divides a scheme run's total dynamic power by a baseline
 // run's (the Fig. 6b / Fig. 10 normalization against the ideal 6T
 // design). Returns 0 when the baseline is zero.
-//
-//unit:result dimensionless
 func Normalized(scheme, baseline Breakdown) float64 {
 	if baseline.TotalW() == 0 {
 		return 0

@@ -6,8 +6,10 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,14 +37,14 @@ func tinier() *experiments.Params {
 	return p
 }
 
-func newTestServer(t *testing.T, dir string) *Server {
+func newTestServer(t testing.TB, dir string) *Server {
 	t.Helper()
 	return newTestServerOpts(t, dir, Options{})
 }
 
 // newTestServerOpts builds a server over dir with tiny parameters,
 // honoring any worker/admission/cache overrides in o.
-func newTestServerOpts(t *testing.T, dir string, o Options) *Server {
+func newTestServerOpts(t testing.TB, dir string, o Options) *Server {
 	t.Helper()
 	st, err := artifact.NewStore(dir)
 	if err != nil {
@@ -591,6 +593,54 @@ func FuzzETagMatch(f *testing.F) {
 		list := `"` + opaqueBytes(x) + `", W/` + etag + `, "` + opaqueBytes(y) + `"`
 		if !etagMatch(list, etag) {
 			t.Fatalf("etagMatch(%q, %q) = false, want true", list, etag)
+		}
+	})
+}
+
+// FuzzHandleGetQuery drives the artifact handler with any format and
+// quick query values on a cheap id. The handler must answer 200, 304,
+// 400 or 503, and 400 exactly when artifact.ParseFormat or
+// strconv.ParseBool rejects a non-empty value; a 200 carries the parsed
+// format's media type.
+func FuzzHandleGetQuery(f *testing.F) {
+	for _, format := range []string{"", "text", "json", "csv", "JSON", "xml", " json"} {
+		for _, quick := range []string{"", "1", "true", "F", "yes", "2"} {
+			f.Add(format, quick)
+		}
+	}
+	s := newTestServer(f, f.TempDir())
+	f.Fuzz(func(t *testing.T, format, quick string) {
+		q := url.Values{}
+		if format != "" {
+			q.Set("format", format)
+		}
+		if quick != "" {
+			q.Set("quick", quick)
+		}
+		rec := get(s, "/v1/experiments/tab1?"+q.Encode(), nil)
+
+		want := artifact.FormatText
+		bad := false
+		if format != "" {
+			var err error
+			want, err = artifact.ParseFormat(format)
+			bad = err != nil
+		}
+		if quick != "" {
+			if _, err := strconv.ParseBool(quick); err != nil {
+				bad = true
+			}
+		}
+		switch rec.Code {
+		case http.StatusOK, http.StatusNotModified, http.StatusBadRequest, http.StatusServiceUnavailable:
+		default:
+			t.Fatalf("format=%q quick=%q: status %d\n%s", format, quick, rec.Code, rec.Body)
+		}
+		if (rec.Code == http.StatusBadRequest) != bad {
+			t.Fatalf("format=%q quick=%q: status %d, want 400 = %v\n%s", format, quick, rec.Code, bad, rec.Body)
+		}
+		if ct := rec.Header().Get("Content-Type"); rec.Code == http.StatusOK && ct != want.ContentType() {
+			t.Fatalf("format=%q: content type %q, want %q", format, ct, want.ContentType())
 		}
 	})
 }

@@ -19,7 +19,7 @@ type Chip struct {
 	Scenario Scenario
 	// DeltaLDie is the die-to-die gate-length deviation (ΔL/L), shared by
 	// every transistor on the chip.
-	DeltaLDie float64 //unit:dimensionless
+	DeltaLDie float64
 
 	seed  uint64
 	field *QuadTreeField
@@ -50,8 +50,6 @@ func (c *Chip) Seed() uint64 { return c.seed }
 // DeltaL returns the relative gate-length deviation (ΔL/L) of transistors
 // in sub-array (sx, sy): die-to-die offset plus the correlated within-die
 // field.
-//
-//unit:result dimensionless
 func (c *Chip) DeltaL(sx, sy int) float64 {
 	return c.DeltaLDie + c.field.At(sx, sy)
 }
@@ -60,8 +58,6 @@ func (c *Chip) DeltaL(sx, sy int) float64 {
 // one transistor, identified by a cell index and a transistor slot within
 // the cell. Draws are independent across transistors (random dopant
 // fluctuation) and deterministic for a given chip.
-//
-//unit:result dimensionless
 func (c *Chip) DeltaVth(cell uint64, transistor uint8) float64 {
 	if c.Scenario.SigmaVth == 0 {
 		return 0

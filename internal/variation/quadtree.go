@@ -20,15 +20,13 @@ import (
 type QuadTreeField struct {
 	W, H   int
 	Levels int
-	Sigma  float64   //unit:dimensionless
+	Sigma  float64
 	values []float64 // field value per tile, row-major
 }
 
 // NewQuadTreeField generates a field of the given grid size with the
 // given number of quad-tree levels and total standard deviation sigma,
 // consuming randomness from rng. Levels must be >= 1; the paper uses 3.
-//
-//unit:param sigma dimensionless
 func NewQuadTreeField(rng *stats.RNG, w, h, levels int, sigma float64) *QuadTreeField {
 	if w <= 0 || h <= 0 {
 		panic("variation: NewQuadTreeField with non-positive grid size")
@@ -64,8 +62,6 @@ func NewQuadTreeField(rng *stats.RNG, w, h, levels int, sigma float64) *QuadTree
 // At returns the field value at tile (x, y). Out-of-range coordinates are
 // clamped to the grid, which keeps callers that index a logical structure
 // slightly larger than the physical grid safe.
-//
-//unit:result dimensionless
 func (f *QuadTreeField) At(x, y int) float64 {
 	if x < 0 {
 		x = 0
@@ -81,6 +77,4 @@ func (f *QuadTreeField) At(x, y int) float64 {
 }
 
 // Values returns the backing slice (row-major). Callers must not modify.
-//
-//unit:result dimensionless
 func (f *QuadTreeField) Values() []float64 { return f.values }

@@ -15,13 +15,13 @@ package variation
 type Scenario struct {
 	Name string
 	// SigmaLWithin is σL/Lnominal for within-die gate-length variation.
-	SigmaLWithin float64 //unit:dimensionless
+	SigmaLWithin float64
 	// SigmaVth is σVth/Vth,nominal for random-dopant threshold variation,
 	// drawn independently per transistor.
-	SigmaVth float64 //unit:dimensionless
+	SigmaVth float64
 	// SigmaLDie is σL/Lnominal for die-to-die gate-length variation,
 	// drawn once per chip.
-	SigmaLDie float64 //unit:dimensionless
+	SigmaLDie float64
 }
 
 // The three scenarios exercised by the paper.
@@ -45,8 +45,6 @@ func (s Scenario) IsZero() bool {
 
 // Scaled returns a copy of s with every sigma multiplied by k. Used by the
 // sensitivity study to sweep variation severity continuously.
-//
-//unit:param k dimensionless
 func (s Scenario) Scaled(k float64) Scenario {
 	return Scenario{
 		Name:         s.Name + "-scaled",
