@@ -1,9 +1,8 @@
 // Command tdcache-lint is the determinism and error-discipline lint
 // suite: it runs the three reproducibility analyzers (detrand,
-// mapiter, resetcheck), the two interprocedural call-graph analyzers
-// (hotpath, purecheck), and the two error-discipline analyzers
-// (errflow, exhaustcheck) over the repository and fails on any
-// finding.
+// mapiter, resetcheck), the interprocedural call-graph analyzer
+// (hotpath), and the two error-discipline analyzers (errflow,
+// exhaustcheck) over the repository and fails on any finding.
 //
 //	tdcache-lint ./...   # lint every package, test files included
 //	tdcache-lint -list   # print the roster
@@ -39,12 +38,11 @@ import (
 	"tdcache/internal/analysis/framework"
 	"tdcache/internal/analysis/hotpath"
 	"tdcache/internal/analysis/mapiter"
-	"tdcache/internal/analysis/purecheck"
 	"tdcache/internal/analysis/resetcheck"
 )
 
-// analyzers is the full suite — the three determinism rules, the two
-// call-graph rules, and the two error-discipline rules — in reporting
+// analyzers is the full suite — the three determinism rules, the
+// call-graph rule, and the two error-discipline rules — in reporting
 // order.
 var analyzers = []*framework.Analyzer{
 	detrand.Analyzer,
@@ -52,7 +50,6 @@ var analyzers = []*framework.Analyzer{
 	exhaustcheck.Analyzer,
 	hotpath.Analyzer,
 	mapiter.Analyzer,
-	purecheck.Analyzer,
 	resetcheck.Analyzer,
 }
 

@@ -26,12 +26,12 @@ func TestRepositoryIsLintClean(t *testing.T) {
 }
 
 // TestRosterListsAllAnalyzers pins the `-list` surface: the suite is
-// exactly the seven rules the README documents, in sorted order,
+// exactly the six rules the README documents, in sorted order,
 // each with a usable one-line doc.
 func TestRosterListsAllAnalyzers(t *testing.T) {
 	want := []string{
 		"detrand", "errflow", "exhaustcheck", "hotpath", "mapiter",
-		"purecheck", "resetcheck",
+		"resetcheck",
 	}
 	if len(analyzers) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(analyzers), len(want))

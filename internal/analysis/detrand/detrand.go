@@ -18,6 +18,7 @@
 package detrand
 
 import (
+	"fmt"
 	"go/ast"
 	"go/types"
 	"strings"
@@ -67,22 +68,23 @@ var bannedPkgs = map[string]string{
 // legal).
 var bannedTimeFuncs = map[string]bool{"Now": true, "Since": true, "Until": true}
 
-// Banned reports whether obj is an ambient-entropy source under this
-// rule, and why. Other analyzers (purecheck's kernel purity) compose
-// with the same fact set so "what counts as entropy" has one owner.
-func Banned(obj types.Object) (why string, ok bool) {
+// banned reports whether obj is an ambient-entropy source under this
+// rule, and the finding's message if so.
+func banned(obj types.Object) (msg string, ok bool) {
 	if obj == nil || obj.Pkg() == nil {
 		return "", false
 	}
 	if _, isPkgName := obj.(*types.PkgName); isPkgName {
-		return "", false
+		return "", false // report the selected object, not the qualifier
 	}
 	from := obj.Pkg().Path()
-	if why, banned := bannedPkgs[from]; banned {
-		return why, true
+	if why, ok := bannedPkgs[from]; ok {
+		return fmt.Sprintf("%s.%s is %s and breaks bit-reproducibility; draw from the seeded stats.RNG (NewRNG/Split/SplitLabeled) instead",
+			from, obj.Name(), why), true
 	}
 	if from == "time" && bannedTimeFuncs[obj.Name()] {
-		return "wall-clock read", true
+		return fmt.Sprintf("time.%s reads the wall clock inside a simulator package; results must be pure functions of (spec, benchmark, seed) — derive timing from simulated cycles instead",
+			obj.Name()), true
 	}
 	return "", false
 }
@@ -93,28 +95,10 @@ func run(pass *framework.Pass) error {
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok {
-				return true
-			}
-			obj := pass.Info.Uses[id]
-			if obj == nil || obj.Pkg() == nil {
-				return true
-			}
-			if _, isPkgName := obj.(*types.PkgName); isPkgName {
-				return true // report the selected object, not the qualifier
-			}
-			from := obj.Pkg().Path()
-			if why, banned := bannedPkgs[from]; banned {
-				pass.Reportf(id.Pos(),
-					"%s.%s is %s and breaks bit-reproducibility; draw from the seeded stats.RNG (NewRNG/Split/SplitLabeled) instead",
-					from, obj.Name(), why)
-				return true
-			}
-			if from == "time" && bannedTimeFuncs[obj.Name()] {
-				pass.Reportf(id.Pos(),
-					"time.%s reads the wall clock inside a simulator package; results must be pure functions of (spec, benchmark, seed) — derive timing from simulated cycles instead",
-					obj.Name())
+			if id, ok := n.(*ast.Ident); ok {
+				if msg, ok := banned(pass.Info.Uses[id]); ok {
+					pass.Reportf(id.Pos(), "%s", msg)
+				}
 			}
 			return true
 		})

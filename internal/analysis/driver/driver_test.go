@@ -88,22 +88,18 @@ func TestExpandSinglePackagePattern(t *testing.T) {
 }
 
 func TestTreeLoaderResolvesUnderSrcRoot(t *testing.T) {
-	src := filepath.Join(moduleRoot(t), "internal", "analysis", "purecheck", "testdata", "src")
+	src := filepath.Join(moduleRoot(t), "internal", "analysis", "detrand", "testdata", "src")
 	loader := NewTreeLoader(src)
-	pkg, err := loader.Load("pc/use")
+	// The fixture shadows a real module package path, which must
+	// resolve inside the tree, not to the module.
+	pkg, err := loader.Load("tdcache/internal/circuit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Package "pc/use" imports the stubbed engine, which must resolve
-	// inside the tree, not to the real module package.
-	stub, err := loader.Load("tdcache/internal/sweep")
-	if err != nil {
-		t.Fatal(err)
+	if !strings.Contains(pkg.Dir, filepath.Join("testdata", "src")) {
+		t.Errorf("fixture resolved outside the tree: %s", pkg.Dir)
 	}
-	if !strings.Contains(stub.Dir, filepath.Join("testdata", "src")) {
-		t.Errorf("stub resolved outside the tree: %s", stub.Dir)
-	}
-	if pkg.Types.Name() != "use" {
+	if pkg.Types.Name() != "circuit" {
 		t.Errorf("package name = %s", pkg.Types.Name())
 	}
 }

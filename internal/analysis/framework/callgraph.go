@@ -1,10 +1,9 @@
 package framework
 
 // Interprocedural call-graph layer. The dataflow solver in dataflow.go
-// is intraprocedural; the hotpath and purecheck analyzers need to
-// reason about what a function reaches *transitively* — "is this cycle
-// step allocation-free all the way down", "does this memoized kernel
-// write package state three calls deep". CallGraph gives them the
+// is intraprocedural; the hotpath analyzer needs to reason about what
+// a function reaches *transitively* — "is this cycle step
+// allocation-free all the way down". CallGraph gives it the
 // static call structure: one FuncNode per declared function, edges for
 // every resolvable callee (direct calls, method calls on concrete
 // receivers, method values, method expressions, plain function
@@ -146,17 +145,6 @@ func (g *CallGraph) AddPackage(ps *PackageSyntax) []*FuncNode {
 		}
 	}
 	return added
-}
-
-// LitNode builds an unregistered node for a function literal: same
-// edge extraction as declared functions, but the node joins no package
-// and has no *types.Func identity. Analyzers use it to seed a walk
-// from a closure (a memoized kernel, a submitted job) whose calls are
-// otherwise attributed to the enclosing declaration.
-func (g *CallGraph) LitNode(lit *ast.FuncLit, info *types.Info) *FuncNode {
-	node := &FuncNode{Info: info}
-	g.extract(node, lit.Body, info)
-	return node
 }
 
 // extract walks body collecting edges and dynamic call sites.

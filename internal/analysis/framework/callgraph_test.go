@@ -140,10 +140,9 @@ func TestCallGraphEdgeKinds(t *testing.T) {
 }
 
 // TestCallGraphLitAttribution pins the closure policy: calls inside a
-// function literal belong to the enclosing declaration's node, and
-// LitNode gives analyzers a standalone view of just the literal.
+// function literal belong to the enclosing declaration's node.
 func TestCallGraphLitAttribution(t *testing.T) {
-	g, ps := buildEdgeGraph(t)
+	g, _ := buildEdgeGraph(t)
 	n := nodeByName(t, g, "viaLit")
 	foundLeaf := false
 	for _, e := range n.Edges {
@@ -155,20 +154,6 @@ func TestCallGraphLitAttribution(t *testing.T) {
 		t.Errorf("viaLit: literal body's call to leaf not attributed; edges = %+v", n.Edges)
 	}
 
-	var lit *ast.FuncLit
-	ast.Inspect(ps.Files[0], func(nd ast.Node) bool {
-		if l, ok := nd.(*ast.FuncLit); ok && lit == nil {
-			lit = l
-		}
-		return true
-	})
-	if lit == nil {
-		t.Fatal("no function literal in fixture")
-	}
-	ln := g.LitNode(lit, ps.Info)
-	if len(ln.Edges) != 1 || ln.Edges[0].Callee.Name() != "leaf" {
-		t.Errorf("LitNode edges = %+v, want one call to leaf", ln.Edges)
-	}
 }
 
 const sccSrc = `package s

@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -41,16 +42,29 @@ func TestLookupBackend(t *testing.T) {
 	}
 }
 
+// renamed is a registry stand-in: the 3T1D backend under another name.
+type renamed struct {
+	CellBackend
+	name string
+}
+
+func (b renamed) Name() string { return b.name }
+
+// TestBackendNamesSorted registers 26 extra backends in reverse order,
+// so a BackendNames that lost its sort returns an unsorted list on
+// every run, not only when map order happens to swap the two real
+// names.
 func TestBackendNamesSorted(t *testing.T) {
-	names := BackendNames()
 	want := []string{"3t1d", "sttram"}
-	if len(names) != len(want) {
-		t.Fatalf("BackendNames() = %v, want %v", names, want)
+	for c := 'z'; c >= 'a'; c-- {
+		name := "test-" + string(c)
+		RegisterBackend(renamed{Backend3T1D, name})
+		t.Cleanup(func() { delete(backends, name) })
+		want = append(want, name)
 	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("BackendNames() = %v, want %v", names, want)
-		}
+	sort.Strings(want)
+	if names := BackendNames(); !slices.Equal(names, want) {
+		t.Fatalf("BackendNames() = %v, want %v", names, want)
 	}
 }
 

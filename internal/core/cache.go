@@ -94,6 +94,9 @@ type Cache struct {
 	opWork     int64
 	opStart    int64
 	opStealing bool
+	// writeWait is the cycle the current demand write (store or fill)
+	// began waiting on a held write port, or -1 when none waits.
+	writeWait int64
 
 	rq *retireQueue
 	wb writeBuffer
@@ -225,6 +228,7 @@ func (c *Cache) Reset(cfg Config, ret RetentionMap) error {
 	c.now = 0
 	c.readAvail, c.writeAvail = 0, 0
 	c.opWork, c.opStart, c.opStealing = 0, 0, false
+	c.writeWait = -1
 	c.Dead = false
 	c.passLen, c.period, c.passBudget = 0, 0, 0
 	c.passStart, c.passProgress = 0, 0
@@ -412,6 +416,29 @@ func (c *Cache) Advance(to int64) {
 // port this cycle.
 func (c *Cache) writeHeld() bool { return c.opWork > 0 }
 
+// writeBlocked reports whether a demand write must stall this cycle. A
+// held write port yields to a demand write that has waited OpGrace
+// cycles: the write goes ahead and the operation owes one more cycle,
+// so back-to-back refresh work cannot starve fills and stores forever.
+func (c *Cache) writeBlocked() bool {
+	if c.writeAvail <= 0 {
+		return true
+	}
+	if !c.writeHeld() {
+		c.writeWait = -1
+		return false
+	}
+	if c.writeWait < 0 {
+		c.writeWait = c.now
+	}
+	if c.now-c.writeWait < int64(c.cfg.OpGrace) {
+		return true
+	}
+	c.writeWait = -1
+	c.opWork++
+	return false
+}
+
 // opCycles is the port-cycle cost of one line operation: the refresh
 // pipelines of the array pairs run in parallel.
 func (c *Cache) opCycles() int64 {
@@ -509,6 +536,12 @@ func (c *Cache) service(ev lineEvent, now int64) bool {
 	ls := &c.lines[ev.line]
 	if !ls.valid || ls.gen != ev.gen {
 		return false // stale: the line was refilled or invalidated
+	}
+	if at := ls.writtenAt + c.ret[ev.line] - int64(c.cfg.AssertMargin); now < at {
+		// The calendar clamped a delay beyond its horizon, so the
+		// event fired early: book it again for its true time.
+		c.rq.schedule(ev.line, ev.gen, at, now)
+		return false
 	}
 	expiry := c.expiryOf(ev.line)
 	if now >= expiry && ls.dirty {
@@ -626,7 +659,7 @@ func (c *Cache) Access(addr uint64, kind AccessKind) Result {
 		c.readAvail--
 		c.C.Loads++
 	} else {
-		if c.writeAvail <= 0 || c.writeHeld() {
+		if c.writeBlocked() {
 			c.C.PortStalls++
 			if c.writeHeld() || (c.inPass && c.stealing) {
 				c.C.RefreshBlocked++
@@ -712,7 +745,7 @@ func (c *Cache) Fill(addr uint64, makeDirty bool) FillResult {
 	if c.retentionAware() && int(c.deadWays[set]) == c.cfg.Ways {
 		return FillResult{Bypass: true}
 	}
-	if c.writeAvail <= 0 || c.writeHeld() {
+	if c.writeBlocked() {
 		return FillResult{Stall: true}
 	}
 	c.writeAvail--
@@ -872,17 +905,22 @@ func (c *Cache) performPromotion(op shuffleOp, now int64) {
 			c.invalidate(dst)
 			continue
 		}
+		// dst keeps its own generation sequence: an event still queued
+		// for dst carries one of its earlier generations, which src's
+		// generation + 1 could equal, expiring the moved block early.
+		gen := c.lines[dst].gen
 		c.lines[dst] = c.lines[src]
 		c.lines[dst].writtenAt = now
-		c.lines[dst].gen++
+		c.lines[dst].gen = gen + 1
 		c.scheduleEvent(dst, now)
 		moves++
 	}
 	top := c.lineIndex(op.set, int(order[0]))
+	gen := c.lines[top].gen
 	c.lines[top] = saved
 	c.lines[top].writtenAt = now
 	c.lines[top].lastUsed = now
-	c.lines[top].gen++
+	c.lines[top].gen = gen + 1
 	c.scheduleEvent(top, now)
 	moves++
 	c.C.WayMoves += uint64(moves)

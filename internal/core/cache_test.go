@@ -533,6 +533,71 @@ func TestRSPLRUPromotionOnHit(t *testing.T) {
 	}
 }
 
+// TestRSPLRUPromotionIgnoresStaleEvents pins that a promotion gives
+// each line it writes a fresh generation of its own. Copying the source
+// line's generation made the top line's new generation equal that of an
+// event still queued for it from an earlier fill, and that stale event
+// then expired the promoted block early.
+func TestRSPLRUPromotionIgnoresStaleEvents(t *testing.T) {
+	cfg := testConfig(RSPLRU)
+	ret := IdealRetention(cfg.Lines())
+	ret[0*cfg.Sets+0] = 4096
+	ret[1*cfg.Sets+0] = 7168 // the top way
+	c := mustCache(t, cfg, ret)
+	a, b := addrFor(cfg, 0, 1), addrFor(cfg, 0, 2)
+	for now := int64(1); now <= 7000; now++ {
+		c.Tick(now)
+		switch now {
+		case 1:
+			c.Fill(a, false) // a → top, its event due at 1+7168−512
+		case 10:
+			c.Fill(b, false) // a → way 0; b → top, event due at 10+7168−512 = 6666
+		case 3000:
+			if r := c.Access(a, Load); !r.Hit {
+				t.Fatal("a should hit in way 0")
+			}
+			// The promotion runs at 3001: a → top, due at 3001+7168−512.
+		case 7000:
+			if r := c.Access(a, Load); !r.Hit {
+				t.Fatalf("promoted block lost at %d, before its retention ran out (%d expiry invalidates)",
+					now, c.C.ExpiryInvalidates)
+			}
+		}
+	}
+}
+
+// TestDemandWriteTakesHeldPortAfterGrace pins the write-port yield: a
+// fill blocked only by a retention operation goes ahead once it has
+// waited OpGrace cycles, the operation owes one cycle more, and the
+// next demand write waits afresh.
+func TestDemandWriteTakesHeldPortAfterGrace(t *testing.T) {
+	c := idealCache(t, Scheme{RefreshFull, PlaceLRU})
+	c.Tick(0)
+	c.startOp(1000) // hold the write port far past the grace
+	grace := int64(c.Config().OpGrace)
+	landed := func(addr uint64, from int64) int64 {
+		for now := from; now <= from+grace+1; now++ {
+			c.Tick(now)
+			work := c.opWork
+			if r := c.Fill(addr, false); !r.Stall {
+				if c.opWork != work+1 {
+					t.Errorf("fill at %d: op work %d → %d, want one cycle more", now, work, c.opWork)
+				}
+				return now
+			}
+		}
+		t.Fatalf("fill from cycle %d still stalled after %d cycles", from, grace+1)
+		return 0
+	}
+	first := landed(addrFor(c.Config(), 0, 1), 1)
+	if first != 1+grace {
+		t.Errorf("first fill landed at %d, want %d", first, 1+grace)
+	}
+	if second := landed(addrFor(c.Config(), 1, 1), first+1); second != first+1+grace {
+		t.Errorf("second fill landed at %d, want %d", second, first+1+grace)
+	}
+}
+
 func TestGlobalRefreshKeepsDataAlive(t *testing.T) {
 	cfg := testConfig(Scheme{RefreshGlobal, PlaceLRU})
 	ret := UniformRetention(cfg.Lines(), 4096)

@@ -153,8 +153,10 @@ type Config struct {
 	// counters in cycles (§4.3.1); retention below N means the line is
 	// dead.
 	CounterStep int
-	// CounterBits is the width of the line counters (3, §4.3.1);
-	// retention is capped at (2^CounterBits - 1) · CounterStep.
+	// CounterBits is the width of the line counters (3, §4.3.1). A
+	// counter holds at most (2^CounterBits - 1) · CounterStep cycles;
+	// QuantizeRetention applies that cap to a map, and the cache
+	// honours a longer, unquantized retention as given.
 	CounterBits int
 	// PartialThreshold is the partial-refresh lifetime guarantee in
 	// cycles (6 K in §4.3.3).

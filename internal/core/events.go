@@ -73,9 +73,10 @@ func (q *retireQueue) horizon() int64 {
 }
 
 // schedule enqueues an event for the given absolute cycle. Delays beyond
-// the horizon are clamped to it: the event fires early and the service
-// logic reschedules it (this only matters for retentions approaching the
-// counter cap and is conservative — never late).
+// the horizon are clamped to it: the event fires early and the cache's
+// service re-books it, as often as it takes to reach its time. Quantized
+// maps never reach the horizon; only an unquantized retention above the
+// counter cap does.
 func (q *retireQueue) schedule(line int, gen uint32, at, now int64) {
 	if at < now {
 		at = now

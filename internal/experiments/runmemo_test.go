@@ -84,17 +84,17 @@ func TestRunMemoOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestFullRefreshWedgeReachesFig9 is a known-gap test. Line-level full
-// refresh wedges once its refresh traffic holds the write port on every
-// cycle, and at QuickParams the bad severe chip under full-refresh/LRU
-// on mcf is in that regime: it commits 12,968 of 40,000 instructions
-// and stops at Run's 2,010,000-cycle safety bound, so fig9's golden
-// bad-chip full-refresh/LRU value (0.120) is this wedge, not a
-// performance. full-refresh/DSP finishes. A fix to the refresh model
-// must flip this test and regenerate fig9's golden.
+// TestFullRefreshWedgeReachesFig9 pins the end of the full-refresh
+// wedge on fig9's bad chip. Line-level full refresh on that chip keeps
+// refresh traffic on the write port almost every cycle; before demand
+// writes could take the port back after OpGrace cycles, full-refresh/LRU
+// on mcf committed 12,968 of 40,000 instructions at QuickParams and
+// stopped at Run's 2,010,000-cycle safety bound, and fig9's golden read
+// 0.120. It now finishes in 404,542 cycles (0.912 in the golden), and so
+// does full-refresh/DSP.
 func TestFullRefreshWedgeReachesFig9(t *testing.T) {
 	if testing.Short() {
-		t.Skip("Monte-Carlo study and a 2 M-cycle run")
+		t.Skip("Monte-Carlo study and two full runs")
 	}
 	p := QuickParams()
 	p.Parallel = 2
@@ -102,18 +102,15 @@ func TestFullRefreshWedgeReachesFig9(t *testing.T) {
 	_, _, bad := s.GoodMedianBad()
 	chip := &s.Chips[bad]
 	tr := p.trace("mcf", p.Seed)
-	run := func(sc core.Scheme) runResult {
-		return p.runOne(nil, cacheSpec{Scheme: sc, Retention: chip.Retention, Step: chip.CounterStep}, tr)
-	}
-
-	wedged := run(core.Scheme{Refresh: core.RefreshFull, Placement: core.PlaceLRU})
-	t.Logf("full-refresh/LRU, bad chip, mcf: %d of %d instructions in %d cycles",
-		wedged.Metrics.Instructions, p.Instructions, wedged.Metrics.Cycles)
-	if wedged.Metrics.Instructions >= p.Instructions {
-		t.Errorf("full-refresh/LRU on the bad chip committed all %d instructions: the wedge is gone, "+
-			"so update ROADMAP, EXPERIMENTS.md's known gaps and fig9's golden, then delete this test", p.Instructions)
-	}
-	if dsp := run(core.Scheme{Refresh: core.RefreshFull, Placement: core.PlaceDSP}); dsp.Metrics.Instructions < p.Instructions {
-		t.Errorf("full-refresh/DSP on the bad chip stopped at %d of %d instructions", dsp.Metrics.Instructions, p.Instructions)
+	for _, pl := range []core.Placement{core.PlaceLRU, core.PlaceDSP} {
+		sc := core.Scheme{Refresh: core.RefreshFull, Placement: pl}
+		m := p.runOne(nil, cacheSpec{Scheme: sc, Retention: chip.Retention, Step: chip.CounterStep}, tr).Metrics
+		if m.Instructions < p.Instructions {
+			t.Errorf("%v on the bad chip stopped at %d of %d instructions in %d cycles",
+				sc, m.Instructions, p.Instructions, m.Cycles)
+		}
+		if pl == core.PlaceLRU && m.Cycles != 404542 {
+			t.Errorf("%v on the bad chip took %d cycles, want 404542", sc, m.Cycles)
+		}
 	}
 }
