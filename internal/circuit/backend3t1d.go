@@ -19,19 +19,19 @@ func (backend3T1D) Name() string { return DefaultBackendName }
 // NominalRetention is the calibrated zero-deviation retention (§2.2).
 func (backend3T1D) NominalRetention(t Tech) float64 { return t.Retention3T1D }
 
-// LineRetention delegates to the hoisted hot kernel.
+// LineRetention runs the windowed kernel over one line.
 func (backend3T1D) LineRetention(e ChipEval, line int) float64 {
-	return e.lineRetention3T1D(line)
+	var r [1]float64
+	e.retention3T1D(line, r[:])
+	return r[0]
 }
 
-// RetentionMap evaluates every line through the hoisted kernel. The
-// per-line loop runs inside the backend so the interface is crossed
-// once per chip, not once per line.
+// RetentionMap runs the windowed kernel over every line in one call, so
+// the interface is crossed and the bucket tables are built once per
+// chip, not once per line.
 func (backend3T1D) RetentionMap(e ChipEval) []float64 {
 	m := make([]float64, e.Geom.Lines)
-	for l := range m {
-		m[l] = e.lineRetention3T1D(l)
-	}
+	e.retention3T1D(0, m)
 	return m
 }
 

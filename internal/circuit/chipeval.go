@@ -111,74 +111,195 @@ func (e ChipEval) LineRetention(line int) float64 {
 	return e.ActiveBackend().LineRetention(e, line)
 }
 
-// retentionChunk is how many cells the 3T1D kernel evaluates one stage
-// at a time. Each stage of one cell is a serial chain (a rational
-// polynomial and a divide for each inverse-normal draw; a log, then an
-// exp, for the read path), so a per-cell loop is latency-bound. Running
-// each stage across a chunk of independent cells lets the CPU overlap
-// them.
-const retentionChunk = 16
+// retentionBuckets is how many buckets the windowed 3T1D kernel splits
+// each hash uniform into, by its top 8 bits.
+const retentionBuckets = 256
 
-// lineRetention3T1D is the 3T1D backend's line kernel: a hoisted form
-// algebraically identical to Tech.RetentionTime (asserted by tests)
-// because this is the hot path of every Monte-Carlo study. It takes the
-// line retentionChunk cells at a time in four stages: hash and scale
-// the chunk's threshold draws, then cellLeakTerms, then cellScale, then
-// cellRetention in cell order. A dead cell still ends the line, so at
-// most the rest of its chunk is evaluated for nothing. Each stage sees
-// the same operands in the same order as a per-cell loop would, so the
-// result is bit-identical to one.
-func (e ChipEval) lineRetention3T1D(line int) float64 {
-	x0, x1, y := e.Geom.LineTiles(line)
-	p0 := e.tileParams(x0, y)
-	p1 := e.tileParams(x1, y)
-	t := &e.Tech
-	worst := math.Inf(1)
-	total := e.Geom.CellsPerLine + e.Geom.TagBits
-	half := e.Geom.CellsPerLine / 2
-	sigma := e.Chip.Scenario.SigmaVth
-	seed := e.Chip.Seed()
-	base := uint64(line) * uint64(total)
-	var (
-		g       [3 * retentionChunk]float64 // ΔVth/Vth0 of T1, T2, T3 per cell; all zero when sigma == 0
-		tile    [retentionChunk]*tileParams
-		lnOver3 [retentionChunk]float64
-		retLeak [retentionChunk]float64
-		scale   [retentionChunk]float64
-	)
-	for start := 0; start < total; start += retentionChunk {
-		n := min(retentionChunk, total-start)
-		if sigma != 0 {
-			for i := 0; i < n; i++ {
-				id := base + uint64(start+i)
-				g[3*i] = stats.HashUniform(seed, stats.Mix64(id, uint64(slotT1)))
-				g[3*i+1] = stats.HashUniform(seed, stats.Mix64(id, uint64(slotT2)))
-				g[3*i+2] = stats.HashUniform(seed, stats.Mix64(id, uint64(slotT3)))
-			}
-			for i, u := range g[:3*n] {
-				g[i] = sigma * stats.InvNormCDF(u)
-			}
+// Slacks of the windowed kernel's per-bucket bound. The bound evaluates
+// the exact stage's terms on bucket edges, regrouped into per-chip and
+// per-tile tables, so only rounding can lift it above a cell's exact
+// retention. windowZSlack widens each bucket's quantile range past
+// stats.InvNormCDF's ulp-level non-monotonicity and its branch step at
+// p = 0.02425; windowMarginSlack (volts) covers the rounding of the
+// margin's cancellation and of the regrouped sums; windowRelSlack covers
+// the logs, exps and products. Each is orders of magnitude above the
+// rounding it covers, and far below what would cost a skip.
+// TestRetentionWindowPremise pins the bound.
+const (
+	windowZSlack      = 1e-9
+	windowMarginSlack = 1e-12
+	windowRelSlack    = 1e-9
+)
+
+// retentionWindow is the windowed 3T1D kernel's per-chip state. For each
+// bucket b of a threshold draw's uniform, g = σ·InvNormCDF(u) spans
+// [gLo, gHi] over the bucket (widened by windowZSlack); the tables hold
+// the threshold Vth0·(1+g) at both edges, T2's share vthHi/DiodeBoost
+// of the required storage level, and T1's inverse leak factor
+// exp(Vth0·g/RetLeakSens) at both edges. The edges are finite because
+// InvNormCDF clamps its argument, so u = 0 and the largest uniform are
+// bounded like every other draw.
+type retentionWindow struct {
+	tech           Tech // a copy: a pointer stored here would move the caller's ChipEval to the heap
+	seed           uint64
+	sigma          float64
+	vthLo, vthHi   [retentionBuckets]float64
+	vreq2          [retentionBuckets]float64
+	leakLo, leakHi [retentionBuckets]float64
+}
+
+func (w *retentionWindow) init(t *Tech, seed uint64, sigma float64) {
+	w.tech, w.seed, w.sigma = *t, seed, sigma
+	if sigma == 0 {
+		return // every cell of a tile is the same; scan needs no tables
+	}
+	zLo := stats.InvNormCDF(0)
+	for b := range retentionBuckets {
+		zHi := stats.InvNormCDF(float64(b+1) / retentionBuckets)
+		lo, hi := sigma*(zLo-windowZSlack), sigma*(zHi+windowZSlack)
+		if lo > hi { // σ < 0 turns the bucket around
+			lo, hi = hi, lo
 		}
-		for i := 0; i < n; i++ {
-			tile[i] = &p0
-			if cell := start + i; cell >= half && cell < e.Geom.CellsPerLine {
-				tile[i] = &p1 // second half of the data bits lives in the pair's other array
-			}
-			lnOver3[i], retLeak[i] = cellLeakTerms(t, tile[i], g[3*i], g[3*i+2])
+		w.vthLo[b], w.vthHi[b] = t.Vth0*(1+lo), t.Vth0*(1+hi)
+		w.vreq2[b] = w.vthHi[b] / t.DiodeBoost
+		w.leakLo[b] = math.Exp(t.Vth0 * lo / t.RetLeakSens)
+		w.leakHi[b] = math.Exp(t.Vth0 * hi / t.RetLeakSens)
+		zLo = zHi
+	}
+}
+
+// bucket is the bucket of uniform u in [0, 1). The mask changes nothing
+// for such u; it only lets the compiler drop the table bounds checks.
+func bucket(u float64) int {
+	return int(u*retentionBuckets) & (retentionBuckets - 1)
+}
+
+// tileWindow is one tile's share of the windowed kernel: the tile's
+// parameters; v0 = Vdd - vthShift - windowMarginSlack, which less T1's
+// threshold Vth0·(1+g1) bounds the stored level; per bucket of T3's uniform, the rest of the
+// required level, (vthShift + overNom·cellScale)/DiodeBoost at the
+// bucket's upper g edge (finite, because T3's overdrive is clamped as
+// in cellLeakTerms); and the factor
+// invDecay·exp(vthShift/RetLeakSens)·(1-windowRelSlack) that turns a
+// margin times T1's inverse leak factor into a retention bound.
+type tileWindow struct {
+	p     tileParams
+	v0    float64
+	vreq3 [retentionBuckets]float64
+	k     float64
+}
+
+func (tw *tileWindow) init(w *retentionWindow, p tileParams) {
+	t := &w.tech
+	tw.p = p
+	if w.sigma == 0 {
+		return
+	}
+	tw.v0 = t.Vdd - p.vthShift - windowMarginSlack
+	for b, vth3 := range w.vthHi {
+		over3 := t.Vdd - (vth3 + p.vthShift)
+		if over3 < 1e-3 {
+			over3 = 1e-3
 		}
-		for i := 0; i < n; i++ {
-			scale[i] = cellScale(t, tile[i], lnOver3[i])
+		tw.vreq3[b] = (p.vthShift + p.overNom*cellScale(t, &tw.p, math.Log(over3))) / t.DiodeBoost
+	}
+	tw.k = p.invDecay * math.Exp(p.vthShift/t.RetLeakSens) * (1 - windowRelSlack)
+}
+
+// bound is a lower bound on the retention of every cell of tile tw whose
+// three uniforms fall in buckets b1, b2 and b3 (0 when the bound is no
+// use). Retention falls as g2 or g3 rises, so their upper edges bound
+// it. In g1 it is max(0, (c - Vth0·g1)·exp(Vth0·g1/RetLeakSens)) up to a
+// positive factor, and zero once T1 cannot store a level: a function
+// with a single maximum, so its minimum over the bucket lies on one of
+// the two edges.
+func (w *retentionWindow) bound(tw *tileWindow, b1, b2, b3 int) float64 {
+	vreq := w.vreq2[b2] + tw.vreq3[b3]
+	v0Hi := tw.v0 - w.vthHi[b1]
+	mHi := v0Hi - vreq
+	if v0Hi <= 0 || mHi <= 0 {
+		return 0
+	}
+	mLo := tw.v0 - w.vthLo[b1] - vreq
+	return min(mLo*w.leakLo[b1], mHi*w.leakHi[b1]) * tw.k
+}
+
+// scan folds cells [lo, hi) of the line whose first cell id is base,
+// all on tile tw, into the running minimum worst. It hashes each cell's
+// three uniforms and skips the cell when its buckets' bound exceeds
+// worst: such a cell cannot lower the minimum. Survivors go through
+// cellLeakTerms, cellScale and cellRetention exactly as a per-cell loop
+// would, and a minimum does not depend on the order of its terms, so
+// the result is bit-identical to evaluating every cell. It returns the
+// new minimum and how many cells it evaluated exactly.
+func (w *retentionWindow) scan(tw *tileWindow, base uint64, lo, hi int, worst float64) (float64, int) {
+	t, p := &w.tech, &tw.p
+	if w.sigma == 0 {
+		if lo >= hi {
+			return worst, 0
 		}
-		for i := 0; i < n; i++ {
-			if r := cellRetention(t, tile[i], g[3*i], g[3*i+1], scale[i], retLeak[i]); r < worst {
-				worst = r
-				if worst == 0 {
-					return 0 // a dead cell kills the whole line; no need to keep scanning
-				}
-			}
+		lnOver3, retLeak := cellLeakTerms(t, p, 0, 0)
+		if r := cellRetention(t, p, 0, 0, cellScale(t, p, lnOver3), retLeak); r < worst {
+			worst = r
+		}
+		return worst, 1
+	}
+	exact := 0
+	for cell := lo; cell < hi && worst != 0; cell++ {
+		id := base + uint64(cell)
+		u1 := stats.HashUniform(w.seed, stats.Mix64(id, uint64(slotT1)))
+		u2 := stats.HashUniform(w.seed, stats.Mix64(id, uint64(slotT2)))
+		u3 := stats.HashUniform(w.seed, stats.Mix64(id, uint64(slotT3)))
+		if w.bound(tw, bucket(u1), bucket(u2), bucket(u3)) > worst {
+			continue
+		}
+		exact++
+		g1 := w.sigma * stats.InvNormCDF(u1)
+		g2 := w.sigma * stats.InvNormCDF(u2)
+		g3 := w.sigma * stats.InvNormCDF(u3)
+		lnOver3, retLeak := cellLeakTerms(t, p, g1, g3)
+		if r := cellRetention(t, p, g1, g2, cellScale(t, p, lnOver3), retLeak); r < worst {
+			worst = r
 		}
 	}
-	return worst
+	return worst, exact
+}
+
+// retention3T1D is the 3T1D backend's kernel, shared by LineRetention
+// and RetentionMap: it writes the retention of lines first, first+1, ...
+// into out and returns how many cells it evaluated exactly. A line's
+// retention is the minimum over its cells of a hoisted form
+// algebraically identical to Tech.RetentionTime (asserted by tests). The
+// chip's bucket tables are built once per call, and the two tile tables
+// only when a line's tiles differ from the previous line's; all stay on
+// the stack. With σVth = 0 every cell of a tile is the same, so one
+// exact evaluation per tile suffices. A dead cell ends its line.
+func (e ChipEval) retention3T1D(first int, out []float64) (exact int) {
+	var (
+		w        retentionWindow
+		tw0, tw1 tileWindow
+	)
+	w.init(&e.Tech, e.Chip.Seed(), e.Chip.Scenario.SigmaVth)
+	total := e.Geom.CellsPerLine + e.Geom.TagBits
+	half := e.Geom.CellsPerLine / 2
+	tiles := [3]int{-1, -1, -1}
+	for i := range out {
+		line := first + i
+		if x0, x1, y := e.Geom.LineTiles(line); [3]int{x0, x1, y} != tiles {
+			tiles = [3]int{x0, x1, y}
+			tw0.init(&w, e.tileParams(x0, y))
+			tw1.init(&w, e.tileParams(x1, y))
+		}
+		base := uint64(line) * uint64(total)
+		// The second half of the data bits lives in the pair's other
+		// array; the tag cells stay with the first half.
+		worst, n0 := w.scan(&tw0, base, 0, half, math.Inf(1))
+		worst, n1 := w.scan(&tw1, base, half, e.Geom.CellsPerLine, worst)
+		worst, n2 := w.scan(&tw0, base, e.Geom.CellsPerLine, total, worst)
+		out[i] = worst
+		exact += n0 + n1 + n2
+	}
+	return exact
 }
 
 // tileParams holds the per-tile (systematic) quantities hoisted out of
@@ -217,9 +338,9 @@ func (e ChipEval) tileParams(tx, ty int) tileParams {
 // hoisted equivalent of Tech.RetentionTime for a cell whose three
 // transistors share a tile corner p and have i.i.d. threshold deviations
 // g1..g3 (already scaled by σVth, as ΔVth/Vth0). They are split where
-// the transcendental calls are, so the kernel can run each across a
-// chunk of cells. Both structs are passed by pointer so no call copies
-// either.
+// the transcendental calls are; the windowed kernel's tile tables
+// reuse cellScale on bucket edges. Both structs are passed by pointer
+// so no call copies either.
 //
 // cellLeakTerms returns the log of T3's gate overdrive and T1's decay
 // factor retLeakFactor (its (1+dL) part is folded into invDecay, leaving
@@ -268,20 +389,6 @@ func (e ChipEval) RetentionMap() []float64 {
 // to the golden 6T design (the Fig. 7 normalization).
 func (e ChipEval) CellLeakageFactor() float64 {
 	return e.ActiveBackend().LeakageFactor(e)
-}
-
-// CacheRetention returns the whole-cache retention under the global
-// scheme: the minimum line retention (§4.3 — "the memory cell with the
-// shortest retention time determines the retention time of the entire
-// structure").
-func (e ChipEval) CacheRetention() float64 {
-	min := math.Inf(1)
-	for l := 0; l < e.Geom.Lines; l++ {
-		if r := e.LineRetention(l); r < min {
-			min = r
-		}
-	}
-	return min
 }
 
 // SRAMWorstAccessTime scans every cell of the cache and returns the

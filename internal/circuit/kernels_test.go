@@ -11,7 +11,7 @@ import (
 
 // The per-cell forms of the two retention kernels: one Gaussian draw per
 // transistor and one retention per cell, in cell order. They are the
-// bit-exact oracles for the chunked 3T1D kernel and the STT-RAM minimum
+// bit-exact oracles for the windowed 3T1D kernel and the STT-RAM minimum
 // over uniforms.
 
 func refLineRetention3T1D(e ChipEval, line int) float64 {
@@ -103,15 +103,17 @@ func chipsFor(g Geometry, sc variation.Scenario, n int) []*variation.Chip {
 	return variation.Population(20070612, n, sc, g.TileCols, g.TileRows)
 }
 
-// oddGeometry has a line length that is not a multiple of
-// retentionChunk, so the 3T1D kernel's last chunk is a partial one.
+// oddGeometry has short lines split 50/50 plus 7 tag cells, and 4 lines
+// per tile row, so the 3T1D kernel reuses its tile tables across lines
+// and rebuilds them often.
 var oddGeometry = Geometry{Lines: 64, CellsPerLine: 100, TagBits: 7, TileCols: 8, TileRows: 4}
 
 // TestLineRetention3T1DMatchesOracle compares every line of every chip
-// with the per-cell kernel, bit for bit.
+// with the per-cell kernel, bit for bit, on every technology node: once
+// from a whole RetentionMap and once from single-line calls.
 func TestLineRetention3T1DMatchesOracle(t *testing.T) {
-	if (oddGeometry.CellsPerLine+oddGeometry.TagBits)%retentionChunk == 0 {
-		t.Fatal("oddGeometry's line length is a multiple of retentionChunk")
+	if oddGeometry.LinesPerTileRow() != 4 {
+		t.Fatalf("oddGeometry has %d lines per tile row, want 4", oddGeometry.LinesPerTileRow())
 	}
 	cases := []struct {
 		geom  Geometry
@@ -126,24 +128,241 @@ func TestLineRetention3T1DMatchesOracle(t *testing.T) {
 	for _, c := range cases {
 		t.Run(fmt.Sprintf("%s/%d", c.sc.Name, c.geom.CellsPerLine), func(t *testing.T) {
 			t.Parallel()
-			dead := 0
-			for i, chip := range chipsFor(c.geom, c.sc, c.chips) {
-				e := NewChipEval(Node32, c.geom, chip)
-				for line := 0; line < c.geom.Lines; line++ {
-					got, want := e.lineRetention3T1D(line), refLineRetention3T1D(e, line)
-					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("chip %d line %d: %v, oracle %v", i, line, got, want)
+			chips := chipsFor(c.geom, c.sc, c.chips)
+			for _, tech := range Nodes {
+				t.Run(tech.Name, func(t *testing.T) {
+					t.Parallel()
+					dead := 0
+					for i, chip := range chips {
+						e := NewChipEval(tech, c.geom, chip)
+						m := Backend3T1D.RetentionMap(e)
+						for line, got := range m {
+							want := refLineRetention3T1D(e, line)
+							if math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("chip %d line %d: map %v, oracle %v", i, line, got, want)
+							}
+							if one := Backend3T1D.LineRetention(e, line); math.Float64bits(one) != math.Float64bits(want) {
+								t.Fatalf("chip %d line %d: LineRetention %v, oracle %v", i, line, one, want)
+							}
+							if got == 0 {
+								dead++
+							}
+						}
 					}
-					if got == 0 {
-						dead++
+					if c.sc == variation.Severe && dead == 0 {
+						t.Error("no dead line: the early exit went unexercised")
 					}
-				}
-			}
-			if c.sc == variation.Severe && dead == 0 {
-				t.Error("no dead line: the early exit went unexercised")
+				})
 			}
 		})
 	}
+}
+
+// wideVth is the largest σVth FuzzRetentionWindow draws. Only at such
+// a σ does T3's overdrive reach the 1e-3 V clamp within
+// stats.InvNormCDF's range.
+var wideVth = variation.Scenario{Name: "wide", SigmaLWithin: 0.07, SigmaVth: 0.4, SigmaLDie: 0.05}
+
+// windowCell is the exact retention of one cell of tile tw from its three
+// hash uniforms, as the windowed kernel's exact stage computes it.
+func windowCell(w *retentionWindow, tw *tileWindow, u1, u2, u3 float64) float64 {
+	g1 := w.sigma * stats.InvNormCDF(u1)
+	g2 := w.sigma * stats.InvNormCDF(u2)
+	g3 := w.sigma * stats.InvNormCDF(u3)
+	t := &w.tech
+	lnOver3, retLeak := cellLeakTerms(t, &tw.p, g1, g3)
+	return cellRetention(t, &tw.p, g1, g2, cellScale(t, &tw.p, lnOver3), retLeak)
+}
+
+// extremeTiles returns the parameters of the tiles with the shortest and
+// the longest gate length over every tile of chips, and of a tile with
+// no ΔL at all.
+func extremeTiles(tech Tech, chips []*variation.Chip) []tileParams {
+	type tile struct {
+		chip *variation.Chip
+		x, y int
+	}
+	lo, hi := tile{chips[0], 0, 0}, tile{chips[0], 0, 0}
+	for _, c := range chips {
+		for x := 0; x < L1D.TileCols; x++ {
+			for y := 0; y < L1D.TileRows; y++ {
+				if dl := c.DeltaL(x, y); dl < lo.chip.DeltaL(lo.x, lo.y) {
+					lo = tile{c, x, y}
+				} else if dl > hi.chip.DeltaL(hi.x, hi.y) {
+					hi = tile{c, x, y}
+				}
+			}
+		}
+	}
+	flat := chipsFor(L1D, variation.NoVariation, 1)[0]
+	return []tileParams{
+		NewChipEval(tech, L1D, lo.chip).tileParams(lo.x, lo.y),
+		NewChipEval(tech, L1D, hi.chip).tileParams(hi.x, hi.y),
+		NewChipEval(tech, L1D, flat).tileParams(0, 0),
+	}
+}
+
+// TestRetentionWindowPremise pins what the windowed 3T1D kernel's skip
+// relies on: the bound of a cell's three buckets is never above the
+// cell's exact retention. Checked per node and σVth on the tiles with
+// the most extreme ΔL of the oracle chips, for 2^20 random cells and for
+// cells with one or all uniforms on a bucket edge, on either side of
+// stats.InvNormCDF's branch points, or where T3's overdrive meets its
+// 1e-3 V clamp. Two σVth no chip study uses are checked too: a negative
+// one, which turns every bucket around, and σVth = 1, at which T2's
+// required level can go negative, so T1's failure to store a level is
+// the only thing that zeroes a cell.
+func TestRetentionWindowPremise(t *testing.T) {
+	const (
+		pLow     = 0.02425
+		pHigh    = 1 - pLow
+		grid     = 0x1p-53 // the step of stats.HashUniform's values
+		top      = 1 - grid
+		random   = 1 << 20
+		partners = 16 // random cells per special uniform and slot
+	)
+	flipped := variation.Severe
+	flipped.Name, flipped.SigmaVth = "flipped", -flipped.SigmaVth
+	extreme := variation.Severe
+	extreme.Name, extreme.SigmaVth = "extreme", 1
+	for _, sc := range []variation.Scenario{variation.Typical, variation.Severe, wideVth, flipped, extreme} {
+		chips := chipsFor(L1D, sc, oracleChips)
+		for _, tech := range Nodes {
+			t.Run(sc.Name+"/"+tech.Name, func(t *testing.T) {
+				t.Parallel()
+				var w retentionWindow
+				w.init(&tech, 0, sc.SigmaVth)
+				tiles := extremeTiles(tech, chips)
+				tws := make([]tileWindow, len(tiles))
+				special := []float64{0, grid, top}
+				for b := 1; b <= retentionBuckets; b++ {
+					edge := float64(b) / retentionBuckets
+					special = append(special, edge-grid)
+					if b < retentionBuckets {
+						special = append(special, edge)
+					}
+				}
+				for k := -8.0; k <= 8; k++ {
+					special = append(special, pLow+k*grid, pHigh+k*grid)
+				}
+				// near returns the uniform whose g·Vth0 is dv (the uniform
+				// where T1 stops storing a level, or where T3's overdrive
+				// meets its clamp) and uniforms at growing distances on
+				// either side, if it lies in HashUniform's range.
+				near := func(dv float64) []float64 {
+					u := 0.5 * math.Erfc(-dv/tech.Vth0/sc.SigmaVth/math.Sqrt2)
+					if !(u > 0 && u < top) {
+						return nil
+					}
+					us := []float64{u}
+					for d := grid; d < 1e-3; d *= 16 {
+						us = append(us, max(0, u-d), min(top, u+d))
+					}
+					return us
+				}
+				tails := []float64{0, grid, 2 * grid, 1.0/retentionBuckets - grid, 1 - 1.0/retentionBuckets, top - grid, top}
+				corners := make([][]float64, len(tiles))
+				clamped := 0
+				for i, p := range tiles {
+					tws[i].init(&w, p)
+					v0 := near(tech.Vdd - p.vthShift - tech.Vth0)
+					over3 := near(tech.Vdd - 1e-3 - p.vthShift - tech.Vth0)
+					special = append(special, v0...)
+					special = append(special, over3...)
+					corners[i] = append(append(append([]float64{}, tails...), v0...), over3...)
+				}
+				check := func(tw *tileWindow, u1, u2, u3 float64) {
+					lb := w.bound(tw, bucket(u1), bucket(u2), bucket(u3))
+					if r := windowCell(&w, tw, u1, u2, u3); lb > r {
+						t.Fatalf("u = (%v, %v, %v), ΔL %v: bound %v above exact %v", u1, u2, u3, tw.p.dL, lb, r)
+					}
+					if tech.Vdd-(tech.Vth0*(1+w.sigma*stats.InvNormCDF(u3))+tw.p.vthShift) < 1e-3 {
+						clamped++
+					}
+				}
+				rng := stats.NewRNG(uint64(tech.NodeNM))
+				for i := range tws {
+					tw := &tws[i]
+					// Every triple of tail and clamp uniforms: T1 that
+					// barely stores a level against a very strong T2.
+					for _, u1 := range corners[i] {
+						for _, u2 := range corners[i] {
+							for _, u3 := range corners[i] {
+								check(tw, u1, u2, u3)
+							}
+						}
+					}
+					for _, s := range special {
+						check(tw, s, s, s)
+						for k := 0; k < partners; k++ {
+							a, b := rng.Float64(), rng.Float64()
+							check(tw, s, a, b)
+							check(tw, a, s, b)
+							check(tw, a, b, s)
+						}
+					}
+				}
+				for i := 0; i < random; i++ {
+					check(&tws[i%len(tws)], rng.Float64(), rng.Float64(), rng.Float64())
+				}
+				if sc == wideVth && clamped == 0 {
+					t.Error("no cell reached the over3 clamp")
+				}
+			})
+		}
+	}
+}
+
+// TestRetentionWindowSurvivors pins the point of the window: on the
+// severe quick chips fewer than 10 % of the cells reach the exact
+// stage. An exhaustive fallback would pass every oracle and fail here.
+func TestRetentionWindowSurvivors(t *testing.T) {
+	chips := chipsFor(L1D, variation.Severe, 10)
+	cells := L1D.Lines * (L1D.CellsPerLine + L1D.TagBits) * len(chips)
+	m := make([]float64, L1D.Lines)
+	for _, tech := range Nodes {
+		exact := 0
+		for _, chip := range chips {
+			exact += NewChipEval(tech, L1D, chip).retention3T1D(0, m)
+		}
+		frac := float64(exact) / float64(cells)
+		t.Logf("%s: %.2f %% of cells evaluated exactly", tech.Name, 100*frac)
+		if frac >= 0.10 {
+			t.Errorf("%s: %.1f %% of cells evaluated exactly, want under 10 %%", tech.Name, 100*frac)
+		}
+	}
+}
+
+// fuzzLines is how many consecutive lines one FuzzRetentionWindow input
+// checks: enough to cross a tile row of L1D.
+const fuzzLines = 20
+
+// FuzzRetentionWindow checks the windowed 3T1D kernel against the
+// per-cell oracle, bit for bit, on any chip seed, σVth in (0, 0.4], node
+// and run of lines.
+func FuzzRetentionWindow(f *testing.F) {
+	f.Add(uint64(20070612), 0.15, uint8(2), uint16(0))
+	f.Add(uint64(1), 0.4, uint8(0), uint16(1010))
+	f.Add(uint64(7), 1e-300, uint8(1), uint16(500))
+	f.Fuzz(func(t *testing.T, seed uint64, sigma float64, node uint8, line uint16) {
+		if math.IsNaN(sigma) || math.IsInf(sigma, 0) {
+			t.Skip()
+		}
+		sc := wideVth
+		if sc.SigmaVth = math.Mod(math.Abs(sigma), wideVth.SigmaVth); sc.SigmaVth == 0 {
+			sc.SigmaVth = wideVth.SigmaVth
+		}
+		chip := variation.NewChip(stats.NewRNG(seed), 0, sc, L1D.TileCols, L1D.TileRows)
+		e := NewChipEval(Nodes[int(node)%len(Nodes)], L1D, chip)
+		first := int(line) % L1D.Lines
+		out := make([]float64, min(fuzzLines, L1D.Lines-first))
+		e.retention3T1D(first, out)
+		for i, got := range out {
+			if want := refLineRetention3T1D(e, first+i); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("σVth %v, line %d: %v, oracle %v", sc.SigmaVth, first+i, got, want)
+			}
+		}
+	})
 }
 
 // TestSTTLineRetentionMatchesOracle compares every line of every chip
@@ -254,8 +473,9 @@ func TestInvNormCDFWindowPremise(t *testing.T) {
 	}
 }
 
-// TestRetentionKernelsZeroAllocs proves both backends' line kernels keep
-// their buffers on the stack.
+// TestRetentionKernelsZeroAllocs proves both backends' kernels keep
+// their buffers and tables on the stack: LineRetention allocates nothing
+// and RetentionMap only the map it returns.
 func TestRetentionKernelsZeroAllocs(t *testing.T) {
 	chip := chipsFor(L1D, variation.Severe, 1)[0]
 	for _, b := range []CellBackend{Backend3T1D, STTRAMBackend} {
@@ -268,6 +488,12 @@ func TestRetentionKernelsZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%s LineRetention allocates %v times per call", b.Name(), allocs)
+		}
+		allocs = testing.AllocsPerRun(5, func() {
+			sink += b.RetentionMap(e)[line]
+		})
+		if allocs != 1 {
+			t.Errorf("%s RetentionMap allocates %v times per call, want 1 (the map)", b.Name(), allocs)
 		}
 		_ = sink
 	}
