@@ -270,6 +270,18 @@ func BenchmarkChipRetentionMap(b *testing.B) {
 	}
 }
 
+// BenchmarkSTTYield times one quick build of the STT-RAM class-mix
+// yield suite: the severe population, one two-class retention scan per
+// chip and the three mixes' quantization.
+func BenchmarkSTTYield(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if r := experiments.STTYield(benchParams); len(r.Columns) == 0 {
+			b.Fatal("empty sttyield table")
+		}
+	}
+	b.ReportMetric(float64(b.N*benchParams.DistChips)/b.Elapsed().Seconds(), "chips/s")
+}
+
 // BenchmarkWorkloadGenerator measures instruction-stream generation.
 func BenchmarkWorkloadGenerator(b *testing.B) {
 	prof, _ := workload.ByName("mcf")

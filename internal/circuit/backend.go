@@ -106,10 +106,10 @@ type CellBackend interface {
 	Name() string
 	// NominalRetention is the zero-deviation cell's retention (seconds).
 	NominalRetention(t Tech) float64
-	// LineRetention is one line's retention in seconds under the chip's
-	// sampled variation: the minimum over the line's data and tag cells.
-	LineRetention(e ChipEval, line int) float64
-	// RetentionMap is the per-line retention in seconds for every line.
+	// RetentionMap is the per-line retention in seconds for every line
+	// under the chip's sampled variation; a line's retention is the
+	// minimum over its data and tag cells (§4.3.1 — a line's retention
+	// is defined by its worst cell so no data is ever lost during it).
 	RetentionMap(e ChipEval) []float64
 	// AccessTime is the array access time (seconds) of a corner cell a
 	// time elapsed (seconds) after its last write — the Fig. 4 curve.

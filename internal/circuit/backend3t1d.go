@@ -19,13 +19,6 @@ func (backend3T1D) Name() string { return DefaultBackendName }
 // NominalRetention is the calibrated zero-deviation retention (§2.2).
 func (backend3T1D) NominalRetention(t Tech) float64 { return t.Retention3T1D }
 
-// LineRetention runs the windowed kernel over one line.
-func (backend3T1D) LineRetention(e ChipEval, line int) float64 {
-	var r [1]float64
-	e.retention3T1D(line, r[:])
-	return r[0]
-}
-
 // RetentionMap runs the windowed kernel over every line in one call, so
 // the interface is crossed and the bucket tables are built once per
 // chip, not once per line.

@@ -95,18 +95,10 @@ func (b *STTRAM) Name() string { return "sttram" }
 // different array pairs, so the pair count is the associativity.
 func ways(g Geometry) int { return g.TileCols / 2 }
 
-// lineIsHi reports whether the line belongs to a high-retention way.
-func (b *STTRAM) lineIsHi(g Geometry, line int) bool {
+// LineIsHi reports whether the line belongs to a high-retention way.
+func (b *STTRAM) LineIsHi(g Geometry, line int) bool {
 	perWay := g.Lines / ways(g)
 	return line/perWay < b.HiWays
-}
-
-// classDelta is the nominal Δ of the line's retention class.
-func (b *STTRAM) classDelta(g Geometry, line int) float64 {
-	if b.lineIsHi(g, line) {
-		return b.DeltaHi
-	}
-	return b.DeltaLo
 }
 
 // minClassDelta is the nominal Δ of the weakest class actually present
@@ -125,65 +117,49 @@ func (b *STTRAM) NominalRetention(t Tech) float64 {
 }
 
 // sttWindow is the uniform-space slack of the STT-RAM line kernel. A
-// cell's Δ is a monotone function of its hash uniform u through
-// stats.InvNormCDF, whose slope is at least √(2π), so two cells further
-// apart than sttWindow in u differ by at least 2.5e-6 in the quantile:
-// far above the approximation's ulp-level non-monotonicity (≤ 1e-12),
-// so only cells within sttWindow of the extreme uniform can hold the
-// line's minimum Δ. TestInvNormCDFWindowPremise pins this.
+// cell's quantile z = stats.InvNormCDF(u) is a monotone function of its
+// hash uniform u whose slope is at least √(2π), so two cells further
+// apart than sttWindow in u differ by at least 2.5e-6 in z: far above
+// the approximation's ulp-level non-monotonicity (≤ 1e-12), so only
+// cells within sttWindow of the smallest (largest) uniform can hold the
+// smallest (largest) z. TestInvNormCDFWindowPremise pins this.
 const sttWindow = 1e-6
 
-// LineRetention implements CellBackend: min-Δ over the line's data and
-// tag cells, one exp at the end (min of exp = exp of min). The two
-// halves of the line sit on different tiles, so each tile group takes
-// its own minimum (see sttGroup), evaluating the inverse normal CDF only
-// for the few cells whose uniform is near the group's extreme. The
-// result is bit-identical to evaluating Δ for every cell.
-func (b *STTRAM) LineRetention(e ChipEval, line int) float64 {
+// ClassRetention returns the line's retention as a relaxed cell (lo)
+// and as a high-retention cell (hi): each the min-Δ over the line's
+// data and tag cells, one exp at the end (min of exp = exp of min).
+// A cell's Δ = nom·sys·(1 + s·σ·z) is monotone in its quantile z for
+// either class, even as rounded, so each class's minimum sits at the
+// smallest or the largest z of a tile. One hash scan per tile finds
+// the extremes both classes need (see sttTile). Both results are
+// bit-identical to evaluating Δ for every cell.
+func (b *STTRAM) ClassRetention(e ChipEval, line int) (lo, hi float64) {
 	x0, x1, y := e.Geom.LineTiles(line)
-	nom := b.classDelta(e.Geom, line)
-	sigma := e.Chip.Scenario.SigmaVth
-	total := e.Geom.CellsPerLine + e.Geom.TagBits
-	half := e.Geom.CellsPerLine / 2
+	n, half := e.Geom.CellsPerLine, e.Geom.CellsPerLine/2
+	total := n + e.Geom.TagBits
 	base := uint64(line) * uint64(total)
-	seed := e.Chip.Seed()
-	g0 := b.newGroup(nom*(1+b.DeltaLSens*e.Chip.DeltaL(x0, y)), sigma)
-	g1 := b.newGroup(nom*(1+b.DeltaLSens*e.Chip.DeltaL(x1, y)), sigma)
 	// The second half of the data bits lives in the pair's other array;
 	// the tag cells stay with the first half.
-	g0.scan(seed, base, 0, half)
-	g1.scan(seed, base, half, e.Geom.CellsPerLine)
-	g0.scan(seed, base, e.Geom.CellsPerLine, total)
-	minDelta := g0.min
-	if g1.min < minDelta {
-		minDelta = g1.min
-	}
+	t0 := b.tile(e, x0, y, base, [2]sttSpan{{0, half}, {n, total}})
+	t1 := b.tile(e, x1, y, base, [2]sttSpan{{half, n}})
+	sigma := e.Chip.Scenario.SigmaVth
+	return b.retention(min(b.tileMin(&t0, b.DeltaLo, sigma), b.tileMin(&t1, b.DeltaLo, sigma))),
+		b.retention(min(b.tileMin(&t0, b.DeltaHi, sigma), b.tileMin(&t1, b.DeltaHi, sigma)))
+}
+
+// retention is τ0·exp(Δ) of a line's smallest Δ, clamped at zero.
+func (b *STTRAM) retention(minDelta float64) float64 {
 	if minDelta < 0 {
 		minDelta = 0
 	}
 	return b.Tau0Sec * math.Exp(minDelta)
 }
 
-// sttGroup is the running Δ minimum over the cells of one tile. Within
-// a tile Δ = nomSys·(1 + s·σ·InvNormCDF(u)) moves with the cell's
-// uniform u in the direction dir of sign(nomSys·s·σ): the cell with the
-// smallest u holds the minimum when dir > 0, the largest when dir < 0,
-// and every cell has Δ = nomSys when dir == 0.
-type sttGroup struct {
-	nomSys float64 // nominal Δ times the tile's systematic factor
-	s      float64 // DeltaSigmaScale
-	sigma  float64 // the scenario's σVth
-	dir    float64 // +1, -1 or 0: the sign of dΔ/du
-	key    float64 // the smallest dir·u scanned so far
-	min    float64 // the smallest Δ evaluated so far
-}
-
-func (b *STTRAM) newGroup(nomSys, sigma float64) sttGroup {
-	return sttGroup{
-		nomSys: nomSys, s: b.DeltaSigmaScale, sigma: sigma,
-		dir: sign(nomSys) * sign(b.DeltaSigmaScale) * sign(sigma),
-		key: math.Inf(1), min: math.Inf(1),
-	}
+// classDir is the direction in which Δ of class nominal nom moves with
+// z on a tile of systematic factor sys: +1, -1, or 0 when every cell
+// has Δ = nom·sys.
+func (b *STTRAM) classDir(nom, sys, sigma float64) float64 {
+	return sign(nom*sys) * sign(b.DeltaSigmaScale) * sign(sigma)
 }
 
 func sign(x float64) float64 {
@@ -196,40 +172,140 @@ func sign(x float64) float64 {
 	return 0
 }
 
-// scan folds cells [lo, hi) of the line into the group in one pass. It
-// keeps the smallest key = dir·u seen so far and evaluates Δ only for
-// cells whose key is within sttWindow of it. That bound only tightens,
-// so every cell within sttWindow of the group's final extreme is
-// evaluated, and that set holds the minimum; the cells evaluated before
-// the bound settles are extra candidates, about ln(hi-lo) of them.
-func (g *sttGroup) scan(seed, base uint64, lo, hi int) {
-	if g.dir == 0 {
-		if lo < hi && g.nomSys < g.min {
-			g.min = g.nomSys
-		}
-		return
+// tileMin is the smallest Δ of a tile's cells of class nominal nom:
+// that of the smallest z when Δ rises with z, of the largest when it
+// falls, and nom·sys (which z = 0 gives) when it is flat. A tile with
+// no cells on the line holds no minimum.
+func (b *STTRAM) tileMin(t *sttTile, nom, sigma float64) float64 {
+	if t.empty {
+		return math.Inf(1)
 	}
-	for cell := lo; cell < hi; cell++ {
+	var z float64
+	switch b.classDir(nom, t.sys, sigma) {
+	case 1:
+		z = t.zMin
+	case -1:
+		z = t.zMax
+	}
+	return nom * t.sys * (1 + b.DeltaSigmaScale*(sigma*z))
+}
+
+// sttTile is one tile's share of a line, reduced to what both classes'
+// minima need: the tile's systematic Δ factor and the smallest and the
+// largest quantile z over its cells (each filled only if some class's
+// Δ moves with z in that direction).
+type sttTile struct {
+	sys        float64 // 1 + DeltaLSens·ΔL of the tile
+	zMin, zMax float64
+	empty      bool
+}
+
+// sttSpan is a range [lo, hi) of a line's cells.
+type sttSpan struct{ lo, hi int }
+
+// tile reduces the cells in spans, which lie on tile (tx, ty), to an
+// sttTile in one hash scan. The scan keeps only the two most extreme
+// uniforms at each end it needs; the inverse normal CDF is then
+// evaluated once per end, at the extreme uniform, unless the runner-up
+// lies within sttWindow of it, where the approximation's ulp-level
+// wobble could reorder the two (a chance of about cells·sttWindow, one
+// tile end in ~3500 on L1D). Then every cell within sttWindow is
+// evaluated.
+func (b *STTRAM) tile(e ChipEval, tx, ty int, base uint64, spans [2]sttSpan) sttTile {
+	sigma := e.Chip.Scenario.SigmaVth
+	t := sttTile{sys: 1 + b.DeltaLSens*e.Chip.DeltaL(tx, ty)}
+	t.empty = spans[0].lo >= spans[0].hi && spans[1].lo >= spans[1].hi
+	var low, high bool
+	for _, nom := range [2]float64{b.DeltaLo, b.DeltaHi} {
+		switch b.classDir(nom, t.sys, sigma) {
+		case 1:
+			low = true
+		case -1:
+			high = true
+		}
+	}
+	if t.empty || !(low || high) {
+		return t
+	}
+	// An end no class needs starts with its runner-up at the far side
+	// of the uniform range, so no cell ever updates it.
+	x := sttExtremes{lo1: math.Inf(1), lo2: math.Inf(-1), hi1: math.Inf(-1), hi2: math.Inf(1)}
+	if low {
+		x.lo2 = math.Inf(1)
+	}
+	if high {
+		x.hi2 = math.Inf(-1)
+	}
+	seed := e.Chip.Seed()
+	for _, sp := range spans {
+		x.scan(seed, base, sp)
+	}
+	if low {
+		t.zMin = extremeZ(seed, base, spans, 1, x.lo1, x.lo2)
+	}
+	if high {
+		t.zMax = -extremeZ(seed, base, spans, -1, x.hi1, x.hi2)
+	}
+	return t
+}
+
+// sttExtremes holds the two smallest (lo1 ≤ lo2) and the two largest
+// (hi1 ≥ hi2) uniforms of the cells scanned so far.
+type sttExtremes struct{ lo1, lo2, hi1, hi2 float64 }
+
+// scan folds the cells of sp into the extremes.
+func (x *sttExtremes) scan(seed, base uint64, sp sttSpan) {
+	for cell := sp.lo; cell < sp.hi; cell++ {
 		u := stats.HashUniform(seed, stats.Mix64(base+uint64(cell), uint64(slotMTJ)))
-		key := g.dir * u // dir·u falls as Δ does
-		if key > g.key+sttWindow {
-			continue
+		if u < x.lo2 {
+			if u < x.lo1 {
+				x.lo1, x.lo2 = u, x.lo1
+			} else {
+				x.lo2 = u
+			}
 		}
-		if key < g.key {
-			g.key = key
-		}
-		if delta := g.nomSys * (1 + g.s*(g.sigma*stats.InvNormCDF(u))); delta < g.min {
-			g.min = delta
+		if u > x.hi2 {
+			if u > x.hi1 {
+				x.hi1, x.hi2 = u, x.hi1
+			} else {
+				x.hi2 = u
+			}
 		}
 	}
 }
 
+// extremeZ is the smallest dir·z over the cells in spans, for dir = ±1.
+// u1 is the uniform with the smallest dir·u over those cells and u2 the
+// runner-up; only cells with dir·u within sttWindow of dir·u1 can hold
+// the smallest dir·z.
+func extremeZ(seed, base uint64, spans [2]sttSpan, dir, u1, u2 float64) float64 {
+	cut := dir*u1 + sttWindow
+	best := dir * stats.InvNormCDF(u1)
+	if dir*u2 > cut {
+		return best
+	}
+	for _, sp := range spans {
+		for cell := sp.lo; cell < sp.hi; cell++ {
+			u := stats.HashUniform(seed, stats.Mix64(base+uint64(cell), uint64(slotMTJ)))
+			if dir*u <= cut {
+				best = min(best, dir*stats.InvNormCDF(u))
+			}
+		}
+	}
+	return best
+}
+
 // RetentionMap implements CellBackend; the interface is crossed once
-// per chip.
+// per chip, and each line takes its class's value from ClassRetention.
 func (b *STTRAM) RetentionMap(e ChipEval) []float64 {
 	m := make([]float64, e.Geom.Lines)
 	for l := range m {
-		m[l] = b.LineRetention(e, l)
+		lo, hi := b.ClassRetention(e, l)
+		if b.LineIsHi(e.Geom, l) {
+			m[l] = hi
+		} else {
+			m[l] = lo
+		}
 	}
 	return m
 }

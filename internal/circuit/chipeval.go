@@ -103,14 +103,6 @@ func (e ChipEval) cellDevice(line, cell int, slot uint8, tileX, tileY int) Devic
 	}
 }
 
-// LineRetention returns the retention time (seconds) of one cache line
-// under the active cell backend: the minimum retention over its data
-// and tag cells (§4.3.1 — a line's retention is defined by its worst
-// cell so no data is ever lost during it).
-func (e ChipEval) LineRetention(line int) float64 {
-	return e.ActiveBackend().LineRetention(e, line)
-}
-
 // retentionBuckets is how many buckets the windowed 3T1D kernel splits
 // each hash uniform into, by its top 8 bits.
 const retentionBuckets = 256
@@ -265,15 +257,15 @@ func (w *retentionWindow) scan(tw *tileWindow, base uint64, lo, hi int, worst fl
 	return worst, exact
 }
 
-// retention3T1D is the 3T1D backend's kernel, shared by LineRetention
-// and RetentionMap: it writes the retention of lines first, first+1, ...
-// into out and returns how many cells it evaluated exactly. A line's
-// retention is the minimum over its cells of a hoisted form
-// algebraically identical to Tech.RetentionTime (asserted by tests). The
-// chip's bucket tables are built once per call, and the two tile tables
-// only when a line's tiles differ from the previous line's; all stay on
-// the stack. With σVth = 0 every cell of a tile is the same, so one
-// exact evaluation per tile suffices. A dead cell ends its line.
+// retention3T1D is the 3T1D backend's kernel behind RetentionMap: it
+// writes the retention of lines first, first+1, ... into out and
+// returns how many cells it evaluated exactly. A line's retention is the
+// minimum over its cells of a hoisted form algebraically identical to
+// Tech.RetentionTime (asserted by tests). The chip's bucket tables are
+// built once per call, and the two tile tables only when a line's tiles
+// differ from the previous line's; all stay on the stack. With σVth = 0
+// every cell of a tile is the same, so one exact evaluation per tile
+// suffices. A dead cell ends its line.
 func (e ChipEval) retention3T1D(first int, out []float64) (exact int) {
 	var (
 		w        retentionWindow

@@ -51,7 +51,7 @@ func TestGeometryLineTiles(t *testing.T) {
 
 func TestNoVariationChipIsIdeal(t *testing.T) {
 	e := newEval(1, variation.NoVariation)
-	if got := e.LineRetention(0); math.Abs(got-Node32.Retention3T1D)/Node32.Retention3T1D > 1e-9 {
+	if got := e.RetentionMap()[0]; math.Abs(got-Node32.Retention3T1D)/Node32.Retention3T1D > 1e-9 {
 		t.Errorf("no-variation line retention = %v", got)
 	}
 	if got := cacheRetention(e); math.Abs(got-Node32.Retention3T1D)/Node32.Retention3T1D > 1e-9 {
@@ -74,8 +74,9 @@ func TestNoVariationChipIsIdeal(t *testing.T) {
 func TestChipEvalDeterministic(t *testing.T) {
 	a := newEval(42, variation.Severe)
 	b := newEval(42, variation.Severe)
+	ma, mb := a.RetentionMap(), b.RetentionMap()
 	for _, line := range []int{0, 17, 511, 1023} {
-		if a.LineRetention(line) != b.LineRetention(line) {
+		if ma[line] != mb[line] {
 			t.Errorf("line %d retention differs across identical chips", line)
 		}
 	}
@@ -108,13 +109,15 @@ func TestRetentionMapShapeAndBounds(t *testing.T) {
 }
 
 // TestCacheRetentionIsMapMinimum checks that the minimum of the map
-// the kernel builds in one pass is the minimum over single-line calls.
+// the kernel builds in one pass is the minimum over single-line runs of
+// the kernel.
 func TestCacheRetentionIsMapMinimum(t *testing.T) {
 	e := newEval(9, variation.Typical)
 	min := math.Inf(1)
+	var r [1]float64
 	for l := 0; l < e.Geom.Lines; l++ {
-		if r := e.LineRetention(l); r < min {
-			min = r
+		if e.retention3T1D(l, r[:]); r[0] < min {
+			min = r[0]
 		}
 	}
 	if got := cacheRetention(e); got != min {
@@ -194,9 +197,10 @@ func TestSevereWorseThanTypical(t *testing.T) {
 }
 
 func TestFastRetentionKernelMatchesReference(t *testing.T) {
-	// The hoisted kernel in LineRetention must agree with the generic
-	// Tech.RetentionTime evaluation cell for cell.
+	// The hoisted kernel behind RetentionMap must agree with the
+	// generic Tech.RetentionTime evaluation cell for cell.
 	e := newEval(21, variation.Severe)
+	m := e.RetentionMap()
 	for _, line := range []int{0, 100, 511, 777, 1023} {
 		x0, x1, y := e.Geom.LineTiles(line)
 		min := math.Inf(1)
@@ -216,7 +220,7 @@ func TestFastRetentionKernelMatchesReference(t *testing.T) {
 				min = r
 			}
 		}
-		got := e.LineRetention(line)
+		got := m[line]
 		if min == 0 {
 			if got != 0 {
 				t.Errorf("line %d: fast=%v want dead", line, got)

@@ -11,8 +11,8 @@ import (
 
 // The per-cell forms of the two retention kernels: one Gaussian draw per
 // transistor and one retention per cell, in cell order. They are the
-// bit-exact oracles for the windowed 3T1D kernel and the STT-RAM minimum
-// over uniforms.
+// bit-exact oracles for the windowed 3T1D kernel and the STT-RAM
+// kernel's per-tile quantile extremes.
 
 func refLineRetention3T1D(e ChipEval, line int) float64 {
 	x0, x1, y := e.Geom.LineTiles(line)
@@ -67,29 +67,36 @@ func refCellRetention(e ChipEval, p *tileParams, g1, g2, g3 float64) float64 {
 	return margin * p.invDecay / retLeak
 }
 
-func refSTTLineRetention(b *STTRAM, e ChipEval, line int) float64 {
+// refSTTClassRetention is the line's retention as a relaxed cell (lo)
+// and as a high-retention cell (hi): each cell's Δ under both class
+// nominals from one draw.
+func refSTTClassRetention(b *STTRAM, e ChipEval, line int) (lo, hi float64) {
 	x0, x1, y := e.Geom.LineTiles(line)
 	sys0 := 1 + b.DeltaLSens*e.Chip.DeltaL(x0, y)
 	sys1 := 1 + b.DeltaLSens*e.Chip.DeltaL(x1, y)
-	nom := b.classDelta(e.Geom, line)
 	total := e.Geom.CellsPerLine + e.Geom.TagBits
 	half := e.Geom.CellsPerLine / 2
-	minDelta := math.Inf(1)
+	minLo, minHi := math.Inf(1), math.Inf(1)
 	for cell := 0; cell < total; cell++ {
 		sys := sys0
 		if cell >= half && cell < e.Geom.CellsPerLine {
 			sys = sys1
 		}
 		dv := e.Chip.DeltaVth(e.cellID(line, cell), slotMTJ)
-		delta := nom * sys * (1 + b.DeltaSigmaScale*dv)
-		if delta < minDelta {
-			minDelta = delta
+		if delta := b.DeltaLo * sys * (1 + b.DeltaSigmaScale*dv); delta < minLo {
+			minLo = delta
+		}
+		if delta := b.DeltaHi * sys * (1 + b.DeltaSigmaScale*dv); delta < minHi {
+			minHi = delta
 		}
 	}
-	if minDelta < 0 {
-		minDelta = 0
+	retention := func(minDelta float64) float64 {
+		if minDelta < 0 {
+			minDelta = 0
+		}
+		return b.Tau0Sec * math.Exp(minDelta)
 	}
-	return b.Tau0Sec * math.Exp(minDelta)
+	return retention(minLo), retention(minHi)
 }
 
 // oracleChips is the per-scenario chip count of the oracle tests.
@@ -109,8 +116,12 @@ func chipsFor(g Geometry, sc variation.Scenario, n int) []*variation.Chip {
 var oddGeometry = Geometry{Lines: 64, CellsPerLine: 100, TagBits: 7, TileCols: 8, TileRows: 4}
 
 // TestLineRetention3T1DMatchesOracle compares every line of every chip
-// with the per-cell kernel, bit for bit, on every technology node: once
-// from a whole RetentionMap and once from single-line calls.
+// with the per-cell kernel, bit for bit, on every technology node, from
+// a whole RetentionMap. It also runs the kernel on sub-windows of lines
+// starting at a few lines per chip, across tile-row edges, and requires
+// the map's values there: the tile tables a window builds at its first
+// line and reuses or rebuilds after it must not depend on where it
+// starts.
 func TestLineRetention3T1DMatchesOracle(t *testing.T) {
 	if oddGeometry.LinesPerTileRow() != 4 {
 		t.Fatalf("oddGeometry has %d lines per tile row, want 4", oddGeometry.LinesPerTileRow())
@@ -129,10 +140,12 @@ func TestLineRetention3T1DMatchesOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%d", c.sc.Name, c.geom.CellsPerLine), func(t *testing.T) {
 			t.Parallel()
 			chips := chipsFor(c.geom, c.sc, c.chips)
+			lpr := c.geom.LinesPerTileRow()
 			for _, tech := range Nodes {
 				t.Run(tech.Name, func(t *testing.T) {
 					t.Parallel()
 					dead := 0
+					window := make([]float64, lpr+2)
 					for i, chip := range chips {
 						e := NewChipEval(tech, c.geom, chip)
 						m := Backend3T1D.RetentionMap(e)
@@ -141,11 +154,17 @@ func TestLineRetention3T1DMatchesOracle(t *testing.T) {
 							if math.Float64bits(got) != math.Float64bits(want) {
 								t.Fatalf("chip %d line %d: map %v, oracle %v", i, line, got, want)
 							}
-							if one := Backend3T1D.LineRetention(e, line); math.Float64bits(one) != math.Float64bits(want) {
-								t.Fatalf("chip %d line %d: LineRetention %v, oracle %v", i, line, one, want)
-							}
 							if got == 0 {
 								dead++
+							}
+						}
+						for _, first := range []int{i % c.geom.Lines, lpr - 1, c.geom.Lines/2 + i%lpr, c.geom.Lines - 1} {
+							out := window[:min(len(window), c.geom.Lines-first)]
+							e.retention3T1D(first, out)
+							for k, got := range out {
+								if math.Float64bits(got) != math.Float64bits(m[first+k]) {
+									t.Fatalf("chip %d line %d: window from %d %v, map %v", i, first+k, first, got, m[first+k])
+								}
 							}
 						}
 					}
@@ -367,17 +386,24 @@ func FuzzRetentionWindow(f *testing.F) {
 
 // TestSTTLineRetentionMatchesOracle compares every line of every chip
 // with the per-cell kernel, bit for bit, over the class mixes and the
-// parameter corners that flip or flatten Δ's dependence on the uniform.
+// parameter corners that flip or flatten Δ's dependence on the uniform:
+// ClassRetention's lo and hi against the per-cell minima under each
+// class nominal (the lines of an all-relaxed and an all-high-retention
+// array), and RetentionMap against the line's own class.
 func TestSTTLineRetentionMatchesOracle(t *testing.T) {
 	negSys := STTRAMBackend.WithHiWays(2)
 	negSys.DeltaLSens = 20 // 1 + 20·ΔL ≤ 0 wherever ΔL ≤ -5 %
 	flat := STTRAMBackend.WithHiWays(2)
 	flat.DeltaSigmaScale = 0
 	// Δ falls as the uniform rises, and stays positive: the only way the
-	// kernel's largest-u pass shows in the clamped result (a
+	// kernel's largest-z extreme shows in the clamped result (a
 	// non-positive sys is clamped to Δ = 0 whichever cell wins).
 	negScale := STTRAMBackend.WithHiWays(2)
 	negScale.DeltaSigmaScale = -STTRAMBackend.DeltaSigmaScale
+	// The two classes' Δ move in opposite directions with the uniform,
+	// so one scan must hold both ends.
+	negLo := STTRAMBackend.WithHiWays(2)
+	negLo.DeltaLo = -STTRAMBackend.DeltaLo
 	cases := []struct {
 		name string
 		b    *STTRAM
@@ -390,6 +416,7 @@ func TestSTTLineRetentionMatchesOracle(t *testing.T) {
 		{"negsys", negSys, L1D, []variation.Scenario{variation.Severe}},
 		{"flat", flat, L1D, []variation.Scenario{variation.Severe}},
 		{"negscale", negScale, L1D, []variation.Scenario{variation.Typical, variation.Severe}},
+		{"neglo", negLo, L1D, []variation.Scenario{variation.Typical, variation.Severe}},
 		{"odd", STTRAMBackend, oddGeometry, []variation.Scenario{variation.Severe}},
 	}
 	for _, c := range cases {
@@ -399,10 +426,19 @@ func TestSTTLineRetentionMatchesOracle(t *testing.T) {
 				pos, nonPos := 0, 0
 				for i, chip := range chipsFor(c.geom, sc, oracleChips) {
 					e := NewChipEval(Node32, c.geom, chip)
+					m := c.b.RetentionMap(e)
 					for line := 0; line < c.geom.Lines; line++ {
-						got, want := c.b.LineRetention(e, line), refSTTLineRetention(c.b, e, line)
-						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("chip %d line %d: %v, oracle %v", i, line, got, want)
+						lo, hi := c.b.ClassRetention(e, line)
+						wantLo, wantHi := refSTTClassRetention(c.b, e, line)
+						if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+							t.Fatalf("chip %d line %d: (lo, hi) = (%v, %v), oracle (%v, %v)", i, line, lo, hi, wantLo, wantHi)
+						}
+						want := lo
+						if c.b.LineIsHi(c.geom, line) {
+							want = hi
+						}
+						if math.Float64bits(m[line]) != math.Float64bits(want) {
+							t.Fatalf("chip %d line %d: map %v, class retention %v", i, line, m[line], want)
 						}
 						x0, x1, y := c.geom.LineTiles(line)
 						for _, x := range []int{x0, x1} {
@@ -420,6 +456,40 @@ func TestSTTLineRetentionMatchesOracle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// FuzzSTTClassRetention checks ClassRetention against the per-cell
+// oracle, bit for bit, for both classes on any chip seed, finite σVth
+// of either sign or zero, DeltaLSens, signs of DeltaLo, DeltaHi and
+// DeltaSigmaScale (bits 0, 1 and 2 of signs), and run of lines.
+func FuzzSTTClassRetention(f *testing.F) {
+	f.Add(uint64(20070612), 0.15, 1.0, uint8(0), uint16(0))
+	f.Add(uint64(1), -0.3, -20.0, uint8(1), uint16(1010))
+	f.Add(uint64(7), 0.0, 5.0, uint8(6), uint16(500))
+	f.Fuzz(func(t *testing.T, seed uint64, sigma, sens float64, signs uint8, line uint16) {
+		if math.IsNaN(sigma) || math.IsInf(sigma, 0) || math.IsNaN(sens) || math.IsInf(sens, 0) {
+			t.Skip()
+		}
+		sc := wideVth
+		sc.SigmaVth = math.Mod(sigma, wideVth.SigmaVth)
+		b := *STTRAMBackend
+		b.DeltaLSens = math.Mod(sens, 50)
+		for bit, v := range []*float64{&b.DeltaLo, &b.DeltaHi, &b.DeltaSigmaScale} {
+			if signs&(1<<bit) != 0 {
+				*v = -*v
+			}
+		}
+		chip := variation.NewChip(stats.NewRNG(seed), 0, sc, L1D.TileCols, L1D.TileRows)
+		e := NewChipEval(Node32, L1D, chip)
+		first := int(line) % L1D.Lines
+		for l := first; l < min(first+fuzzLines, L1D.Lines); l++ {
+			lo, hi := b.ClassRetention(e, l)
+			wantLo, wantHi := refSTTClassRetention(&b, e, l)
+			if math.Float64bits(lo) != math.Float64bits(wantLo) || math.Float64bits(hi) != math.Float64bits(wantHi) {
+				t.Fatalf("σVth %v, line %d: (lo, hi) = (%v, %v), oracle (%v, %v)", sc.SigmaVth, l, lo, hi, wantLo, wantHi)
+			}
+		}
+	})
 }
 
 // TestInvNormCDFWindowPremise pins what the STT-RAM kernel's window
@@ -474,27 +544,33 @@ func TestInvNormCDFWindowPremise(t *testing.T) {
 }
 
 // TestRetentionKernelsZeroAllocs proves both backends' kernels keep
-// their buffers and tables on the stack: LineRetention allocates nothing
-// and RetentionMap only the map it returns.
+// their buffers and tables on the stack: RetentionMap allocates only the
+// map it returns, and neither the 3T1D kernel on a caller's window nor
+// ClassRetention allocates at all.
 func TestRetentionKernelsZeroAllocs(t *testing.T) {
 	chip := chipsFor(L1D, variation.Severe, 1)[0]
 	for _, b := range []CellBackend{Backend3T1D, STTRAMBackend} {
 		e := ChipEval{Tech: Node32, Geom: L1D, Chip: chip, Backend: b}
-		line := 0
 		var sink float64
-		allocs := testing.AllocsPerRun(100, func() {
-			sink += b.LineRetention(e, line)
-			line = (line + 1) % L1D.Lines
-		})
-		if allocs != 0 {
-			t.Errorf("%s LineRetention allocates %v times per call", b.Name(), allocs)
-		}
-		allocs = testing.AllocsPerRun(5, func() {
-			sink += b.RetentionMap(e)[line]
+		allocs := testing.AllocsPerRun(5, func() {
+			sink += b.RetentionMap(e)[1]
 		})
 		if allocs != 1 {
 			t.Errorf("%s RetentionMap allocates %v times per call, want 1 (the map)", b.Name(), allocs)
 		}
 		_ = sink
 	}
+	e := NewChipEval(Node32, L1D, chip)
+	line := 0
+	window := make([]float64, 3)
+	var sink float64
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.retention3T1D(line, window[:1])
+		lo, hi := STTRAMBackend.ClassRetention(e, line)
+		sink += window[0] + lo + hi
+		line = (line + 1) % L1D.Lines
+	}); allocs != 0 {
+		t.Errorf("retention3T1D on a window and ClassRetention allocate %v times per line", allocs)
+	}
+	_ = sink
 }

@@ -4,16 +4,16 @@ import (
 	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/montecarlo"
+	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
 )
 
 // sttClassConfigs are the retention-class mixes the yield suite sweeps:
 // an all-relaxed array, the registered asymmetric split, and an
-// all-high-retention array. The variants are derived with WithHiWays
-// and passed straight to montecarlo.Options.Backend — they are not
-// registered, and they bypass the memoized study cache on purpose
-// (their results are used exactly once, here).
-var sttClassConfigs = []struct {
+// all-high-retention array. The mixes differ only in which lines take
+// the high-retention cell, so STTYield evaluates each chip once for
+// both classes and assembles every mix's map from that.
+var sttClassConfigs = [...]struct {
 	key    string
 	hiWays int
 }{
@@ -33,8 +33,8 @@ var STTYieldThresholds = []float64{0, 0.05, 0.10, 0.25, 0.50}
 // live-line retention), as a long-form (config, hi_ways, dead_ceiling,
 // yield) table with the per-config summaries as extra columns.
 //
-// It evaluates the class mixes over the severe-variation population
-// (retention-only Monte-Carlo studies; no architecture simulation). The
+// It evaluates the class mixes over one severe-variation population
+// (retention maps only; no architecture simulation). The
 // asymmetric split is the robust design, and for a subtler reason than
 // raw retention: the class-deadline policy anchors the counter step to
 // the weakest class present, so asym's high-retention ways sit orders
@@ -44,25 +44,53 @@ var STTYieldThresholds = []float64{0, 0.05, 0.10, 0.25, 0.50}
 // overruns. Its floor is its relaxed ways: roughly half the lines die,
 // and nothing more.
 func STTYield(p *Params) *artifact.Table {
+	var mixes [len(sttClassConfigs)]*circuit.STTRAM
+	for v, cfg := range sttClassConfigs {
+		mixes[v] = circuit.STTRAMBackend.WithHiWays(cfg.hiWays)
+	}
+	chips := variation.Population(p.Seed^0xc41b, p.DistChips, variation.Severe, circuit.L1D.TileCols, circuit.L1D.TileRows)
+	// figs[i][v] is chip i's (dead fraction, mean live retention) under
+	// mix v.
+	figs := make([][len(sttClassConfigs)][2]float64, len(chips))
+	p.Pool().Run(len(chips), func(i int, _ *sweep.Worker) {
+		e := circuit.NewChipEval(p.Tech, circuit.L1D, chips[i])
+		var secs [len(sttClassConfigs)][]float64
+		for v := range secs {
+			secs[v] = make([]float64, circuit.L1D.Lines)
+		}
+		for l := 0; l < circuit.L1D.Lines; l++ {
+			lo, hi := circuit.STTRAMBackend.ClassRetention(e, l)
+			for v, b := range mixes {
+				if b.LineIsHi(circuit.L1D, l) {
+					secs[v][l] = hi
+				} else {
+					secs[v][l] = lo
+				}
+			}
+		}
+		// Each mix's map is quantized as a montecarlo.New study with the
+		// mix as its Backend quantizes it; TestSTTYieldMatchesStudies
+		// holds the two paths together.
+		for v, b := range mixes {
+			var c montecarlo.Chip
+			c.SetRetention(secs[v], montecarlo.Options{Tech: p.Tech, Backend: b})
+			figs[i][v] = [2]float64{c.DeadFrac, c.MeanAliveNS}
+		}
+	})
+
 	var config []string
 	var hiWays []int64
 	var ceiling, yield, meanDead, meanAlive []float64
-	pool := p.Pool()
-	for _, cfg := range sttClassConfigs {
-		variant := circuit.STTRAMBackend.WithHiWays(cfg.hiWays)
-		st := montecarlo.New(montecarlo.Options{
-			Tech: p.Tech, Scenario: variation.Severe, Seed: p.Seed ^ 0xc41b,
-			Chips: p.DistChips, Backend: variant, Pool: pool,
-		})
-		n := float64(len(st.Chips))
+	n := float64(len(chips))
+	for v, cfg := range sttClassConfigs {
 		counts := make([]float64, len(STTYieldThresholds))
 		var sumDead, sumAlive float64
-		for i := range st.Chips {
-			ch := &st.Chips[i]
-			sumDead += ch.DeadFrac
-			sumAlive += ch.MeanAliveNS
+		for i := range figs {
+			dead, alive := figs[i][v][0], figs[i][v][1]
+			sumDead += dead
+			sumAlive += alive
 			for ti, th := range STTYieldThresholds {
-				if ch.DeadFrac <= th {
+				if dead <= th {
 					counts[ti]++
 				}
 			}

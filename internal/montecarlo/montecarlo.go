@@ -65,8 +65,6 @@ type Study struct {
 	// zero, and the map readers GoodMedianBad and DiscardRate panic.
 	MapFree bool
 	Chips   []Chip
-
-	backend circuit.CellBackend
 }
 
 // Options configures a Study.
@@ -98,23 +96,16 @@ type Options struct {
 // across chips; the result is deterministic for a given seed regardless
 // of parallelism.
 func New(o Options) *Study {
-	if o.CounterBits == 0 {
-		o.CounterBits = core.DefaultConfig(core.NoRefreshLRU).CounterBits
-	}
-	backend := o.Backend
-	if backend == nil {
-		backend = circuit.Backend3T1D
-	}
+	o = o.withDefaults()
 	s := &Study{
 		Tech:        o.Tech,
 		Scenario:    o.Scenario,
 		Seed:        o.Seed,
-		Backend:     backend.Name(),
+		Backend:     o.Backend.Name(),
 		CounterStep: o.CounterStep,
 		CounterBits: o.CounterBits,
 		MapFree:     o.MapFree,
 		Chips:       make([]Chip, o.Chips),
-		backend:     backend,
 	}
 	chips := variation.Population(o.Seed, o.Chips, o.Scenario, circuit.L1D.TileCols, circuit.L1D.TileRows)
 	pool := o.Pool
@@ -125,18 +116,29 @@ func New(o Options) *Study {
 	// lands in its own pre-indexed slot, so the study is identical for
 	// any pool width.
 	pool.Run(len(chips), func(i int, _ *sweep.Worker) {
-		s.Chips[i] = evaluate(s, i, chips[i])
+		s.Chips[i] = evaluate(o, i, chips[i])
 	})
 	return s
 }
 
-func evaluate(s *Study, idx int, ch *variation.Chip) Chip {
-	e := circuit.NewChipEval(s.Tech, circuit.L1D, ch)
-	e.Backend = s.backend
+// withDefaults resolves the zero CounterBits and the nil Backend.
+func (o Options) withDefaults() Options {
+	if o.CounterBits == 0 {
+		o.CounterBits = core.DefaultConfig(core.NoRefreshLRU).CounterBits
+	}
+	if o.Backend == nil {
+		o.Backend = circuit.Backend3T1D
+	}
+	return o
+}
+
+func evaluate(o Options, idx int, ch *variation.Chip) Chip {
+	e := circuit.NewChipEval(o.Tech, circuit.L1D, ch)
+	e.Backend = o.Backend
 	c := Chip{Index: idx}
 	tileFigures(&c, e)
-	if !s.MapFree {
-		mapFigures(&c, s, e)
+	if !o.MapFree {
+		c.SetRetention(e.RetentionMap(), o)
 	}
 	return c
 }
@@ -152,20 +154,24 @@ func tileFigures(c *Chip, e circuit.ChipEval) {
 	c.Unstable1X = e.SRAMUnstableFraction(circuit.SRAM1X)
 }
 
-// mapFigures evaluates the per-line retention map and fills every field
-// derived from it.
-func mapFigures(c *Chip, s *Study, e circuit.ChipEval) {
-	sec := e.RetentionMap()
-	step := s.CounterStep
+// SetRetention sets the chip's per-line retention map to sec (seconds)
+// and fills every field derived from it, quantized as New quantizes the
+// chips of a study built from o (only Tech, Backend, CounterStep and
+// CounterBits are read). Callers that evaluate retention maps
+// themselves share New's quantization through it.
+func (c *Chip) SetRetention(sec []float64, o Options) {
+	o = o.withDefaults()
+	cycle := o.Tech.CycleSeconds()
+	step := o.CounterStep
 	if step == 0 {
-		switch pol := s.backend.Policy(); pol.Kind {
+		switch pol := o.Backend.Policy(); pol.Kind {
 		case circuit.PolicyRefreshCounter:
-			step = core.ChooseCounterStep(sec, s.Tech.CycleSeconds(), s.CounterBits)
+			step = core.ChooseCounterStep(sec, cycle, o.CounterBits)
 		case circuit.PolicyClassDeadline:
-			step = core.DeadlineCounterStep(pol.CounterDeadlineSec, s.Tech.CycleSeconds(), s.CounterBits)
+			step = core.DeadlineCounterStep(pol.CounterDeadlineSec, cycle, o.CounterBits)
 		}
 	}
-	q := core.QuantizeRetention(sec, s.Tech.CycleSeconds(), step, s.CounterBits)
+	q := core.QuantizeRetention(sec, cycle, step, o.CounterBits)
 	min := sec[0]
 	for _, r := range sec {
 		if r < min {
@@ -177,7 +183,7 @@ func mapFigures(c *Chip, s *Study, e circuit.ChipEval) {
 	c.CounterStep = step
 	c.CacheRetentionNS = min * circuit.SecondsToNano
 	c.DeadFrac = q.DeadFraction()
-	c.MeanAliveNS = q.MeanAlive() * s.Tech.CycleSeconds() * circuit.SecondsToNano
+	c.MeanAliveNS = q.MeanAlive() * cycle * circuit.SecondsToNano
 }
 
 // quality ranks a chip for good/median/bad selection: higher is better.
