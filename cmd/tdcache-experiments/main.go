@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"tdcache"
+	"tdcache/internal/circuit"
 )
 
 func main() {
@@ -170,17 +171,12 @@ func cli(args []string, stdout, stderr io.Writer) int {
 // params. The empty string keeps the reference model (and the
 // pre-refactor parameter digest).
 func applyBackend(p *tdcache.ExperimentParams, name string) error {
-	if name == "" {
-		return nil
+	if _, ok := circuit.LookupBackend(name); !ok {
+		return fmt.Errorf("tdcache-experiments: unknown backend %q (known: %s)",
+			name, strings.Join(circuit.BackendNames(), ", "))
 	}
-	for _, b := range tdcache.Backends() {
-		if b == name {
-			p.Backend = name
-			return nil
-		}
-	}
-	return fmt.Errorf("tdcache-experiments: unknown backend %q (registered: %s)",
-		name, strings.Join(tdcache.Backends(), ", "))
+	p.Backend = name
+	return nil
 }
 
 // run regenerates one experiment (or all of them) in the requested

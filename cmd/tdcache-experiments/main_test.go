@@ -63,11 +63,11 @@ func TestApplyBackendUnknown(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	// The error must list the registered backends so the user can fix
+	// The error must list the known backends so the user can fix
 	// the flag without reading source.
 	for _, name := range tdcache.Backends() {
 		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not list registered backend %q", err, name)
+			t.Errorf("error %q does not list backend %q", err, name)
 		}
 	}
 	if p.Backend != "" {

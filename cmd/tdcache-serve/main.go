@@ -56,11 +56,9 @@ func main() {
 }
 
 func run(addr, storeDir, pprofAddr, backend string, parallel int, opts serve.Options) error {
-	if backend != "" {
-		if _, ok := circuit.LookupBackend(backend); !ok {
-			return fmt.Errorf("tdcache-serve: unknown backend %q (registered: %s)",
-				backend, strings.Join(circuit.BackendNames(), ", "))
-		}
+	if _, ok := circuit.LookupBackend(backend); !ok {
+		return fmt.Errorf("tdcache-serve: unknown backend %q (known: %s)",
+			backend, strings.Join(circuit.BackendNames(), ", "))
 	}
 	st, err := artifact.NewStore(storeDir)
 	if err != nil {

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"tdcache"
+	"tdcache/internal/circuit"
 )
 
 func parseScheme(s string) (tdcache.Scheme, bool, error) {
@@ -38,15 +39,10 @@ func parseScheme(s string) (tdcache.Scheme, bool, error) {
 }
 
 func parseBackend(s string) (string, error) {
-	if s == "" {
-		return "", nil
+	if _, ok := circuit.LookupBackend(s); !ok {
+		return "", fmt.Errorf("unknown backend %q (%s)", s, strings.Join(circuit.BackendNames(), ", "))
 	}
-	for _, b := range tdcache.Backends() {
-		if b == s {
-			return s, nil
-		}
-	}
-	return "", fmt.Errorf("unknown backend %q (%s)", s, strings.Join(tdcache.Backends(), ", "))
+	return s, nil
 }
 
 func parseScenario(s string) (tdcache.Scenario, error) {

@@ -1,7 +1,5 @@
 package circuit
 
-import "sort"
-
 // Corner identifies a process corner for a backend's access-time curve:
 // the Fig. 4 family plots nominal, weak (slow read path), and strong
 // (fast read path) cells against the 6T reference line. The set is
@@ -69,13 +67,6 @@ func (k PolicyKind) String() string {
 type Policy struct {
 	// Kind selects the counter-quantization discipline.
 	Kind PolicyKind
-	// RetentionClasses is the number of discrete retention classes the
-	// backend builds into the array (1 for a homogeneous cell).
-	RetentionClasses int
-	// DVFSAware marks backends whose effective retention deadline (in
-	// cycles) scales with the operating frequency; the DVFS experiments
-	// re-quantize the retention map per frequency level.
-	DVFSAware bool
 	// CounterDeadlineSec anchors the counter step for
 	// PolicyClassDeadline backends: the architectural retention horizon
 	// the counters must resolve. Zero for PolicyRefreshCounter.
@@ -90,19 +81,19 @@ type BackendParam struct {
 	Value float64
 }
 
-// CellBackend is the pluggable cell-physics model behind the cache
-// study: everything the Monte-Carlo and experiment layers need from a
-// memory technology, collapsed to the paper's one knob — per-line
-// retention time — plus the access-time curve, leakage, and a policy
-// descriptor telling the architecture how to exploit the retention map.
+// CellBackend is the cell-physics model behind the cache study:
+// everything the Monte-Carlo and experiment layers need from a memory
+// technology, collapsed to the paper's one knob — per-line retention
+// time — plus the access-time curve, leakage, and a policy descriptor
+// telling the architecture how to exploit the retention map.
 //
-// Implementations must be stateless or immutable after registration
-// (they are shared across goroutines) and must keep the retention
-// kernels allocation-free: ChipEval is passed by value, backends are
-// pre-bound package singletons, and RetentionMap is dispatched once per
-// chip so interface dispatch never shows up in a hot loop.
+// Implementations must be stateless or immutable (they are shared
+// across goroutines) and must keep the retention kernels
+// allocation-free: ChipEval is passed by value, backends are pre-bound
+// package singletons, and RetentionMap is dispatched once per chip so
+// interface dispatch never shows up in a hot loop.
 type CellBackend interface {
-	// Name is the registry key ("3t1d", "sttram", ...).
+	// Name is the key LookupBackend resolves ("3t1d" or "sttram").
 	Name() string
 	// NominalRetention is the zero-deviation cell's retention (seconds).
 	NominalRetention(t Tech) float64
@@ -125,41 +116,22 @@ type CellBackend interface {
 	DigestParams() []BackendParam
 }
 
-// DefaultBackendName is the reference 3T1D backend's registry key; an
-// empty backend name resolves to it everywhere.
+// DefaultBackendName is the reference 3T1D backend's name; an empty
+// backend name resolves to it everywhere.
 const DefaultBackendName = "3t1d"
 
-// backends is the typed, reflection-free registry. Registration happens
-// only from package init functions; lookups after init need no locking.
-var backends = map[string]CellBackend{}
-
-// RegisterBackend adds a backend to the registry, panicking (with the
-// backend's name) on a duplicate: two models answering to one key would
-// silently fork every digest and experiment built on that name.
-func RegisterBackend(b CellBackend) {
-	name := b.Name()
-	if _, dup := backends[name]; dup {
-		panic("circuit: duplicate backend registration: " + name)
-	}
-	backends[name] = b
-}
-
 // LookupBackend resolves a backend name; "" resolves to the default
-// 3T1D reference backend.
+// 3T1D reference backend. The set is closed: adding a backend means a
+// case here and a name in BackendNames.
 func LookupBackend(name string) (CellBackend, bool) {
-	if name == "" {
-		name = DefaultBackendName
+	switch name {
+	case "", DefaultBackendName:
+		return Backend3T1D, true
+	case "sttram":
+		return STTRAMBackend, true
 	}
-	b, ok := backends[name]
-	return b, ok
+	return nil, false
 }
 
-// BackendNames lists the registered backend names in sorted order.
-func BackendNames() []string {
-	out := make([]string, 0, len(backends))
-	for name := range backends {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+// BackendNames lists the backend names LookupBackend resolves, sorted.
+func BackendNames() []string { return []string{DefaultBackendName, "sttram"} }

@@ -9,8 +9,6 @@ import "tdcache/internal/variation"
 // ChipEval or a montecarlo.Options never allocates.
 var Backend3T1D CellBackend = backend3T1D{}
 
-func init() { RegisterBackend(Backend3T1D) }
-
 type backend3T1D struct{}
 
 // Name implements CellBackend.
@@ -39,7 +37,7 @@ func (backend3T1D) LeakageFactor(e ChipEval) float64 { return e.Leakage3T1DFacto
 // Policy implements CellBackend: the §4.3.1 per-chip adaptive counter
 // discipline.
 func (backend3T1D) Policy() Policy {
-	return Policy{Kind: PolicyRefreshCounter, RetentionClasses: 1}
+	return Policy{Kind: PolicyRefreshCounter}
 }
 
 // DigestParams implements CellBackend. The 3T1D model is configured

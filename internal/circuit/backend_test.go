@@ -2,31 +2,12 @@ package circuit
 
 import (
 	"math"
-	"slices"
 	"sort"
-	"strings"
 	"testing"
 
 	"tdcache/internal/stats"
 	"tdcache/internal/variation"
 )
-
-func TestRegisterBackendDuplicatePanics(t *testing.T) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("duplicate registration did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok {
-			t.Fatalf("panic value %T, want string", r)
-		}
-		if !strings.Contains(msg, Backend3T1D.Name()) {
-			t.Errorf("panic %q does not name the colliding backend %q", msg, Backend3T1D.Name())
-		}
-	}()
-	RegisterBackend(Backend3T1D)
-}
 
 func TestLookupBackend(t *testing.T) {
 	b, ok := LookupBackend("")
@@ -37,41 +18,24 @@ func TestLookupBackend(t *testing.T) {
 	if !ok || b != Backend3T1D {
 		t.Errorf("LookupBackend(%q) = %v, %v; want the 3T1D reference backend", DefaultBackendName, b, ok)
 	}
+	b, ok = LookupBackend("sttram")
+	if !ok || b != CellBackend(STTRAMBackend) {
+		t.Errorf(`LookupBackend("sttram") = %v, %v; want STTRAMBackend`, b, ok)
+	}
 	if _, ok := LookupBackend("nonesuch"); ok {
-		t.Error("LookupBackend found an unregistered backend")
+		t.Error("LookupBackend resolved an unknown name")
 	}
-}
-
-// renamed is a registry stand-in: the 3T1D backend under another name.
-type renamed struct {
-	CellBackend
-	name string
-}
-
-func (b renamed) Name() string { return b.name }
-
-// TestBackendNamesSorted registers 26 extra backends in reverse order,
-// so a BackendNames that lost its sort returns an unsorted list on
-// every run, not only when map order happens to swap the two real
-// names.
-func TestBackendNamesSorted(t *testing.T) {
-	want := []string{"3t1d", "sttram"}
-	for c := 'z'; c >= 'a'; c-- {
-		name := "test-" + string(c)
-		RegisterBackend(renamed{Backend3T1D, name})
-		t.Cleanup(func() { delete(backends, name) })
-		want = append(want, name)
-	}
-	sort.Strings(want)
-	if names := BackendNames(); !slices.Equal(names, want) {
-		t.Fatalf("BackendNames() = %v, want %v", names, want)
+	for _, name := range BackendNames() {
+		if b, ok := LookupBackend(name); !ok || b.Name() != name {
+			t.Errorf("BackendNames lists %q, which LookupBackend resolves to %v, %v", name, b, ok)
+		}
 	}
 }
 
 // TestNilBackendIsReferenceModel pins the refactor's compatibility
 // contract: a ChipEval with no backend set behaves exactly like the
-// registered 3T1D reference implementation, so every pre-refactor call
-// site produces byte-identical retention maps.
+// 3T1D reference implementation, so every pre-refactor call site
+// produces byte-identical retention maps.
 func TestNilBackendIsReferenceModel(t *testing.T) {
 	c := variation.NewChip(stats.NewRNG(7), 0, variation.Typical, L1D.TileCols, L1D.TileRows)
 	e := NewChipEval(Node32, L1D, c)
@@ -168,42 +132,29 @@ func TestSTTRAMPolicy(t *testing.T) {
 	if pol.Kind != PolicyClassDeadline {
 		t.Errorf("policy kind = %v, want class-deadline", pol.Kind)
 	}
-	if !pol.DVFSAware {
-		t.Error("STT-RAM backend must be DVFS-aware")
-	}
-	if pol.RetentionClasses != 2 {
-		t.Errorf("retention classes = %d, want 2", pol.RetentionClasses)
-	}
 	wantDeadline := 2 * STTRAMBackend.Tau0Sec * math.Exp(STTRAMBackend.DeltaLo)
 	if pol.CounterDeadlineSec != wantDeadline {
 		t.Errorf("counter deadline = %v s, want 2× the relaxed nominal %v s", pol.CounterDeadlineSec, wantDeadline)
 	}
 
-	// Degenerate mixes collapse to one class, and an all-high array
-	// anchors its deadline on the high class.
+	// An all-high array anchors its deadline on the high class.
 	uniformHi := STTRAMBackend.WithHiWays(ways(L1D))
 	pol = uniformHi.Policy()
-	if pol.RetentionClasses != 1 {
-		t.Errorf("uniform-hi retention classes = %d, want 1", pol.RetentionClasses)
-	}
 	if want := 2 * uniformHi.Tau0Sec * math.Exp(uniformHi.DeltaHi); pol.CounterDeadlineSec != want {
 		t.Errorf("uniform-hi counter deadline = %v s, want %v s", pol.CounterDeadlineSec, want)
-	}
-	if pol := STTRAMBackend.WithHiWays(0).Policy(); pol.RetentionClasses != 1 {
-		t.Errorf("uniform-lo retention classes = %d, want 1", pol.RetentionClasses)
 	}
 }
 
 // TestWithHiWaysDoesNotMutate pins WithHiWays's value-copy semantics:
-// the registered singleton must stay immutable.
+// the shared singleton must stay immutable.
 func TestWithHiWaysDoesNotMutate(t *testing.T) {
 	before := *STTRAMBackend
 	v := STTRAMBackend.WithHiWays(0)
 	if v == STTRAMBackend {
-		t.Fatal("WithHiWays returned the registered singleton")
+		t.Fatal("WithHiWays returned the shared singleton")
 	}
 	if *STTRAMBackend != before {
-		t.Fatal("WithHiWays mutated the registered singleton")
+		t.Fatal("WithHiWays mutated the shared singleton")
 	}
 	if v.HiWays != 0 || v.DeltaLo != before.DeltaLo {
 		t.Errorf("variant = %+v, want HiWays=0 with other fields preserved", v)

@@ -33,9 +33,9 @@ const slotMTJ uint8 = slotKeepB + 1
 // chip's hash stream on the MTJ slot, scaled from the scenario's σVth
 // (the paper's one random-dopant knob standing in for the MTJ's σΔ).
 //
-// The struct is immutable after registration; experiments derive
-// class-mix variants with WithHiWays and pass them to
-// montecarlo.Options.Backend directly, bypassing the registry.
+// The struct is immutable once built; experiments derive class-mix
+// variants with WithHiWays and pass them to montecarlo.Options.Backend
+// directly, bypassing LookupBackend.
 type STTRAM struct {
 	// Tau0Sec is the thermal attempt period τ0 (~1 ns).
 	Tau0Sec float64
@@ -61,9 +61,10 @@ type STTRAM struct {
 	PeripheryLeakRatio float64
 }
 
-// STTRAMBackend is the registered reference configuration: a relaxed
-// ~26.5 µs L1 retention class (the canonical relaxed-STT L1 point) and
-// a ~2.7 ms high-retention class, split half/half across the ways.
+// STTRAMBackend is the reference configuration "sttram" resolves to:
+// a relaxed ~26.5 µs L1 retention class (the canonical relaxed-STT L1
+// point) and a ~2.7 ms high-retention class, split half/half across
+// the ways.
 var STTRAMBackend = &STTRAM{
 	Tau0Sec:            1e-9,
 	DeltaLo:            10.18, // τ0·exp(Δ) ≈ 26.5 µs
@@ -75,20 +76,19 @@ var STTRAMBackend = &STTRAM{
 	PeripheryLeakRatio: 0.08,
 }
 
-func init() { RegisterBackend(STTRAMBackend) }
-
 // WithHiWays returns a copy of b with the high-retention way count
-// replaced — the class-mix variants the yield suite sweeps. The copy is
-// not registered; pass it through montecarlo.Options.Backend directly.
+// replaced — the class-mix variants the yield suite sweeps. No name
+// resolves to the copy; pass it through montecarlo.Options.Backend
+// directly.
 func (b *STTRAM) WithHiWays(n int) *STTRAM {
 	c := *b
 	c.HiWays = n
 	return &c
 }
 
-// Name implements CellBackend. Unregistered WithHiWays variants share
-// the name; they are only ever used through explicit Options.Backend
-// plumbing, never through the registry or the memoized study cache.
+// Name implements CellBackend. WithHiWays variants share the name; they
+// are only ever used through explicit Options.Backend plumbing, never
+// through LookupBackend or the memoized study cache.
 func (b *STTRAM) Name() string { return "sttram" }
 
 // ways is the way count implied by the floorplan: a set's ways live in
@@ -355,16 +355,10 @@ func (b *STTRAM) LeakageFactor(e ChipEval) float64 {
 
 // Policy implements CellBackend: class-deadline counter quantization
 // (the adaptive §4.3.1 step would key on the high class and quantize
-// every relaxed line to zero) under a DVFS-aware deadline.
+// every relaxed line to zero), anchored on the weakest class.
 func (b *STTRAM) Policy() Policy {
-	classes := 2
-	if b.HiWays <= 0 || b.HiWays >= ways(L1D) {
-		classes = 1
-	}
 	return Policy{
-		Kind:             PolicyClassDeadline,
-		RetentionClasses: classes,
-		DVFSAware:        true,
+		Kind: PolicyClassDeadline,
 		// Twice the weakest class's nominal retention: headroom for
 		// above-nominal lines without wasting counter resolution.
 		CounterDeadlineSec: 2 * b.Tau0Sec * math.Exp(b.minClassDelta()),

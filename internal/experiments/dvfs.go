@@ -30,7 +30,7 @@ var chipNames = []string{"good", "median", "bad"}
 // is the deadline-anchored counter step, identical for every chip under
 // the class-deadline policy.
 //
-// The backend is forced to the registered STT-RAM model — this suite is
+// The backend is forced to the reference STT-RAM model — this suite is
 // that backend's evaluation — and the study is memoized under the
 // backend's name, so it never collides with (or perturbs) a 3T1D study
 // of the same scenario. Per level, the chip's exact per-line retention

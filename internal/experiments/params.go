@@ -70,9 +70,10 @@ type Params struct {
 	// restores fully sequential execution. Output is identical either
 	// way; Parallel only changes wall-clock time.
 	Parallel int
-	// Backend names the registered cell backend producing retention
-	// maps ("" and "3t1d" both select the reference 3T1D model and
-	// digest identically, so pre-refactor store keys stay valid).
+	// Backend names the cell backend (see circuit.LookupBackend)
+	// producing retention maps ("" and "3t1d" both select the reference
+	// 3T1D model and digest identically, so pre-refactor store keys stay
+	// valid).
 	Backend string
 
 	// rig holds the shared mutable compute machinery. It is a pointer so
@@ -207,19 +208,19 @@ func (p *Params) WithTech(t circuit.Tech) *Params {
 	return &q
 }
 
-// WithBackend derives a Params running a different registered cell
-// backend: a value copy sharing the receiver's compute rig (study memo
-// keys embed the backend name, so derivations never collide). Like
-// WithTech, a derivation must drive the pool from the same coordinator
-// as its parent.
+// WithBackend derives a Params running a different cell backend: a
+// value copy sharing the receiver's compute rig (study memo keys embed
+// the backend name, so derivations never collide). Like WithTech, a
+// derivation must drive the pool from the same coordinator as its
+// parent.
 func (p *Params) WithBackend(name string) *Params {
 	q := *p
 	q.Backend = name
 	return &q
 }
 
-// backend resolves the Params' cell backend against the circuit
-// registry ("" resolves to the reference 3T1D backend). The CLI
+// backend resolves the Params' cell backend through
+// circuit.LookupBackend ("" resolves to the reference 3T1D backend). The CLI
 // validates -backend up front, so a failed lookup here is a programming
 // error.
 func (p *Params) backend() circuit.CellBackend {

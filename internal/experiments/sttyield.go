@@ -9,7 +9,7 @@ import (
 )
 
 // sttClassConfigs are the retention-class mixes the yield suite sweeps:
-// an all-relaxed array, the registered asymmetric split, and an
+// an all-relaxed array, the reference asymmetric split, and an
 // all-high-retention array. The mixes differ only in which lines take
 // the high-retention cell, so STTYield evaluates each chip once for
 // both classes and assembles every mix's map from that.

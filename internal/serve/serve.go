@@ -278,9 +278,6 @@ func (s *Server) Sheds() uint64 { return s.sheds.Load() }
 // Workers reports the compute shard width.
 func (s *Server) Workers() int { return len(s.workers) }
 
-// MaxInflight reports the effective admission bound.
-func (s *Server) MaxInflight() int { return int(s.maxInflight) }
-
 // CacheStats snapshots the hot tier's counters (zero value when the
 // tier is disabled).
 func (s *Server) CacheStats() artifact.CacheStats {

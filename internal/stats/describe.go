@@ -186,52 +186,6 @@ func (h *Histogram) BinCenter(i int) float64 {
 	return h.Lo + (float64(i)+0.5)*w
 }
 
-// BinLow returns the lower edge of bin i.
-func (h *Histogram) BinLow(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + float64(i)*w
-}
-
-// CDF holds an empirical cumulative distribution over explicit edges:
-// At[i] is the fraction of samples <= Edges[i].
-type CDF struct {
-	Edges []float64
-	At    []float64
-}
-
-// EmpiricalCDF evaluates the empirical CDF of xs at the given edges.
-func EmpiricalCDF(xs []float64, edges []float64) CDF {
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	at := make([]float64, len(edges))
-	for i, e := range edges {
-		// Count of samples <= e.
-		n := sort.Search(len(sorted), func(j int) bool { return sorted[j] > e })
-		if len(sorted) > 0 {
-			at[i] = float64(n) / float64(len(sorted))
-		}
-	}
-	return CDF{Edges: append([]float64(nil), edges...), At: at}
-}
-
-// ArgMedian returns the index of the element of xs closest to the median.
-// Useful for picking the "median chip" out of a Monte-Carlo population.
-// Returns -1 for an empty sample.
-func ArgMedian(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	med := Quantile(xs, 0.5)
-	best, bestD := 0, math.Abs(xs[0]-med)
-	for i, x := range xs {
-		if d := math.Abs(x - med); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
 // ArgMin returns the index of the smallest element (-1 if empty).
 func ArgMin(xs []float64) int {
 	if len(xs) == 0 {
@@ -240,20 +194,6 @@ func ArgMin(xs []float64) int {
 	best := 0
 	for i, x := range xs {
 		if x < xs[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMax returns the index of the largest element (-1 if empty).
-func ArgMax(xs []float64) int {
-	if len(xs) == 0 {
-		return -1
-	}
-	best := 0
-	for i, x := range xs {
-		if x > xs[best] {
 			best = i
 		}
 	}

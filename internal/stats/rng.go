@@ -157,26 +157,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// LogNormal returns a variate whose logarithm is Gaussian with the given
-// parameters of the underlying normal. Used for multiplicative leakage
-// variation.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Exponential returns a variate from an exponential distribution with the
-// given mean. It panics if mean <= 0.
-func (r *RNG) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		panic("stats: Exponential with non-positive mean")
-	}
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -mean * math.Log(u)
-}
-
 // Geometric returns a non-negative integer from a geometric distribution
 // with success probability p in (0, 1]: the number of failures before the
 // first success.

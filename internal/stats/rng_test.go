@@ -165,22 +165,6 @@ func TestNormalScaling(t *testing.T) {
 	}
 }
 
-func TestExponentialMean(t *testing.T) {
-	r := NewRNG(31)
-	n := 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := r.Exponential(3)
-		if v < 0 {
-			t.Fatalf("negative exponential draw %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / float64(n); math.Abs(mean-3) > 0.05 {
-		t.Errorf("exponential mean = %v, want ~3", mean)
-	}
-}
-
 func TestGeometricMean(t *testing.T) {
 	r := NewRNG(37)
 	p := 0.25

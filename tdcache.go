@@ -138,7 +138,7 @@ func Benchmarks() []string { return workload.Names() }
 // An empty backend name selects it everywhere a name is accepted.
 const DefaultBackend = circuit.DefaultBackendName
 
-// Backends lists the registered cell-physics backends in sorted order.
+// Backends lists the cell-physics backend names in sorted order.
 func Backends() []string { return circuit.BackendNames() }
 
 // Chip is one sampled die: its retention map plus circuit figures.
@@ -161,7 +161,7 @@ func SampleChipAt(tech Tech, sc Scenario, seed uint64) *Chip {
 func SampleChipBackend(tech Tech, sc Scenario, seed uint64, backend string) (*Chip, error) {
 	b, ok := circuit.LookupBackend(backend)
 	if !ok {
-		return nil, fmt.Errorf("tdcache: unknown backend %q (registered: %s)", backend, strings.Join(Backends(), ", "))
+		return nil, fmt.Errorf("tdcache: unknown backend %q (known: %s)", backend, strings.Join(Backends(), ", "))
 	}
 	s := montecarlo.New(montecarlo.Options{Tech: tech, Scenario: sc, Seed: seed, Chips: 1, Backend: b})
 	return &s.Chips[0], nil
