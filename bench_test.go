@@ -16,6 +16,7 @@ import (
 	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
+	"tdcache/internal/cpu"
 	"tdcache/internal/experiments"
 	"tdcache/internal/stats"
 	"tdcache/internal/variation"
@@ -247,6 +248,49 @@ func BenchmarkPipelineCycle(b *testing.B) {
 					sys.Sys.Step()
 				}
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
+			})
+		}
+	}
+}
+
+// BenchmarkRunReplay times System.Run over a recorded trace, the way a
+// sweep job runs (instruction fetch decoded from trace words, quiet and
+// cache-only spans skipped), and reports nanoseconds per committed
+// instruction, for gzip and mcf on an ideal cache and under RSP-FIFO on
+// one severe-variation chip. Each iteration is one quick-scale run of
+// 40,000 instructions on a freshly built system.
+func BenchmarkRunReplay(b *testing.B) {
+	const n = 40_000
+	chip := SampleChip(Severe, 77)
+	schemes := []struct {
+		name   string
+		scheme core.Scheme
+		chip   *Chip
+	}{
+		{"NoRefreshLRU-ideal", core.NoRefreshLRU, nil},
+		{"RSP-FIFO", core.RSPFIFO, chip},
+	}
+	for _, bench := range []string{"gzip", "mcf"} {
+		prof, _ := workload.ByName(bench)
+		// As the experiments size it: the run, a full ROB and the
+		// dispatch retry slot.
+		cc := cpu.DefaultConfig()
+		trace := workload.NewTrace(prof, 1, n+cc.ROBSize+cc.CommitWidth+1)
+		for _, sc := range schemes {
+			b.Run(bench+"/"+sc.name, func(b *testing.B) {
+				b.ReportAllocs()
+				var committed uint64
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					sys, err := NewSystem(SystemOptions{Benchmark: bench, Scheme: sc.scheme, Chip: sc.chip, Seed: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					sys.Sys.Gen.ResetFrom(trace)
+					b.StartTimer()
+					committed += sys.Sys.Run(n).Instructions
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(committed), "ns/instr")
 			})
 		}
 	}

@@ -378,8 +378,12 @@ func (c *Cache) Tick(now int64) {
 // operation, a promotion backlog or a global pass is in flight, since
 // those make every Tick do work. (A token left pending implies an
 // active operation: Tick services pending tokens until one starts.)
+// While the processor's pipeline is inert it makes no Access or Fill,
+// so it ticks the cache at NextEvent and advances it over the cycles
+// before, without stepping the pipeline.
 //
-// hotpath: consulted after each Step that leaves the pipeline quiet
+// hotpath: consulted after each Step that leaves the pipeline inert
+// and after each cache-only tick of the span
 func (c *Cache) NextEvent(t int64) int64 {
 	if c.cfg.Scheme.Refresh == RefreshGlobal {
 		switch {

@@ -83,8 +83,6 @@ type robEntry struct {
 	seq       uint64
 	state     uint8
 	doneAt    int64
-	dep1      uint64 // absolute seq of producers (0 = none)
-	dep2      uint64
 	addr      uint64
 	pc        uint64
 	taken     bool
@@ -158,11 +156,9 @@ type System struct {
 	fetchBlockedBy uint64 // seq of unresolved mispredicted branch (0 = none)
 	fetchResumeAt  int64
 
-	// overflow is the one-deep dispatch retry slot (see pushback); a
-	// value plus flag rather than a pointer so re-queueing an
-	// instruction never heap-allocates (pushback fires every
-	// structural-stall cycle).
-	overflow    workload.Instr
+	// overflow is the one-deep dispatch retry slot (see pushback),
+	// holding the instruction's trace word.
+	overflow    uint64
 	hasOverflow bool
 
 	// icache is the instruction cache (tag array); lastFetchLine avoids
@@ -241,7 +237,7 @@ func (s *System) Reset(cache *core.Cache, l2 *L2, gen *workload.Generator) {
 		s.mshrs[i].loads = s.mshrs[i].loads[:0]
 	}
 	s.fetchBlockedBy, s.fetchResumeAt = 0, 0
-	s.overflow, s.hasOverflow = workload.Instr{}, false
+	s.overflow, s.hasOverflow = 0, false
 	s.lastFetchLine = 0
 	if s.icache != nil {
 		s.icache.Reset()
@@ -400,15 +396,18 @@ func (s *System) Step() {
 	s.now++
 }
 
-// skipQuiet moves now past the quiet cycles that follow a Step, up to
-// limit. A cycle is quiet when Step would only count it: the store
-// buffer and the ready queue are empty, dispatch is blocked (the span
-// is charged to the stall counter dispatch would charge), and the cache
-// has no retention work before NextEvent. The span ends at the first
-// cycle in which anything can change: a wakeup (nextWake), a fill
-// (nextFill), fetch resuming, the ROB head completing (commit), the
-// youngest entry completing while a mispredict blocks fetch (issue
-// resolves it), or the cache's next event.
+// skipQuiet moves now past the cycles that follow a Step in which the
+// pipeline is inert, up to limit. The pipeline is inert when Step would
+// change nothing in it but a stall counter: the store buffer and the
+// ready queue are empty and dispatch is blocked. The span ends at the
+// first cycle in which the pipeline can change: a wakeup (nextWake), a
+// fill (nextFill), fetch resuming, the ROB head completing (commit), or
+// the youngest entry completing while a mispredict blocks fetch (issue
+// resolves it). Each cycle of the span is charged to the stall counter
+// dispatch would charge. An inert pipeline makes no cache access, so
+// the cache sees exactly its own ticks: skipQuiet ticks it on each
+// cycle with retention work (see Cache.NextEvent) and advances it over
+// the gaps between them.
 //
 // hotpath: runs after every stepped cycle of Run
 func (s *System) skipQuiet(limit int64) {
@@ -431,18 +430,24 @@ func (s *System) skipQuiet(limit int64) {
 		until = min(until, s.fetchResumeAt)
 	case s.robLen >= len(s.rob):
 		stall = &s.M.ROBFullCycles
-	case s.hasOverflow && !s.fits(s.overflow.Kind):
+	case s.hasOverflow && !s.fits(workload.WordKind(s.overflow)):
 		stall = &s.M.IQFullCycles
 	default:
 		return // dispatch would fetch
 	}
-	until = min(until, s.Cache.NextEvent(s.now))
 	if until <= s.now {
 		return
 	}
 	*stall += uint64(until - s.now)
-	s.Cache.Advance(until - 1)
-	s.now = until
+	for s.now < until {
+		if ev := s.Cache.NextEvent(s.now); ev > s.now {
+			s.now = min(ev, until)
+			s.Cache.Advance(s.now - 1)
+			continue
+		}
+		s.Cache.Tick(s.now)
+		s.now++
+	}
 }
 
 // completeMisses installs finished fills and wakes their loads. It
@@ -693,77 +698,79 @@ func (s *System) dispatch() {
 			s.M.ROBFullCycles++
 			return
 		}
-		in := s.nextInstr()
+		w := s.nextWord()
 		s.seq++
 		// Instruction fetch: probe the I-cache once per new line, before
 		// any back-end resources are claimed.
 		if s.icache != nil {
-			if line := in.FetchPC &^ 63; line != s.lastFetchLine {
+			pc := workload.WordFetchPC(w)
+			if line := pc &^ 63; line != s.lastFetchLine {
 				s.lastFetchLine = line
-				if lat := s.icache.Access(in.FetchPC); lat > 0 {
+				if lat := s.icache.Access(pc); lat > 0 {
 					// Fetch miss: the front end stalls; the instruction
 					// itself dispatches when the line arrives.
 					s.M.ICacheMisses++
 					s.fetchResumeAt = s.now + int64(lat)
-					s.pushback(in)
+					s.pushback(w)
 					return
 				}
 			}
 		}
-		if !s.fits(in.Kind) {
+		kind := workload.WordKind(w)
+		if !s.fits(kind) {
 			// Structural stall: the instruction must still dispatch next
 			// cycle; model by charging an IQ-full cycle and re-queueing
 			// via a one-slot buffer.
 			s.M.IQFullCycles++
-			s.pushback(in)
+			s.pushback(w)
 			return
 		}
-		switch in.Kind {
+		// Fill the slot field by field, decoding the word straight into
+		// it: assigning a whole robEntry literal copies the struct
+		// through a temporary on every dispatch.
+		tail := s.robSlot(s.robLen)
+		e := &s.rob[tail]
+		e.kind = kind
+		e.seq = s.seq
+		e.state = sWaiting
+		e.doneAt = 0
+		e.addr, e.pc = 0, 0
+		e.taken, e.predicted = false, false
+		switch kind {
 		case workload.KLoad:
 			s.loadQ++
+			e.addr = workload.WordAddr(w)
 		case workload.KStore:
 			s.storeQ++
+			e.addr = workload.WordAddr(w)
+		case workload.KBranch:
+			e.pc, e.taken = workload.WordBranch(w)
 		}
-		if in.Kind.IsFp() {
+		if kind.IsFp() {
 			s.fpIQ++
 		} else {
 			s.intIQ++
 		}
-		// Fill the slot field by field: assigning a whole robEntry
-		// literal copies the struct through a temporary on every
-		// dispatch.
-		tail := s.robSlot(s.robLen)
-		e := &s.rob[tail]
-		e.kind = in.Kind
-		e.seq = s.seq
-		e.state = sWaiting
-		e.doneAt = 0
-		e.dep1, e.dep2 = 0, 0
-		e.addr = in.Addr
-		e.pc = in.PC
-		e.taken, e.predicted = false, false
 		e.wake = 0
 		e.pending = 0
 		e.waitHead = -1
 		e.waitNext = [2]int32{}
 		// Dependencies: convert distances to absolute sequence numbers;
 		// distances reaching before the window are treated as satisfied.
-		if in.Dep1 > 0 && uint64(in.Dep1) < s.seq {
-			e.dep1 = s.seq - uint64(in.Dep1)
-			s.await(tail, 0, e.dep1)
+		dep1, dep2 := workload.WordDeps(w)
+		if uint64(dep1) < s.seq {
+			s.await(tail, 0, s.seq-uint64(dep1))
 		}
-		if in.Dep2 > 0 && uint64(in.Dep2) < s.seq {
-			e.dep2 = s.seq - uint64(in.Dep2)
-			s.await(tail, 1, e.dep2)
+		if dep2 > 0 && uint64(dep2) < s.seq {
+			s.await(tail, 1, s.seq-uint64(dep2))
 		}
 		if e.pending == 0 {
 			s.arm(tail)
 		}
 		s.doneRing[e.seq%doneRingSize] = math.MaxInt64
 		s.robLen++
-		if in.Kind == workload.KBranch {
-			e.taken = in.Taken
-			e.predicted = s.Pred.Predict(in.PC)
+		if kind == workload.KBranch {
+			e.predicted = s.Pred.Predict(e.pc)
 			if e.predicted != e.taken {
 				// Fetch stalls until this branch resolves (no wrong-path
 				// execution is modelled).
@@ -788,20 +795,20 @@ func (s *System) fits(k workload.Kind) bool {
 	return s.intIQ < s.Cfg.IntIQ
 }
 
-// pushback re-queues an instruction that could not dispatch this cycle.
-// The generator cannot rewind, so the System keeps a one-deep overflow
-// slot consulted before generating new work.
-func (s *System) pushback(in workload.Instr) {
-	s.overflow, s.hasOverflow = in, true
+// pushback re-queues the word of an instruction that could not
+// dispatch this cycle. The generator cannot rewind, so the System keeps
+// a one-deep overflow slot consulted before fetching new work.
+func (s *System) pushback(w uint64) {
+	s.overflow, s.hasOverflow = w, true
 	s.seq-- // the sequence number is reassigned on the retry
 }
 
-// nextInstr returns the overflow instruction if one is pending, else the
-// next generated instruction.
-func (s *System) nextInstr() workload.Instr {
+// nextWord returns the overflow word if one is pending, else the next
+// word from the generator.
+func (s *System) nextWord() uint64 {
 	if s.hasOverflow {
 		s.hasOverflow = false
 		return s.overflow
 	}
-	return s.Gen.Next()
+	return s.Gen.NextWord()
 }

@@ -15,6 +15,33 @@ type wakeupCoverage struct {
 	missWaiters int // entries parked on a load waiting for its fill
 }
 
+// producerLog re-derives each dispatched instruction's producers from a
+// second generator of the run's stream. Dispatch stores no producer
+// sequence numbers, and a pushed-back instruction keeps its place in the
+// stream, so the instruction with seq k is the stream's k-th word.
+type producerLog struct {
+	gen   *workload.Generator
+	words []uint64
+}
+
+// deps returns the sequence numbers of seq's two producers, 0 for an
+// operand with none or one reaching before the first instruction, as
+// dispatch resolves them.
+func (l *producerLog) deps(seq uint64) [2]uint64 {
+	for uint64(len(l.words)) < seq {
+		l.words = append(l.words, l.gen.NextWord())
+	}
+	d1, d2 := workload.WordDeps(l.words[seq-1])
+	var out [2]uint64
+	if uint64(d1) < seq {
+		out[0] = seq - uint64(d1)
+	}
+	if d2 > 0 && uint64(d2) < seq {
+		out[1] = seq - uint64(d2)
+	}
+	return out
+}
+
 // checkIssueQueue asserts the invariants issue relies on. Every
 // sWaiting ROB entry is in exactly one place: iq, timed, or parked on
 // the waiter list of each producer that has not issued. pending counts
@@ -25,10 +52,10 @@ type wakeupCoverage struct {
 // wakes and the outstanding fills from below. A fetch-blocking branch
 // is always the youngest ROB entry, which is what lets issue resolve it
 // with one check instead of a walk.
-func checkIssueQueue(t *testing.T, s *System, cov *wakeupCoverage) {
+func checkIssueQueue(t *testing.T, s *System, prod *producerLog, cov *wakeupCoverage) {
 	t.Helper()
 	ready := func(e *robEntry) bool {
-		for _, d := range [2]uint64{e.dep1, e.dep2} {
+		for _, d := range prod.deps(e.seq) {
 			if d != 0 && s.doneRing[d%doneRingSize] > s.now {
 				return false
 			}
@@ -62,7 +89,7 @@ func checkIssueQueue(t *testing.T, s *System, cov *wakeupCoverage) {
 		for n := p.waitHead; n >= 0; {
 			slot, k := int(n>>1), n&1
 			c := &s.rob[slot]
-			if dep := [2]uint64{c.dep1, c.dep2}[k]; dep != p.seq {
+			if dep := prod.deps(c.seq)[k]; dep != p.seq {
 				t.Fatalf("cycle %d: seq %d parked on seq %d as operand %d, which names seq %d",
 					s.now, c.seq, p.seq, k, dep)
 			}
@@ -85,11 +112,12 @@ func checkIssueQueue(t *testing.T, s *System, cov *wakeupCoverage) {
 			continue
 		}
 		waiting++
-		if e.dep1 != 0 && e.dep1 == e.dep2 {
+		deps := prod.deps(e.seq)
+		if deps[0] != 0 && deps[0] == deps[1] {
 			cov.sameDeps++
 		}
 		unfinished := 0
-		for _, d := range [2]uint64{e.dep1, e.dep2} {
+		for _, d := range deps {
 			if d != 0 && s.doneRing[d%doneRingSize] == math.MaxInt64 {
 				unfinished++
 			}
@@ -143,11 +171,12 @@ func TestIssueQueueInvariants(t *testing.T) {
 		for _, sc := range schemes {
 			t.Run(bench+"/"+sc.name, func(t *testing.T) {
 				s := newSystem(t, bench, sc.scheme, sc.ret, 3)
+				prod := &producerLog{gen: workload.NewGenerator(s.Gen.Profile(), 3)}
 				var cov wakeupCoverage
 				blocked := 0
 				for i := 0; i < 30_000; i++ {
 					s.Step()
-					checkIssueQueue(t, s, &cov)
+					checkIssueQueue(t, s, prod, &cov)
 					if s.fetchBlockedBy != 0 {
 						blocked++
 					}

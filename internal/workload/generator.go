@@ -74,10 +74,10 @@ type Generator struct {
 	// count is the number of instructions generated so far.
 	count uint64
 
-	// trace, when set by ResetFrom, is replayed from instruction tpos
-	// and payload word ppos instead of generating; nil runs live.
-	trace      *Trace
-	tpos, ppos int
+	// trace, when set by ResetFrom, is replayed from word tpos instead
+	// of generating; nil runs live.
+	trace *Trace
+	tpos  int
 }
 
 // activeBlock is one live generational heap block.
@@ -130,7 +130,7 @@ func (g *Generator) Reset(p Profile, seed uint64) {
 	g.streamPos, g.streamLeft, g.streamNext = 0, 0, 0
 	g.stackOff = 0
 	g.count = 0
-	g.trace, g.tpos, g.ppos = nil, 0, 0
+	g.trace, g.tpos = nil, 0
 	g.branchBias = resize(g.branchBias, max(p.StaticBranches, 1))
 	clear(g.branchBias)
 	nActive := p.ActiveBlocks
@@ -222,19 +222,41 @@ func max(a, b int) int {
 // Profile returns the generator's profile.
 func (g *Generator) Profile() Profile { return g.p }
 
-// Count returns how many instructions have been generated.
+// Count returns how many instructions have been generated, by Next and
+// NextWord together.
 func (g *Generator) Count() uint64 { return g.count }
 
 // Next produces the next dynamic instruction.
 //
-// hotpath: called once per fetched instruction by the core's dispatch
+// hotpath: called once per instruction when a trace is recorded
 func (g *Generator) Next() Instr {
 	if g.trace != nil {
-		if g.tpos < len(g.trace.hdr) {
-			return g.replay()
+		return decodeWord(g.NextWord())
+	}
+	return g.next()
+}
+
+// NextWord produces the next dynamic instruction as one packed trace
+// word (see Trace), which the Word* functions decode: read from the
+// trace while one is replayed, packed from live generation otherwise.
+// Next and NextWord advance the same stream.
+//
+// hotpath: called once per fetched instruction by the core's dispatch
+func (g *Generator) NextWord() uint64 {
+	if g.trace != nil {
+		if g.tpos < len(g.trace.words) {
+			w := g.trace.words[g.tpos]
+			g.tpos++
+			g.count++
+			return w
 		}
 		g.goLive()
 	}
+	return packWord(g.next())
+}
+
+// next generates the next instruction live.
+func (g *Generator) next() Instr {
 	g.count++
 	r := g.rng.Float64()
 	p := &g.p

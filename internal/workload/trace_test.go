@@ -3,11 +3,24 @@ package workload
 import "testing"
 
 // requireSameStream compares n instructions of a replaying generator
-// with a live one, FetchPC included, and their counts afterwards.
+// with a live one, every field FetchPC included, and their counts
+// afterwards. The replaying generator alternates Next with NextWord,
+// whose word must be the live instruction's packing and decode back to
+// it.
 func requireSameStream(t *testing.T, live, replay *Generator, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		a, b := live.Next(), replay.Next()
+		a := live.Next()
+		var b Instr
+		if i%2 == 0 {
+			b = replay.Next()
+		} else {
+			w := replay.NextWord()
+			if want := packWord(a); w != want {
+				t.Fatalf("instruction %d: word %#x, want %#x", i, w, want)
+			}
+			b = decodeWord(w)
+		}
 		if a != b {
 			t.Fatalf("instruction %d: live %+v, replay %+v", i, a, b)
 		}
@@ -77,8 +90,15 @@ func TestTraceEncodingPremise(t *testing.T) {
 	if MaxDepDistance-1 > hdrDep1Mask || MaxDepDistance >= 1<<hdrDep2Bits {
 		t.Errorf("MaxDepDistance %d does not fit the %d/%d dependency bits", MaxDepDistance, hdrDep1Bits, hdrDep2Bits)
 	}
-	if got := hdrKindBits + hdrDep1Bits + hdrDep2Bits; got != 16 {
-		t.Errorf("header fields use %d bits, want 16", got)
+	if got := hdrKindBits + hdrDep1Bits + hdrDep2Bits; got != 16 || fetchShift != 16 {
+		t.Errorf("header fields use %d bits and the fetch offset starts at bit %d, want 16 and 16", got, fetchShift)
+	}
+	if payloadShift != 33 || payloadShift+payloadBits > 61 {
+		t.Errorf("payload at bits %d..%d, want within 33..60", payloadShift, payloadShift+payloadBits-1)
+	}
+	if 2+memOffsetBits > payloadBits || brIndexShift+brIndexBits > payloadBits {
+		t.Errorf("memory (%d bits) or branch (%d bits) payload exceeds %d bits",
+			2+memOffsetBits, brIndexShift+brIndexBits, payloadBits)
 	}
 	for _, p := range Profiles {
 		if p.StaticBranches > 1<<brIndexBits {
@@ -88,8 +108,8 @@ func TestTraceEncodingPremise(t *testing.T) {
 		if codeKB == 0 {
 			codeKB = 64
 		}
-		if words := codeKB * 1024 / 4; words > 1<<brTargetBits {
-			t.Errorf("%s: %d code words exceed %d target bits", p.Name, words, brTargetBits)
+		if words := codeKB * 1024 / 4; words > 1<<fetchBits {
+			t.Errorf("%s: %d code words exceed %d fetch-offset bits", p.Name, words, fetchBits)
 		}
 		// Stream arrays start at one of 2^14 slots of StreamKB each and
 		// a walk covers one array.
@@ -115,13 +135,30 @@ func TestTraceEncodingPremise(t *testing.T) {
 }
 
 // TestTraceEncoderPanicsOnOverflow checks that a profile outside the
-// encoding's budgets stops the recording instead of corrupting it.
+// encoding's budgets stops the recording instead of corrupting it, and
+// that the fetch-offset field holds exactly the largest supported code
+// region.
 func TestTraceEncoderPanicsOnOverflow(t *testing.T) {
+	const maxCodeKB = 4 << fetchBits >> 10 // 512
 	gcc, _ := ByName("gcc")
 	wide := gcc
 	wide.StaticBranches = 4 << brIndexBits
 	bigCode := gcc
-	bigCode.CodeKB = 16 << 10
+	bigCode.CodeKB = 2 * maxCodeKB
+	last := Instr{Kind: KInt, Dep1: 1, FetchPC: codeBase + maxCodeKB<<10 - 4}
+	if got := decodeWord(packWord(last)); got != last {
+		t.Errorf("last code word: decoded %+v, want %+v", got, last)
+	}
+	past := last
+	past.FetchPC += 4
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Errorf("FetchPC %#x past the fetch-offset field did not panic", past.FetchPC)
+			}
+		}()
+		packWord(past)
+	}()
 	for _, p := range []Profile{wide, bigCode} {
 		func() {
 			defer func() {
@@ -135,21 +172,22 @@ func TestTraceEncoderPanicsOnOverflow(t *testing.T) {
 }
 
 // TestTraceBytesPerInstr pins the packed size of the quick benchmarks'
-// traces, which a sweep keeps in memory for its whole run.
+// traces, which a sweep keeps in memory for its whole run: one 8-byte
+// word per instruction.
 func TestTraceBytesPerInstr(t *testing.T) {
 	const n = 40_000
 	for _, name := range []string{"gzip", "mcf", "fma3d", "crafty"} {
 		p, _ := ByName(name)
 		tr := NewTrace(p, 20070612, n)
-		bytes := 2*cap(tr.hdr) + 4*cap(tr.pay)
-		if per := float64(bytes) / n; per > 4.5 {
-			t.Errorf("%s: %.2f B per instruction, want <= 4.5", name, per)
+		if per := float64(8*cap(tr.words)) / n; per != 8 {
+			t.Errorf("%s: %.2f B per instruction, want 8", name, per)
 		}
 	}
 }
 
 // FuzzTraceRoundTrip replays a trace of a fuzzed profile, seed and
-// length against the live generator, into the fallback.
+// length against the live generator, into the fallback, comparing every
+// decoded field, FetchPC included, and every word.
 func FuzzTraceRoundTrip(f *testing.F) {
 	f.Add(uint8(0), uint64(1), uint16(0))
 	f.Add(uint8(3), uint64(20070612), uint16(1000))
