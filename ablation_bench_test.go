@@ -10,13 +10,14 @@ package tdcache
 import (
 	"testing"
 
+	"tdcache/internal/circuit"
 	"tdcache/internal/core"
 	"tdcache/internal/cpu"
 	"tdcache/internal/workload"
 )
 
 // ablationChip is the shared severe-variation chip for ablations.
-var ablationChip = SampleChip(Severe, 4242)
+var ablationChip = sampleChip(4242)
 
 // ablationRun simulates gzip on the ablation chip with the given cache
 // configuration and returns (IPC, cache counters).
@@ -47,9 +48,9 @@ func BenchmarkAblationCounterBits(b *testing.B) {
 				cfg := core.DefaultConfig(core.RSPFIFO)
 				cfg.CounterBits = bits
 				// Re-quantize the chip's exact retentions for this width.
-				step := core.ChooseCounterStep(ablationChip.RetentionSec, Node32.CycleSeconds(), bits)
+				step := core.ChooseCounterStep(ablationChip.RetentionSec, circuit.Node32.CycleSeconds(), bits)
 				cfg.CounterStep = int(step)
-				ret := core.QuantizeRetention(ablationChip.RetentionSec, Node32.CycleSeconds(), step, bits)
+				ret := core.QuantizeRetention(ablationChip.RetentionSec, circuit.Node32.CycleSeconds(), step, bits)
 				ipc, c := ablationRun(b, cfg, ret)
 				b.ReportMetric(ipc/base, "norm-perf")
 				b.ReportMetric(float64(c.ExpiryInvalidates+c.ExpiryWritebacks), "expiries")

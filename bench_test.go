@@ -18,6 +18,7 @@ import (
 	"tdcache/internal/core"
 	"tdcache/internal/cpu"
 	"tdcache/internal/experiments"
+	"tdcache/internal/montecarlo"
 	"tdcache/internal/stats"
 	"tdcache/internal/variation"
 	"tdcache/internal/workload"
@@ -200,6 +201,31 @@ func BenchmarkSweepFig10(b *testing.B) {
 
 // --- Component micro-benchmarks ---
 
+// sampleChip samples one 32 nm chip under the severe scenario.
+func sampleChip(seed uint64) *montecarlo.Chip {
+	s := montecarlo.New(montecarlo.Options{Tech: circuit.Node32, Scenario: variation.Severe, Seed: seed, Chips: 1})
+	return &s.Chips[0]
+}
+
+// newSystem builds a Table 2 core over the paper's L1 under scheme,
+// on the chip's retention map at its counter step, or on an ideal map
+// when chip is nil, running bench's stream at seed 1.
+func newSystem(b *testing.B, bench string, scheme core.Scheme, chip *montecarlo.Chip) *cpu.System {
+	b.Helper()
+	prof, _ := workload.ByName(bench)
+	cfg := core.DefaultConfig(scheme)
+	ret := core.IdealRetention(cfg.Lines())
+	if chip != nil {
+		ret = chip.Retention
+		cfg.CounterStep = int(chip.CounterStep)
+	}
+	cache, err := core.New(cfg, ret)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return cpu.NewSystem(cpu.DefaultConfig(), cache, cpu.NewL2(cpu.DefaultL2()), workload.NewGenerator(prof, 1))
+}
+
 // BenchmarkCacheAccess measures the raw cost of the L1 model's
 // access path (hit case).
 func BenchmarkCacheAccess(b *testing.B) {
@@ -222,11 +248,11 @@ func BenchmarkCacheAccess(b *testing.B) {
 // retention-aware schemes on one severe-variation chip. Each run starts
 // timing after a warm-up, so the caches and queues are in steady state.
 func BenchmarkPipelineCycle(b *testing.B) {
-	chip := SampleChip(Severe, 77)
+	chip := sampleChip(77)
 	schemes := []struct {
 		name   string
 		scheme core.Scheme
-		chip   *Chip
+		chip   *montecarlo.Chip
 	}{
 		{"NoRefreshLRU-ideal", core.NoRefreshLRU, nil},
 		{"PartialRefreshDSP", core.PartialRefreshDSP, chip},
@@ -235,17 +261,14 @@ func BenchmarkPipelineCycle(b *testing.B) {
 	for _, bench := range []string{"gzip", "mcf"} {
 		for _, sc := range schemes {
 			b.Run(bench+"/"+sc.name, func(b *testing.B) {
-				sys, err := NewSystem(SystemOptions{Benchmark: bench, Scheme: sc.scheme, Chip: sc.chip})
-				if err != nil {
-					b.Fatal(err)
-				}
+				sys := newSystem(b, bench, sc.scheme, sc.chip)
 				for i := 0; i < 50_000; i++ {
-					sys.Sys.Step()
+					sys.Step()
 				}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					sys.Sys.Step()
+					sys.Step()
 				}
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 			})
@@ -261,11 +284,11 @@ func BenchmarkPipelineCycle(b *testing.B) {
 // 40,000 instructions on a freshly built system.
 func BenchmarkRunReplay(b *testing.B) {
 	const n = 40_000
-	chip := SampleChip(Severe, 77)
+	chip := sampleChip(77)
 	schemes := []struct {
 		name   string
 		scheme core.Scheme
-		chip   *Chip
+		chip   *montecarlo.Chip
 	}{
 		{"NoRefreshLRU-ideal", core.NoRefreshLRU, nil},
 		{"RSP-FIFO", core.RSPFIFO, chip},
@@ -282,13 +305,10 @@ func BenchmarkRunReplay(b *testing.B) {
 				var committed uint64
 				for i := 0; i < b.N; i++ {
 					b.StopTimer()
-					sys, err := NewSystem(SystemOptions{Benchmark: bench, Scheme: sc.scheme, Chip: sc.chip, Seed: 1})
-					if err != nil {
-						b.Fatal(err)
-					}
-					sys.Sys.Gen.ResetFrom(trace)
+					sys := newSystem(b, bench, sc.scheme, sc.chip)
+					sys.Gen.ResetFrom(trace)
 					b.StartTimer()
-					committed += sys.Sys.Run(n).Instructions
+					committed += sys.Run(n).Instructions
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(committed), "ns/instr")
 			})
@@ -298,7 +318,7 @@ func BenchmarkRunReplay(b *testing.B) {
 
 // BenchmarkChipRetentionMap times one severe chip's retention map under
 // each cell backend's line kernel (the dominant circuit-model cost),
-// without the chip sampling and SRAM factors SampleChip adds.
+// without the chip sampling and SRAM factors a montecarlo study adds.
 func BenchmarkChipRetentionMap(b *testing.B) {
 	chip := variation.NewChip(stats.NewRNG(1), 0, variation.Severe, circuit.L1D.TileCols, circuit.L1D.TileRows)
 	for _, backend := range []circuit.CellBackend{circuit.Backend3T1D, circuit.STTRAMBackend} {

@@ -27,8 +27,9 @@ import (
 	"strings"
 	"time"
 
-	"tdcache"
+	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
+	"tdcache/internal/experiments"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		seed         = fs.Uint64("seed", 0, "root random seed")
 		benchmarks   = fs.String("benchmarks", "", "comma-separated benchmark subset (default: all eight)")
 		quick        = fs.Bool("quick", false, "use the reduced smoke-test configuration")
-		backend      = fs.String("backend", "", "cell backend: "+strings.Join(tdcache.Backends(), ", ")+" (default "+tdcache.DefaultBackend+")")
+		backend      = fs.String("backend", "", "cell backend: "+strings.Join(circuit.BackendNames(), ", ")+" (default "+circuit.DefaultBackendName+")")
 		parallel     = fs.Int("parallel", 0, "sweep worker-pool width (0 = GOMAXPROCS, 1 = sequential; output is identical)")
 		format       = fs.String("format", "text", "output format: text, json, or csv")
 		storeDir     = fs.String("store", "", "content-addressed result store directory (empty = no store)")
@@ -111,15 +112,15 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *list {
-		for _, sp := range tdcache.ExperimentSpecs() {
+		for _, sp := range experiments.Specs {
 			fmt.Fprintf(stdout, "%-10s %-10s %s\n", sp.ID, sp.Kind, sp.Title)
 		}
 		return 0
 	}
 
-	p := tdcache.DefaultExperimentParams()
+	p := experiments.DefaultParams()
 	if *quick {
-		p = tdcache.QuickExperimentParams()
+		p = experiments.QuickParams()
 	}
 	if set["chips"] {
 		p.Chips = *chips
@@ -144,14 +145,14 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	f, err := tdcache.ParseArtifactFormat(*format)
+	f, err := artifact.ParseFormat(*format)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	var store *tdcache.ArtifactStore
+	var store *artifact.Store
 	if *storeDir != "" {
-		store, err = tdcache.NewArtifactStore(*storeDir)
+		store, err = artifact.NewStore(*storeDir)
 		if err != nil {
 			fmt.Fprintln(stderr, err)
 			return 1
@@ -170,7 +171,7 @@ func cli(args []string, stdout, stderr io.Writer) int {
 // applyBackend validates the -backend flag value and sets it on the
 // params. The empty string keeps the reference model (and the
 // pre-refactor parameter digest).
-func applyBackend(p *tdcache.ExperimentParams, name string) error {
+func applyBackend(p *experiments.Params, name string) error {
 	if _, ok := circuit.LookupBackend(name); !ok {
 		return fmt.Errorf("tdcache-experiments: unknown backend %q (known: %s)",
 			name, strings.Join(circuit.BackendNames(), ", "))
@@ -181,7 +182,7 @@ func applyBackend(p *tdcache.ExperimentParams, name string) error {
 
 // run regenerates one experiment (or all of them) in the requested
 // format, consulting the store first when one is configured.
-func run(experiment string, p *tdcache.ExperimentParams, f tdcache.ArtifactFormat, store *tdcache.ArtifactStore, w io.Writer) error {
+func run(experiment string, p *experiments.Params, f artifact.Format, store *artifact.Store, w io.Writer) error {
 	if experiment == "all" {
 		return runAll(p, f, store, w)
 	}
@@ -196,14 +197,14 @@ func run(experiment string, p *tdcache.ExperimentParams, f tdcache.ArtifactForma
 // runAll composes the full artifact set: a JSON array for json, `# id`
 // separated documents for csv, and the classic `===== id =====` report
 // for text.
-func runAll(p *tdcache.ExperimentParams, f tdcache.ArtifactFormat, store *tdcache.ArtifactStore, w io.Writer) error {
-	for i, sp := range tdcache.ExperimentSpecs() {
+func runAll(p *experiments.Params, f artifact.Format, store *artifact.Store, w io.Writer) error {
+	for i, sp := range experiments.Specs {
 		data, err := artifactBytes(sp.ID, p, f, store)
 		if err != nil {
 			return err
 		}
 		switch f {
-		case tdcache.FormatJSON:
+		case artifact.FormatJSON:
 			head := ",\n"
 			if i == 0 {
 				head = "[\n"
@@ -211,7 +212,7 @@ func runAll(p *tdcache.ExperimentParams, f tdcache.ArtifactFormat, store *tdcach
 			if _, err := fmt.Fprintf(w, "%s%s", head, bytes.TrimRight(data, "\n")); err != nil {
 				return err
 			}
-		case tdcache.FormatCSV:
+		case artifact.FormatCSV:
 			if _, err := fmt.Fprintf(w, "# %s\n%s\n", sp.ID, data); err != nil {
 				return err
 			}
@@ -222,7 +223,7 @@ func runAll(p *tdcache.ExperimentParams, f tdcache.ArtifactFormat, store *tdcach
 			}
 		}
 	}
-	if f == tdcache.FormatJSON {
+	if f == artifact.FormatJSON {
 		_, err := io.WriteString(w, "\n]\n")
 		return err
 	}
@@ -231,27 +232,27 @@ func runAll(p *tdcache.ExperimentParams, f tdcache.ArtifactFormat, store *tdcach
 
 // artifactBytes returns the encoded artifact, serving from the store on
 // a hit and computing (then persisting) on a miss.
-func artifactBytes(id string, p *tdcache.ExperimentParams, f tdcache.ArtifactFormat, store *tdcache.ArtifactStore) ([]byte, error) {
+func artifactBytes(id string, p *experiments.Params, f artifact.Format, store *artifact.Store) ([]byte, error) {
 	if store == nil {
-		a, err := tdcache.BuildExperiment(id, p)
+		a, err := experiments.Build(id, p)
 		if err != nil {
 			return nil, err
 		}
 		var buf bytes.Buffer
-		if err := tdcache.EncodeArtifact(&buf, f, a); err != nil {
+		if err := artifact.Encode(&buf, f, a); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
 	}
-	digest := tdcache.ExperimentDigest(p)
+	digest := experiments.Digest(p)
 	data, _, err := store.ReadFormat(id, digest, f)
 	if err == nil {
 		return data, nil
 	}
-	if !errors.Is(err, tdcache.ErrStoreMiss) {
+	if !errors.Is(err, artifact.ErrMiss) {
 		return nil, err
 	}
-	a, err := tdcache.BuildExperiment(id, p)
+	a, err := experiments.Build(id, p)
 	if err != nil {
 		return nil, err
 	}

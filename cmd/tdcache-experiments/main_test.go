@@ -9,7 +9,8 @@ import (
 	"strings"
 	"testing"
 
-	"tdcache"
+	"tdcache/internal/circuit"
+	"tdcache/internal/experiments"
 )
 
 // runMainEnv makes the test binary act as the command: TestMain hands
@@ -58,14 +59,14 @@ func TestProfilesWrittenOnFailure(t *testing.T) {
 }
 
 func TestApplyBackendUnknown(t *testing.T) {
-	p := tdcache.QuickExperimentParams()
+	p := experiments.QuickParams()
 	err := applyBackend(p, "nonesuch")
 	if err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 	// The error must list the known backends so the user can fix
 	// the flag without reading source.
-	for _, name := range tdcache.Backends() {
+	for _, name := range circuit.BackendNames() {
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("error %q does not list backend %q", err, name)
 		}
@@ -76,8 +77,8 @@ func TestApplyBackendUnknown(t *testing.T) {
 }
 
 func TestApplyBackendKnown(t *testing.T) {
-	for _, name := range tdcache.Backends() {
-		p := tdcache.QuickExperimentParams()
+	for _, name := range circuit.BackendNames() {
+		p := experiments.QuickParams()
 		if err := applyBackend(p, name); err != nil {
 			t.Errorf("applyBackend(%q) = %v", name, err)
 		}
@@ -88,12 +89,12 @@ func TestApplyBackendKnown(t *testing.T) {
 }
 
 func TestApplyBackendEmptyKeepsDigest(t *testing.T) {
-	p := tdcache.QuickExperimentParams()
-	base := tdcache.ExperimentDigest(p)
+	p := experiments.QuickParams()
+	base := experiments.Digest(p)
 	if err := applyBackend(p, ""); err != nil {
 		t.Fatalf("empty backend: %v", err)
 	}
-	if got := tdcache.ExperimentDigest(p); got != base {
+	if got := experiments.Digest(p); got != base {
 		t.Errorf("empty -backend changed the parameter digest %q -> %q", base, got)
 	}
 }

@@ -18,8 +18,7 @@
 //   - an unchecked error overwritten by a new assignment (the shadowed
 //     first failure is lost);
 //   - a bare cross-package error returned from an exported function
-//     without fmt.Errorf("...: %w", err) context and without an
-//     explicit //errflow:passthrough annotation;
+//     without fmt.Errorf("...: %w", err) context;
 //   - fmt.Errorf formatting an error-typed argument without %w;
 //   - == or != against an exported error sentinel (including switch
 //     cases over an error tag) instead of errors.Is;
@@ -28,9 +27,6 @@
 //
 // Annotation grammar, on a function's doc comment:
 //
-//	//errflow:passthrough     returning callee errors verbatim is this
-//	                          function's documented contract (facade
-//	                          wrappers); the wrap requirement is waived.
 //	//errflow:status-mapper   this function is the package's single
 //	                          error-to-HTTP-status mapping point; all
 //	                          other >=400 responses are findings. At
@@ -67,16 +63,15 @@ import (
 var Analyzer = &framework.Analyzer{
 	Name: "errflow",
 	Doc: "error results must be checked on every path, wrapped with %w when crossing a package boundary " +
-		"(or annotated //errflow:passthrough), and compared with errors.Is, never == against a sentinel",
+		"and compared with errors.Is, never == against a sentinel",
 	Run: run,
 }
 
-// errflowRe matches any //errflow: directive; the two valid forms are
+// errflowRe matches any //errflow: directive; the one valid form is
 // matched exactly so everything else is reportable.
 var (
-	errflowRe     = regexp.MustCompile(`^//errflow:`)
-	passthroughRe = regexp.MustCompile(`^//errflow:passthrough$`)
-	mapperRe      = regexp.MustCompile(`^//errflow:status-mapper$`)
+	errflowRe = regexp.MustCompile(`^//errflow:`)
+	mapperRe  = regexp.MustCompile(`^//errflow:status-mapper$`)
 )
 
 // errorIface is the universe error interface.
@@ -88,8 +83,6 @@ func isErrorType(t types.Type) bool {
 
 // annotations is the parsed //errflow: surface of one package's files.
 type annotations struct {
-	// passthrough holds the functions whose doc waives the wrap rule.
-	passthrough map[*types.Func]bool
 	// mapper is the package's status-mapping function, if any.
 	mapper *types.Func
 	// mapperDecl is its declaration, skipped by the bypass walk.
@@ -116,11 +109,11 @@ func run(pass *framework.Pass) error {
 	return nil
 }
 
-// scanAnnotations indexes the package's //errflow: directives: valid
-// forms on function doc comments take effect, anything else is a bad
-// annotation finding.
+// scanAnnotations indexes the package's //errflow: directives: the
+// valid form on a function doc comment takes effect, anything else is
+// a bad annotation finding.
 func scanAnnotations(pass *framework.Pass) *annotations {
-	ann := &annotations{passthrough: make(map[*types.Func]bool)}
+	ann := &annotations{}
 	// Directives that took effect, so the stray-directive sweep below
 	// can tell a doc-attached directive from a floating one.
 	attached := make(map[token.Pos]bool)
@@ -132,13 +125,7 @@ func scanAnnotations(pass *framework.Pass) *annotations {
 				continue
 			}
 			for _, c := range fd.Doc.List {
-				switch {
-				case passthroughRe.MatchString(c.Text):
-					attached[c.Pos()] = true
-					if fn, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
-						ann.passthrough[fn] = true
-					}
-				case mapperRe.MatchString(c.Text):
+				if mapperRe.MatchString(c.Text) {
 					attached[c.Pos()] = true
 					mappers = append(mappers, fd)
 				}
@@ -161,12 +148,12 @@ func scanAnnotations(pass *framework.Pass) *annotations {
 				if !errflowRe.MatchString(c.Text) || attached[c.Pos()] {
 					continue
 				}
-				if passthroughRe.MatchString(c.Text) || mapperRe.MatchString(c.Text) {
+				if mapperRe.MatchString(c.Text) {
 					ann.bad = append(ann.bad, framework.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
 						"misplaced %s: the directive only takes effect on a function's doc comment", c.Text)})
 				} else {
 					ann.bad = append(ann.bad, framework.Diagnostic{Pos: c.Pos(), Message: fmt.Sprintf(
-						"unrecognized //errflow: directive %q: valid forms are //errflow:passthrough and //errflow:status-mapper", c.Text)})
+						"unrecognized //errflow: directive %q: the valid form is //errflow:status-mapper", c.Text)})
 				}
 			}
 		}
@@ -321,8 +308,8 @@ type problem struct {
 	// returnsError: the analyzed function can propagate an error itself
 	// (arms the Fprint exemption the other way).
 	returnsError bool
-	// wrapRule: exported function of a non-main package without
-	// //errflow:passthrough — bare foreign errors in returns are findings.
+	// wrapRule: exported function of a non-main package — bare foreign
+	// errors in returns are findings.
 	wrapRule bool
 	// namedResults are the function's named result objects; a naked
 	// return hands them to the caller.
@@ -343,7 +330,7 @@ func analyzeDecl(pass *framework.Pass, fd *ast.FuncDecl, ann *annotations) {
 	if fn != nil {
 		sig := fn.Type().(*types.Signature)
 		p.returnsError = signatureReturnsError(sig)
-		p.wrapRule = fd.Name.IsExported() && pass.Pkg.Name() != "main" && !ann.passthrough[fn]
+		p.wrapRule = fd.Name.IsExported() && pass.Pkg.Name() != "main"
 		p.namedResults = namedResultObjs(pass, fd.Type)
 	}
 	analyzeBody(pass, fd.Body, p)
@@ -634,7 +621,7 @@ func (p *problem) checkReturn(s *ast.ReturnStmt, facts *framework.Facts[fact]) {
 			if f, ok := facts.Get(obj); ok && f.foreign {
 				p.pass.Reportf(x.Pos(),
 					"error from another package (call at line %d) crosses the boundary of exported %s unwrapped: "+
-						"wrap it with fmt.Errorf(\"...: %%w\", %s) or annotate the function //errflow:passthrough",
+						"wrap it with fmt.Errorf(\"...: %%w\", %s)",
 					p.pass.Fset.Position(f.pos).Line, p.label, x.Name)
 			}
 		case *ast.CallExpr:
@@ -645,7 +632,7 @@ func (p *problem) checkReturn(s *ast.ReturnStmt, facts *framework.Facts[fact]) {
 			if p.foreignCallee(x) {
 				p.pass.Reportf(x.Pos(),
 					"cross-package error from %s is returned by exported %s unwrapped: "+
-						"wrap it with fmt.Errorf(\"...: %%w\", err) or annotate the function //errflow:passthrough",
+						"wrap it with fmt.Errorf(\"...: %%w\", err)",
 					callLabel(p.pass, x), p.label)
 			}
 		}

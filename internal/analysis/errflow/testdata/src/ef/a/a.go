@@ -3,8 +3,8 @@
 // some path, unchecked errors overwritten, bare cross-package errors
 // returned from exported functions, fmt.Errorf without %w, sentinel
 // comparisons, malformed directives — plus the sanctioned idioms
-// (checked errors, wrapping, //errflow:passthrough, never-failing
-// writers, and an accepted `//lint:allow errflow` suppression).
+// (checked errors, wrapping, never-failing writers, and an accepted
+// `//lint:allow errflow` suppression).
 package a
 
 import (
@@ -77,13 +77,6 @@ func Open(p string) error {
 // Relay leaks a sibling package's error shape verbatim.
 func Relay() error {
 	return b.Do() // want `cross-package error from b.Do is returned by exported Relay unwrapped`
-}
-
-// OpenRaw returns the os error verbatim by documented contract.
-//
-//errflow:passthrough
-func OpenRaw(p string) (*os.File, error) {
-	return os.Open(p)
 }
 
 // OpenWrapped adds context with %w: clean.
@@ -160,7 +153,9 @@ func Probe() {
 }
 
 func misdirected() {
-	var x = 1 /* // want `misplaced //errflow:passthrough` */ //errflow:passthrough
+	var x = 1 /* // want `misplaced //errflow:status-mapper` */ //errflow:status-mapper
 	_ = x
 	//errflow:wat is not a thing // want `unrecognized //errflow: directive`
+	var y = 2 /* // want `unrecognized //errflow: directive "//errflow:passthrough"` */ //errflow:passthrough
+	_ = y
 }

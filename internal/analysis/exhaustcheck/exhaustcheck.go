@@ -11,8 +11,8 @@
 //
 //	//enum:closed             on a type declaration's doc comment: the
 //	                          type's package-level consts (matched by
-//	                          constant value, so re-exported facade
-//	                          constants still count) and package-level
+//	                          constant value, so constants re-exported
+//	                          elsewhere still count) and package-level
 //	                          vars (matched by object identity) are the
 //	                          closed member set.
 //	//enum:default <reason>   on (or directly above) a default case in
@@ -26,8 +26,9 @@
 //   - a default case in such a switch with no //enum:default reason;
 //   - a case expression that is not a member of the closed set (a
 //     constant outside the declared values, or a variable that is not
-//     one of the member vars — note a facade's `var X = core.X` copy
-//     is a different object and does not count as the member);
+//     one of the member vars — note another package's
+//     `var X = core.X` copy is a different object and does not count
+//     as the member);
 //   - a malformed tag: //enum:closed off a type declaration,
 //     //enum:default without a reason or away from a default case, an
 //     unrecognized //enum: form, or //enum:closed on a type with no

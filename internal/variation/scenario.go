@@ -37,19 +37,3 @@ var (
 	// σL/L = 7% within-die, σVth/Vth = 15%, σL/L = 5% die-to-die.
 	Severe = Scenario{Name: "severe", SigmaLWithin: 0.07, SigmaVth: 0.15, SigmaLDie: 0.05}
 )
-
-// IsZero reports whether the scenario has no variation at all.
-func (s Scenario) IsZero() bool {
-	return s.SigmaLWithin == 0 && s.SigmaVth == 0 && s.SigmaLDie == 0
-}
-
-// Scaled returns a copy of s with every sigma multiplied by k. Used by the
-// sensitivity study to sweep variation severity continuously.
-func (s Scenario) Scaled(k float64) Scenario {
-	return Scenario{
-		Name:         s.Name + "-scaled",
-		SigmaLWithin: s.SigmaLWithin * k,
-		SigmaVth:     s.SigmaVth * k,
-		SigmaLDie:    s.SigmaLDie * k,
-	}
-}

@@ -16,21 +16,8 @@ func TestScenarioConstants(t *testing.T) {
 	if Severe.SigmaLWithin != 0.07 || Severe.SigmaVth != 0.15 || Severe.SigmaLDie != 0.05 {
 		t.Errorf("Severe = %+v", Severe)
 	}
-	if !NoVariation.IsZero() {
-		t.Error("NoVariation should be zero")
-	}
-	if Typical.IsZero() || Severe.IsZero() {
-		t.Error("Typical/Severe should not be zero")
-	}
-}
-
-func TestScenarioScaled(t *testing.T) {
-	s := Typical.Scaled(2)
-	if s.SigmaLWithin != 0.10 || s.SigmaVth != 0.20 || s.SigmaLDie != 0.10 {
-		t.Errorf("Scaled = %+v", s)
-	}
-	if z := Typical.Scaled(0); !z.IsZero() {
-		t.Error("Scaled(0) should be zero")
+	if NoVariation != (Scenario{Name: "none"}) {
+		t.Errorf("NoVariation = %+v, want every sigma zero", NoVariation)
 	}
 }
 
