@@ -318,7 +318,8 @@ func BenchmarkRunReplay(b *testing.B) {
 
 // BenchmarkChipRetentionMap times one severe chip's retention map under
 // each cell backend's line kernel (the dominant circuit-model cost),
-// without the chip sampling and SRAM factors a montecarlo study adds.
+// without the chip sampling and SRAM factors a montecarlo study adds,
+// and the 3T1D kernel's maps at four operating points from one scan.
 func BenchmarkChipRetentionMap(b *testing.B) {
 	chip := variation.NewChip(stats.NewRNG(1), 0, variation.Severe, circuit.L1D.TileCols, circuit.L1D.TileRows)
 	for _, backend := range []circuit.CellBackend{circuit.Backend3T1D, circuit.STTRAMBackend} {
@@ -332,6 +333,18 @@ func BenchmarkChipRetentionMap(b *testing.B) {
 			b.ReportMetric(float64(b.N*circuit.L1D.Lines)/b.Elapsed().Seconds(), "lines/s")
 		})
 	}
+	// The four typical-variation points of Fig. 12 from one scan, as
+	// fig12pts evaluates each chip; lines/s counts every point's lines.
+	points := []circuit.Tech{circuit.Node65, circuit.Node45, circuit.Node32, circuit.Node32.AtVdd(0.9)}
+	b.Run("3t1d-points4", func(b *testing.B) {
+		e := circuit.NewChipEval(circuit.Node32, circuit.L1D, chip)
+		for i := 0; i < b.N; i++ {
+			if m := e.RetentionMaps(points); len(m) != len(points) {
+				b.Fatal("missing retention maps")
+			}
+		}
+		b.ReportMetric(float64(b.N*len(points)*circuit.L1D.Lines)/b.Elapsed().Seconds(), "lines/s")
+	})
 }
 
 // BenchmarkSTTYield times one quick build of the STT-RAM class-mix

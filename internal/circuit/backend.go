@@ -102,6 +102,11 @@ type CellBackend interface {
 	// minimum over its data and tag cells (§4.3.1 — a line's retention
 	// is defined by its worst cell so no data is ever lost during it).
 	RetentionMap(e ChipEval) []float64
+	// RetentionMaps is RetentionMap at each operating point of techs
+	// (e.Tech is not read): the k-th map equals RetentionMap of e at
+	// techs[k], bit for bit. A backend whose cells share their draws
+	// across points evaluates them all in one scan.
+	RetentionMaps(e ChipEval, techs []Tech) [][]float64
 	// AccessTime is the array access time (seconds) of a corner cell a
 	// time elapsed (seconds) after its last write — the Fig. 4 curve.
 	AccessTime(t Tech, c Corner, elapsed float64) float64

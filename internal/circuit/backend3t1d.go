@@ -26,6 +26,13 @@ func (backend3T1D) RetentionMap(e ChipEval) []float64 {
 	return m
 }
 
+// RetentionMaps runs the same kernel once for every point: a cell's
+// threshold draws do not depend on the operating point, so each cell
+// is hashed once and bounded against every point's tables.
+func (backend3T1D) RetentionMaps(e ChipEval, techs []Tech) [][]float64 {
+	return e.retentionMaps3T1D(techs)
+}
+
 // AccessTime is the Fig. 4 curve for the requested corner.
 func (backend3T1D) AccessTime(t Tech, c Corner, elapsed float64) float64 {
 	return t.AccessTime3T1D(cornerCell3T1D(c), elapsed)

@@ -88,7 +88,7 @@ func (b *STTRAM) WithHiWays(n int) *STTRAM {
 
 // Name implements CellBackend. WithHiWays variants share the name; they
 // are only ever used through explicit Options.Backend plumbing, never
-// through LookupBackend or the memoized study cache.
+// through LookupBackend or the experiments' chip memo.
 func (b *STTRAM) Name() string { return "sttram" }
 
 // ways is the way count implied by the floorplan: a set's ways live in
@@ -308,6 +308,16 @@ func (b *STTRAM) RetentionMap(e ChipEval) []float64 {
 		}
 	}
 	return m
+}
+
+// RetentionMaps implements CellBackend with one RetentionMap per point.
+func (b *STTRAM) RetentionMaps(e ChipEval, techs []Tech) [][]float64 {
+	maps := make([][]float64, len(techs))
+	for k, t := range techs {
+		e.Tech = t
+		maps[k] = b.RetentionMap(e)
+	}
+	return maps
 }
 
 // cornerRetention is the retention of the plotted corner cell: the

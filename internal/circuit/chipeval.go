@@ -103,9 +103,13 @@ func (e ChipEval) cellDevice(line, cell int, slot uint8, tileX, tileY int) Devic
 	}
 }
 
-// retentionBuckets is how many buckets the windowed 3T1D kernel splits
-// each hash uniform into, by its top 8 bits.
-const retentionBuckets = 256
+// bucketBits is how many top bits of a cell's hash pick its bucket:
+// the windowed 3T1D kernel splits each hash uniform into
+// retentionBuckets equal buckets.
+const (
+	bucketBits       = 8
+	retentionBuckets = 1 << bucketBits
+)
 
 // Slacks of the windowed kernel's per-bucket bound. The bound evaluates
 // the exact stage's terms on bucket edges, regrouped into per-chip and
@@ -123,25 +127,24 @@ const (
 	windowRelSlack    = 1e-9
 )
 
-// retentionWindow is the windowed 3T1D kernel's per-chip state. For each
-// bucket b of a threshold draw's uniform, g = σ·InvNormCDF(u) spans
-// [gLo, gHi] over the bucket (widened by windowZSlack); the tables hold
-// the threshold Vth0·(1+g) at both edges, T2's share vthHi/DiodeBoost
-// of the required storage level, and T1's inverse leak factor
-// exp(Vth0·g/RetLeakSens) at both edges. The edges are finite because
-// InvNormCDF clamps its argument, so u = 0 and the largest uniform are
-// bounded like every other draw.
+// retentionWindow is one operating point's bucket tables in the windowed
+// 3T1D kernel. For each bucket b of a threshold draw's uniform,
+// g = σ·InvNormCDF(u) spans [gLo, gHi] over the bucket (widened by
+// windowZSlack); the tables hold the threshold Vth0·(1+g) at both edges,
+// T2's share vthHi/DiodeBoost of the required storage level, and T1's
+// inverse leak factor exp(Vth0·g/RetLeakSens) at both edges. The edges
+// are finite because InvNormCDF clamps its argument, so u = 0 and the
+// largest uniform are bounded like every other draw.
 type retentionWindow struct {
 	tech           Tech // a copy: a pointer stored here would move the caller's ChipEval to the heap
-	seed           uint64
 	sigma          float64
 	vthLo, vthHi   [retentionBuckets]float64
 	vreq2          [retentionBuckets]float64
 	leakLo, leakHi [retentionBuckets]float64
 }
 
-func (w *retentionWindow) init(t *Tech, seed uint64, sigma float64) {
-	w.tech, w.seed, w.sigma = *t, seed, sigma
+func (w *retentionWindow) init(t *Tech, sigma float64) {
+	w.tech, w.sigma = *t, sigma
 	if sigma == 0 {
 		return // every cell of a tile is the same; scan needs no tables
 	}
@@ -160,10 +163,11 @@ func (w *retentionWindow) init(t *Tech, seed uint64, sigma float64) {
 	}
 }
 
-// bucket is the bucket of uniform u in [0, 1). The mask changes nothing
-// for such u; it only lets the compiler drop the table bounds checks.
-func bucket(u float64) int {
-	return int(u*retentionBuckets) & (retentionBuckets - 1)
+// bucket is the bucket of the uniform stats.BitsUniform(h) makes of
+// hash h. The mask changes nothing; it only lets the compiler drop the
+// table bounds checks.
+func bucket(h uint64) int {
+	return int(h>>(64-bucketBits)) & (retentionBuckets - 1)
 }
 
 // tileWindow is one tile's share of the windowed kernel: the tile's
@@ -216,82 +220,167 @@ func (w *retentionWindow) bound(tw *tileWindow, b1, b2, b3 int) float64 {
 	return min(mLo*w.leakLo[b1], mHi*w.leakHi[b1]) * tw.k
 }
 
+// retentionPoint is one operating point of a windowed-kernel call: its
+// bucket tables, the tables of the current line's two tiles, the line's
+// running minimum and the map it writes.
+type retentionPoint struct {
+	w     retentionWindow
+	tw    [2]tileWindow
+	worst float64
+	out   []float64
+}
+
 // scan folds cells [lo, hi) of the line whose first cell id is base,
-// all on tile tw, into the running minimum worst. It hashes each cell's
-// three uniforms and skips the cell when its buckets' bound exceeds
-// worst: such a cell cannot lower the minimum. Survivors go through
-// cellLeakTerms, cellScale and cellRetention exactly as a per-cell loop
-// would, and a minimum does not depend on the order of its terms, so
-// the result is bit-identical to evaluating every cell. It returns the
-// new minimum and how many cells it evaluated exactly.
-func (w *retentionWindow) scan(tw *tileWindow, base uint64, lo, hi int, worst float64) (float64, int) {
-	t, p := &w.tech, &tw.p
-	if w.sigma == 0 {
+// all on tile tile, into the running minimum of every point of pts.
+// It hashes each cell's three uniforms once and, per point, skips the
+// cell when its buckets' bound reaches that point's minimum: such a
+// cell cannot lower it, and no cell is evaluated at a point whose
+// minimum is already 0. The first point the cell survives hands it to
+// exactCell. live is how many points still have a nonzero minimum;
+// scan returns the new count and how many (cell, point) pairs it
+// evaluated exactly.
+func scan(pts []retentionPoint, tile int, seed uint64, sigma float64, base uint64, lo, hi, live int) (int, int) {
+	tile &= 1 // lets the compiler drop the tile bounds checks
+	if sigma == 0 {
 		if lo >= hi {
-			return worst, 0
+			return live, 0
 		}
-		lnOver3, retLeak := cellLeakTerms(t, p, 0, 0)
-		if r := cellRetention(t, p, 0, 0, cellScale(t, p, lnOver3), retLeak); r < worst {
-			worst = r
+		for k := range pts {
+			pt := &pts[k]
+			t, p := &pt.w.tech, &pt.tw[tile].p
+			lnOver3, retLeak := cellLeakTerms(t, p, 0, 0)
+			if r := cellRetention(t, p, 0, 0, cellScale(t, p, lnOver3), retLeak); r < pt.worst {
+				if pt.worst = r; r == 0 {
+					live--
+				}
+			}
 		}
-		return worst, 1
+		return live, len(pts)
 	}
 	exact := 0
-	for cell := lo; cell < hi && worst != 0; cell++ {
+	for cell := lo; cell < hi && live > 0; cell++ {
 		id := base + uint64(cell)
-		u1 := stats.HashUniform(w.seed, stats.Mix64(id, uint64(slotT1)))
-		u2 := stats.HashUniform(w.seed, stats.Mix64(id, uint64(slotT2)))
-		u3 := stats.HashUniform(w.seed, stats.Mix64(id, uint64(slotT3)))
-		if w.bound(tw, bucket(u1), bucket(u2), bucket(u3)) > worst {
+		h1 := stats.HashBits(seed, stats.Mix64(id, uint64(slotT1)))
+		h2 := stats.HashBits(seed, stats.Mix64(id, uint64(slotT2)))
+		h3 := stats.HashBits(seed, stats.Mix64(id, uint64(slotT3)))
+		b1, b2, b3 := bucket(h1), bucket(h2), bucket(h3)
+		for k := range pts {
+			pt := &pts[k]
+			if !(pt.w.bound(&pt.tw[tile], b1, b2, b3) >= pt.worst) {
+				n, dead := exactCell(pts[k:], tile, sigma, h1, h2, h3)
+				exact += n
+				live -= dead
+				break
+			}
+		}
+	}
+	return live, exact
+}
+
+// exactCell evaluates one cell of tile tile exactly, as a per-cell loop
+// would: at pts[0], whose bound it survived, and at every later point
+// whose bound it survives too. Its Gaussians are drawn once. It returns
+// how many points it evaluated and how many of their minima it took to
+// 0. It stays out of line so the hash loop of scan keeps its registers.
+//
+//go:noinline
+func exactCell(pts []retentionPoint, tile int, sigma float64, h1, h2, h3 uint64) (exact, dead int) {
+	tile &= 1
+	g1 := sigma * stats.InvNormCDF(stats.BitsUniform(h1))
+	g2 := sigma * stats.InvNormCDF(stats.BitsUniform(h2))
+	g3 := sigma * stats.InvNormCDF(stats.BitsUniform(h3))
+	b1, b2, b3 := bucket(h1), bucket(h2), bucket(h3)
+	for k := range pts {
+		pt := &pts[k]
+		t, tw := &pt.w.tech, &pt.tw[tile]
+		if k > 0 && pt.w.bound(tw, b1, b2, b3) >= pt.worst {
 			continue
 		}
 		exact++
-		g1 := w.sigma * stats.InvNormCDF(u1)
-		g2 := w.sigma * stats.InvNormCDF(u2)
-		g3 := w.sigma * stats.InvNormCDF(u3)
-		lnOver3, retLeak := cellLeakTerms(t, p, g1, g3)
-		if r := cellRetention(t, p, g1, g2, cellScale(t, p, lnOver3), retLeak); r < worst {
-			worst = r
+		lnOver3, retLeak := cellLeakTerms(t, &tw.p, g1, g3)
+		if r := cellRetention(t, &tw.p, g1, g2, cellScale(t, &tw.p, lnOver3), retLeak); r < pt.worst {
+			if pt.worst = r; r == 0 {
+				dead++
+			}
 		}
 	}
-	return worst, exact
+	return exact, dead
 }
 
-// retention3T1D is the 3T1D backend's kernel behind RetentionMap: it
-// writes the retention of lines first, first+1, ... into out and
-// returns how many cells it evaluated exactly. A line's retention is the
-// minimum over its cells of a hoisted form algebraically identical to
-// Tech.RetentionTime (asserted by tests). The chip's bucket tables are
-// built once per call, and the two tile tables only when a line's tiles
-// differ from the previous line's; all stay on the stack. With σVth = 0
-// every cell of a tile is the same, so one exact evaluation per tile
-// suffices. A dead cell ends its line.
-func (e ChipEval) retention3T1D(first int, out []float64) (exact int) {
-	var (
-		w        retentionWindow
-		tw0, tw1 tileWindow
-	)
-	w.init(&e.Tech, e.Chip.Seed(), e.Chip.Scenario.SigmaVth)
+// retentionPoints is the windowed 3T1D kernel behind RetentionMap and
+// RetentionMaps: it writes the retention of lines first, first+1, ...
+// at each point of pts into that point's out (all of length n) and
+// returns how many (cell, point) pairs it evaluated exactly. A line's
+// retention is the minimum over its cells of a hoisted form
+// algebraically identical to Tech.RetentionTime (asserted by tests).
+// Each cell's uniforms are hashed once for every point; the two tile
+// tables of every point are rebuilt only when a line's tiles differ
+// from the previous line's. With σVth = 0 every cell of a tile is the
+// same, so one exact evaluation per tile and point suffices. A line
+// ends once every point has met a dead cell.
+func (e ChipEval) retentionPoints(pts []retentionPoint, first, n int) (exact int) {
+	seed, sigma := e.Chip.Seed(), e.Chip.Scenario.SigmaVth
 	total := e.Geom.CellsPerLine + e.Geom.TagBits
 	half := e.Geom.CellsPerLine / 2
 	tiles := [3]int{-1, -1, -1}
-	for i := range out {
+	for i := 0; i < n; i++ {
 		line := first + i
 		if x0, x1, y := e.Geom.LineTiles(line); [3]int{x0, x1, y} != tiles {
 			tiles = [3]int{x0, x1, y}
-			tw0.init(&w, e.tileParams(x0, y))
-			tw1.init(&w, e.tileParams(x1, y))
+			dL0, dL1 := e.Chip.DeltaL(x0, y), e.Chip.DeltaL(x1, y)
+			for k := range pts {
+				pt := &pts[k]
+				pt.tw[0].init(&pt.w, newTileParams(&pt.w.tech, dL0))
+				pt.tw[1].init(&pt.w, newTileParams(&pt.w.tech, dL1))
+			}
+		}
+		for k := range pts {
+			pts[k].worst = math.Inf(1)
 		}
 		base := uint64(line) * uint64(total)
 		// The second half of the data bits lives in the pair's other
 		// array; the tag cells stay with the first half.
-		worst, n0 := w.scan(&tw0, base, 0, half, math.Inf(1))
-		worst, n1 := w.scan(&tw1, base, half, e.Geom.CellsPerLine, worst)
-		worst, n2 := w.scan(&tw0, base, e.Geom.CellsPerLine, total, worst)
-		out[i] = worst
+		live, n0 := scan(pts, 0, seed, sigma, base, 0, half, len(pts))
+		live, n1 := scan(pts, 1, seed, sigma, base, half, e.Geom.CellsPerLine, live)
+		_, n2 := scan(pts, 0, seed, sigma, base, e.Geom.CellsPerLine, total, live)
+		for k := range pts {
+			pts[k].out[i] = pts[k].worst
+		}
 		exact += n0 + n1 + n2
 	}
 	return exact
+}
+
+// retention3T1D is the one-point call of retentionPoints at the chip's
+// own Tech: it writes the retention of lines first, first+1, ... into
+// out and returns how many cells it evaluated exactly. Its state stays
+// on the stack.
+func (e ChipEval) retention3T1D(first int, out []float64) (exact int) {
+	var pt [1]retentionPoint
+	pt[0].w.init(&e.Tech, e.Chip.Scenario.SigmaVth)
+	pt[0].out = out
+	return e.retentionPoints(pt[:], first, len(out))
+}
+
+// retentionMaps3T1D evaluates every line at each operating point of
+// techs in one retentionPoints call. One point takes retention3T1D,
+// whose state stays on the stack; several share one heap state.
+func (e ChipEval) retentionMaps3T1D(techs []Tech) [][]float64 {
+	if len(techs) == 1 {
+		e.Tech = techs[0]
+		m := make([]float64, e.Geom.Lines)
+		e.retention3T1D(0, m)
+		return [][]float64{m}
+	}
+	pts := make([]retentionPoint, len(techs))
+	maps := make([][]float64, len(techs))
+	for k := range techs {
+		maps[k] = make([]float64, e.Geom.Lines)
+		pts[k].w.init(&techs[k], e.Chip.Scenario.SigmaVth)
+		pts[k].out = maps[k]
+	}
+	e.retentionPoints(pts, 0, e.Geom.Lines)
+	return maps
 }
 
 // tileParams holds the per-tile (systematic) quantities hoisted out of
@@ -306,9 +395,9 @@ type tileParams struct {
 	lnOver3  float64 // ln of nominal T3 overdrive, for the drive-factor log
 }
 
-func (e ChipEval) tileParams(tx, ty int) tileParams {
-	t := e.Tech
-	dL := e.Chip.DeltaL(tx, ty)
+// newTileParams returns the hoisted quantities of a tile of t whose gate
+// length deviates by dL.
+func newTileParams(t *Tech, dL float64) tileParams {
 	v0n := t.nominalStoredLevel()
 	vreqNom := v0n * (1 - t.MarginFrac)
 	overNom := t.DiodeBoost*vreqNom - t.Vth0
@@ -375,6 +464,15 @@ func cellRetention(t *Tech, p *tileParams, g1, g2, scale, retLeak float64) float
 // per chip; the per-line loop runs inside the backend.
 func (e ChipEval) RetentionMap() []float64 {
 	return e.ActiveBackend().RetentionMap(e)
+}
+
+// RetentionMaps returns the retention map of every line, in seconds, at
+// each operating point of techs (e.Tech is not read), produced by the
+// active cell backend: the k-th map equals RetentionMap of e with Tech
+// techs[k], bit for bit. The 3T1D backend hashes each cell once for
+// all points.
+func (e ChipEval) RetentionMaps(techs []Tech) [][]float64 {
+	return e.ActiveBackend().RetentionMaps(e, techs)
 }
 
 // CellLeakageFactor returns the active backend's cache leakage relative

@@ -14,39 +14,51 @@ import (
 // bit-exact oracles for the windowed 3T1D kernel and the STT-RAM
 // kernel's per-tile quantile extremes.
 
-func refLineRetention3T1D(e ChipEval, line int) float64 {
-	x0, x1, y := e.Geom.LineTiles(line)
-	p0 := e.tileParams(x0, y)
-	p1 := e.tileParams(x1, y)
-	min := math.Inf(1)
-	total := e.Geom.CellsPerLine + e.Geom.TagBits
-	half := e.Geom.CellsPerLine / 2
-	sigma := e.Chip.Scenario.SigmaVth
-	seed := e.Chip.Seed()
-	for cell := 0; cell < total; cell++ {
-		p := &p0
-		if cell >= half && cell < e.Geom.CellsPerLine {
-			p = &p1
+// refLineRetention3T1D is the line's retention at each point of techs:
+// each cell's three Gaussians are drawn once and evaluated at every
+// point.
+func refLineRetention3T1D(g Geometry, chip *variation.Chip, techs []Tech, line int) []float64 {
+	x0, x1, y := g.LineTiles(line)
+	p0 := make([]tileParams, len(techs))
+	p1 := make([]tileParams, len(techs))
+	mins := make([]float64, len(techs))
+	for k := range techs {
+		p0[k] = newTileParams(&techs[k], chip.DeltaL(x0, y))
+		p1[k] = newTileParams(&techs[k], chip.DeltaL(x1, y))
+		mins[k] = math.Inf(1)
+	}
+	total := g.CellsPerLine + g.TagBits
+	half := g.CellsPerLine / 2
+	sigma := chip.Scenario.SigmaVth
+	seed := chip.Seed()
+	live := len(techs)
+	for cell := 0; cell < total && live > 0; cell++ {
+		ps := p0
+		if cell >= half && cell < g.CellsPerLine {
+			ps = p1
 		}
-		id := e.cellID(line, cell)
+		id := uint64(line)*uint64(total) + uint64(cell)
 		var g1, g2, g3 float64
 		if sigma != 0 {
 			g1 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT1)))
 			g2 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT2)))
 			g3 = sigma * stats.HashGaussian(seed, stats.Mix64(id, uint64(slotT3)))
 		}
-		if r := refCellRetention(e, p, g1, g2, g3); r < min {
-			min = r
-			if min == 0 {
-				break
+		for k := range techs {
+			if mins[k] == 0 {
+				continue
+			}
+			if r := refCellRetention(&techs[k], &ps[k], g1, g2, g3); r < mins[k] {
+				if mins[k] = r; r == 0 {
+					live--
+				}
 			}
 		}
 	}
-	return min
+	return mins
 }
 
-func refCellRetention(e ChipEval, p *tileParams, g1, g2, g3 float64) float64 {
-	t := e.Tech
+func refCellRetention(t *Tech, p *tileParams, g1, g2, g3 float64) float64 {
 	vth1 := t.Vth0*(1+g1) + p.vthShift
 	v0 := t.Vdd - vth1
 	if v0 <= 0 {
@@ -116,12 +128,14 @@ func chipsFor(g Geometry, sc variation.Scenario, n int) []*variation.Chip {
 var oddGeometry = Geometry{Lines: 64, CellsPerLine: 100, TagBits: 7, TileCols: 8, TileRows: 4}
 
 // TestLineRetention3T1DMatchesOracle compares every line of every chip
-// with the per-cell kernel, bit for bit, on every technology node, from
-// a whole RetentionMap. It also runs the kernel on sub-windows of lines
-// starting at a few lines per chip, across tile-row edges, and requires
-// the map's values there: the tile tables a window builds at its first
-// line and reuses or rebuilds after it must not depend on where it
-// starts.
+// with the per-cell kernel, bit for bit, on every technology node: one
+// RetentionMaps call over all three nodes per chip against one oracle
+// pass that draws each cell's Gaussians once, checked per node. Per
+// node it also requires the node's own RetentionMap on every third
+// chip, and runs the one-point kernel on sub-windows of lines starting
+// at a few lines per chip, across tile-row edges, and requires the
+// maps' values there: the tile tables a window builds at its first line
+// and reuses or rebuilds after it must not depend on where it starts.
 func TestLineRetention3T1DMatchesOracle(t *testing.T) {
 	if oddGeometry.LinesPerTileRow() != 4 {
 		t.Fatalf("oddGeometry has %d lines per tile row, want 4", oddGeometry.LinesPerTileRow())
@@ -140,30 +154,48 @@ func TestLineRetention3T1DMatchesOracle(t *testing.T) {
 		t.Run(fmt.Sprintf("%s/%d", c.sc.Name, c.geom.CellsPerLine), func(t *testing.T) {
 			t.Parallel()
 			chips := chipsFor(c.geom, c.sc, c.chips)
+			// maps[i][k] and want[i][k] are chip i's lines at Nodes[k].
+			maps := make([][][]float64, len(chips))
+			want := make([][][]float64, len(chips))
+			for i, chip := range chips {
+				maps[i] = Backend3T1D.RetentionMaps(NewChipEval(Node32, c.geom, chip), Nodes)
+				want[i] = make([][]float64, len(Nodes))
+				for line := 0; line < c.geom.Lines; line++ {
+					for k, r := range refLineRetention3T1D(c.geom, chip, Nodes, line) {
+						want[i][k] = append(want[i][k], r)
+					}
+				}
+			}
 			lpr := c.geom.LinesPerTileRow()
-			for _, tech := range Nodes {
+			for k, tech := range Nodes {
 				t.Run(tech.Name, func(t *testing.T) {
 					t.Parallel()
 					dead := 0
 					window := make([]float64, lpr+2)
 					for i, chip := range chips {
-						e := NewChipEval(tech, c.geom, chip)
-						m := Backend3T1D.RetentionMap(e)
+						m := maps[i][k]
 						for line, got := range m {
-							want := refLineRetention3T1D(e, line)
-							if math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("chip %d line %d: map %v, oracle %v", i, line, got, want)
+							if math.Float64bits(got) != math.Float64bits(want[i][k][line]) {
+								t.Fatalf("chip %d line %d: map %v, oracle %v", i, line, got, want[i][k][line])
 							}
 							if got == 0 {
 								dead++
 							}
 						}
+						e := NewChipEval(tech, c.geom, chip)
+						if i%len(Nodes) == k {
+							for line, got := range Backend3T1D.RetentionMap(e) {
+								if math.Float64bits(got) != math.Float64bits(m[line]) {
+									t.Fatalf("chip %d line %d: one-point map %v, RetentionMaps %v", i, line, got, m[line])
+								}
+							}
+						}
 						for _, first := range []int{i % c.geom.Lines, lpr - 1, c.geom.Lines/2 + i%lpr, c.geom.Lines - 1} {
 							out := window[:min(len(window), c.geom.Lines-first)]
 							e.retention3T1D(first, out)
-							for k, got := range out {
-								if math.Float64bits(got) != math.Float64bits(m[first+k]) {
-									t.Fatalf("chip %d line %d: window from %d %v, map %v", i, first+k, first, got, m[first+k])
+							for j, got := range out {
+								if math.Float64bits(got) != math.Float64bits(m[first+j]) {
+									t.Fatalf("chip %d line %d: window from %d %v, map %v", i, first+j, first, got, m[first+j])
 								}
 							}
 						}
@@ -193,6 +225,30 @@ func windowCell(w *retentionWindow, tw *tileWindow, u1, u2, u3 float64) float64 
 	return cellRetention(t, &tw.p, g1, g2, cellScale(t, &tw.p, lnOver3), retLeak)
 }
 
+// uniformBucket is the bucket of uniform u in [0, 1), as bucket finds
+// it from the hash of any cell whose uniform is u.
+func uniformBucket(u float64) int {
+	return bucket(uint64(u*(1<<53)) << 11)
+}
+
+// TestBucketOfHash pins the kernel's shortcut: the top bits of a hash
+// pick the same bucket as its uniform, which stats.BitsUniform makes
+// exactly as stats.HashUniform does.
+func TestBucketOfHash(t *testing.T) {
+	rng := stats.NewRNG(1)
+	for i := 0; i < 1<<16; i++ {
+		seed, index := rng.Uint64(), rng.Uint64()
+		h := stats.HashBits(seed, index)
+		u := stats.HashUniform(seed, index)
+		if math.Float64bits(stats.BitsUniform(h)) != math.Float64bits(u) {
+			t.Fatalf("BitsUniform(HashBits) = %v, HashUniform = %v", stats.BitsUniform(h), u)
+		}
+		if b, want := bucket(h), int(u*retentionBuckets); b != want || uniformBucket(u) != want {
+			t.Fatalf("u = %v: bucket of hash %d, of uniform %d, want %d", u, b, uniformBucket(u), want)
+		}
+	}
+}
+
 // extremeTiles returns the parameters of the tiles with the shortest and
 // the longest gate length over every tile of chips, and of a tile with
 // no ΔL at all.
@@ -215,9 +271,9 @@ func extremeTiles(tech Tech, chips []*variation.Chip) []tileParams {
 	}
 	flat := chipsFor(L1D, variation.NoVariation, 1)[0]
 	return []tileParams{
-		NewChipEval(tech, L1D, lo.chip).tileParams(lo.x, lo.y),
-		NewChipEval(tech, L1D, hi.chip).tileParams(hi.x, hi.y),
-		NewChipEval(tech, L1D, flat).tileParams(0, 0),
+		newTileParams(&tech, lo.chip.DeltaL(lo.x, lo.y)),
+		newTileParams(&tech, hi.chip.DeltaL(hi.x, hi.y)),
+		newTileParams(&tech, flat.DeltaL(0, 0)),
 	}
 }
 
@@ -250,7 +306,7 @@ func TestRetentionWindowPremise(t *testing.T) {
 			t.Run(sc.Name+"/"+tech.Name, func(t *testing.T) {
 				t.Parallel()
 				var w retentionWindow
-				w.init(&tech, 0, sc.SigmaVth)
+				w.init(&tech, sc.SigmaVth)
 				tiles := extremeTiles(tech, chips)
 				tws := make([]tileWindow, len(tiles))
 				special := []float64{0, grid, top}
@@ -291,7 +347,7 @@ func TestRetentionWindowPremise(t *testing.T) {
 					corners[i] = append(append(append([]float64{}, tails...), v0...), over3...)
 				}
 				check := func(tw *tileWindow, u1, u2, u3 float64) {
-					lb := w.bound(tw, bucket(u1), bucket(u2), bucket(u3))
+					lb := w.bound(tw, uniformBucket(u1), uniformBucket(u2), uniformBucket(u3))
 					if r := windowCell(&w, tw, u1, u2, u3); lb > r {
 						t.Fatalf("u = (%v, %v, %v), ΔL %v: bound %v above exact %v", u1, u2, u3, tw.p.dL, lb, r)
 					}
@@ -353,17 +409,41 @@ func TestRetentionWindowSurvivors(t *testing.T) {
 }
 
 // fuzzLines is how many consecutive lines one FuzzRetentionWindow input
-// checks: enough to cross a tile row of L1D.
+// checks against the oracle: enough to cross a tile row of L1D.
 const fuzzLines = 20
 
-// FuzzRetentionWindow checks the windowed 3T1D kernel against the
-// per-cell oracle, bit for bit, on any chip seed, σVth in (0, 0.4], node
-// and run of lines.
+// fuzzPoints decodes FuzzRetentionWindow's operating points from bits:
+// bits 0-1 give the point count less one; each point then takes 14
+// bits, a node (2 bits, modulo len(Nodes)) and a supply voltage (12
+// bits) on a uniform grid over [0, 2·Vdd). The grid holds the node's
+// nominal Vdd, voltages below AtVdd's clamp, and voltages far above
+// any design point.
+func fuzzPoints(bits uint64) []Tech {
+	n := 1 + int(bits&3)
+	techs := make([]Tech, n)
+	for k := range techs {
+		v := bits >> (2 + 14*k)
+		tech := Nodes[int(v&3)%len(Nodes)]
+		techs[k] = tech.AtVdd(2 * tech.Vdd * float64(v>>2&0xfff) / 0x1000)
+	}
+	return techs
+}
+
+// FuzzRetentionWindow checks the windowed 3T1D kernel, bit for bit, on
+// any chip seed, σVth in (0, 0.4], run of lines and 1 to 4 operating
+// points (see fuzzPoints): each point's map from one RetentionMaps call
+// against that point's own RetentionMap, and every point's lines in the
+// run against the per-cell oracle.
 func FuzzRetentionWindow(f *testing.F) {
-	f.Add(uint64(20070612), 0.15, uint8(2), uint16(0))
-	f.Add(uint64(1), 0.4, uint8(0), uint16(1010))
-	f.Add(uint64(7), 1e-300, uint8(1), uint16(500))
-	f.Fuzz(func(t *testing.T, seed uint64, sigma float64, node uint8, line uint16) {
+	const nominal = 0x800 << 2 // fuzzPoints' Vdd grid step at the nominal Vdd
+	f.Add(uint64(20070612), 0.15, uint16(0), uint64(nominal|2)<<2)
+	f.Add(uint64(1), 0.4, uint16(1010), uint64(nominal)<<2)
+	f.Add(uint64(7), 1e-300, uint16(500), uint64(nominal|1)<<2)
+	// 65 nm at 1.2 V, 45 nm at 1.1 V, 32 nm at 1.1 V and near 0.9 V: Fig. 12's
+	// typical points.
+	f.Add(uint64(20070612), 0.08, uint16(0), 3|uint64(nominal)<<2|uint64(nominal|1)<<16|uint64(nominal|2)<<30|uint64(0x68b<<2|2)<<44)
+	f.Add(uint64(3), 0.4, uint16(700), 3|uint64(0)<<2|uint64(0xfff<<2|1)<<16|uint64(0x100<<2|2)<<30|uint64(nominal|2)<<44)
+	f.Fuzz(func(t *testing.T, seed uint64, sigma float64, line uint16, points uint64) {
 		if math.IsNaN(sigma) || math.IsInf(sigma, 0) {
 			t.Skip()
 		}
@@ -372,13 +452,24 @@ func FuzzRetentionWindow(f *testing.F) {
 			sc.SigmaVth = wideVth.SigmaVth
 		}
 		chip := variation.NewChip(stats.NewRNG(seed), 0, sc, L1D.TileCols, L1D.TileRows)
-		e := NewChipEval(Nodes[int(node)%len(Nodes)], L1D, chip)
+		techs := fuzzPoints(points)
+		e := NewChipEval(Node32, L1D, chip)
+		maps := e.RetentionMaps(techs)
+		for k, tech := range techs {
+			e.Tech = tech
+			for l, got := range e.RetentionMap() {
+				if want := maps[k][l]; math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("σVth %v, %s at %v V, line %d: RetentionMap %v, RetentionMaps %v", sc.SigmaVth, tech.Name, tech.Vdd, l, got, want)
+				}
+			}
+		}
 		first := int(line) % L1D.Lines
-		out := make([]float64, min(fuzzLines, L1D.Lines-first))
-		e.retention3T1D(first, out)
-		for i, got := range out {
-			if want := refLineRetention3T1D(e, first+i); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("σVth %v, line %d: %v, oracle %v", sc.SigmaVth, first+i, got, want)
+		for l := first; l < min(first+fuzzLines, L1D.Lines); l++ {
+			want := refLineRetention3T1D(L1D, chip, techs, l)
+			for k, tech := range techs {
+				if got := maps[k][l]; math.Float64bits(got) != math.Float64bits(want[k]) {
+					t.Fatalf("σVth %v, %s at %v V, line %d: %v, oracle %v", sc.SigmaVth, tech.Name, tech.Vdd, l, got, want[k])
+				}
 			}
 		}
 	})

@@ -10,8 +10,9 @@ import (
 )
 
 // TestFiguresStudyMemo checks how Fig. 6a and Fig. 7 share the Typical
-// study: together they build one map-free study and no full one, and a
-// later Fig. 6b still builds the full study and matches its golden.
+// study: together they evaluate each chip once, map-free, and no full
+// chip, and a later Fig. 6b still evaluates the full chips and matches
+// its golden.
 // Every output is checked against its golden text. CI runs it under the
 // race detector, since both studies fan out over the shared pool.
 func TestFiguresStudyMemo(t *testing.T) {
@@ -32,24 +33,28 @@ func TestFiguresStudyMemo(t *testing.T) {
 			t.Errorf("%s diverged from golden\n--- golden ---\n%s\n--- got ---\n%s", id, want, got.Bytes())
 		}
 	}
-	hasStudy := func(p *Params, mapFree bool) bool {
-		_, ok := p.rig.memos.study.Lookup(p.studyKey(variation.Typical, p.DistChips, mapFree))
-		return ok
+	hasChips := func(p *Params, mapFree bool) bool {
+		for i := 0; i < p.DistChips; i++ {
+			if _, ok := p.rig.memos.chip.Lookup(p.chipKey(p.Tech, variation.Typical, mapFree, i)); !ok {
+				return false
+			}
+		}
+		return true
 	}
 
 	p := QuickParams()
 	p.Parallel = 2
 	golden(p, "fig6a")
 	golden(p, "fig7")
-	if hasStudy(p, false) || !hasStudy(p, true) {
-		t.Errorf("after fig6a and fig7: full study memoized %v, map-free %v; want only the map-free one",
-			hasStudy(p, false), hasStudy(p, true))
+	if hasChips(p, false) || !hasChips(p, true) {
+		t.Errorf("after fig6a and fig7: full chips memoized %v, map-free %v; want only the map-free ones",
+			hasChips(p, false), hasChips(p, true))
 	}
-	if n := p.rig.memos.study.Computes(); n != 1 {
-		t.Errorf("fig6a and fig7 built %d studies, want 1", n)
+	if n := p.rig.memos.chip.Computes(); n != uint64(p.DistChips) {
+		t.Errorf("fig6a and fig7 evaluated %d chips, want %d", n, p.DistChips)
 	}
 	golden(p, "fig6b")
-	if !hasStudy(p, false) {
-		t.Error("fig6b memoized no full study")
+	if !hasChips(p, false) {
+		t.Error("fig6b memoized no full chips")
 	}
 }

@@ -84,12 +84,12 @@ type Params struct {
 
 // rig is the compute machinery behind a Params family: one worker pool
 // (single-coordinator) plus the singleflight memo caches for runs,
-// Monte-Carlo studies and traces. Memo keys embed the tech name and
+// Monte-Carlo chips and traces. Memo keys embed the tech name and
 // Vdd, so WithTech derivations share a rig safely. The memo set is a separate
 // pointer so Clone can hand out an independent pool (its own
 // coordinator) while still deduplicating sub-computations with its
 // origin — the memos are singleflight-safe across goroutines and their
-// values (runResult, *montecarlo.Study) are immutable once built.
+// values (runResult, montecarlo.Chip) are immutable once built.
 type rig struct {
 	poolOnce sync.Once
 	pool     *sweep.Pool
@@ -98,19 +98,25 @@ type rig struct {
 }
 
 // memoSet holds the memo caches shared across a Params family and all
-// its Clones. The run and study keys cover tech name, Vdd, and the
-// per-experiment shape knobs, but NOT Seed/Chips/Instructions/Benchmarks
-// — those are constant within a family, which is why a memo set must
-// never be shared between differently-scaled Params (Clone preserves
-// every value field, so clones always qualify). The run memo holds
-// every simulation, ideal-6T baselines included: Fig. 10, Fig. 11 and
-// the yield curves re-run many of Fig. 9's chip × scheme × benchmark
-// simulations on the same severe population. The trace memo holds
-// each benchmark's packed instruction stream, which every run of the
-// family replays; its key is the stream's (benchmark, seed, length).
+// its Clones. The run and chip keys cover tech name, Vdd, and the
+// per-experiment shape knobs, but NOT Seed/Instructions/Benchmarks —
+// those are constant within a family, which is why a memo set must
+// never be shared between differently-seeded or -scaled Params (Clone
+// preserves every value field, so clones always qualify). The run memo
+// holds every simulation, ideal-6T baselines included: Fig. 10, Fig. 11
+// and the yield curves re-run many of Fig. 9's chip × scheme × benchmark
+// simulations on the same severe population. The chip memo holds every
+// Monte-Carlo chip evaluated at one operating point, keyed by its index,
+// not by the size of the study that asked for it: chip i depends only
+// on the seed and i, so a study is assembled from the memo's first n
+// chips and a larger study reuses a smaller one's. A chip's missing
+// points come from one montecarlo.Evaluate call, so its cells are
+// hashed once however many points request it. The trace memo holds each
+// benchmark's packed instruction stream, which every run of the family
+// replays; its key is the stream's (benchmark, seed, length).
 type memoSet struct {
 	run   sweep.Memo[runKey, runResult]
-	study sweep.Memo[studyKey, *montecarlo.Study]
+	chip  sweep.Memo[chipKey, montecarlo.Chip]
 	trace sweep.Memo[traceKey, *workload.Trace]
 }
 
@@ -161,14 +167,16 @@ type traceKey struct {
 	n     int
 }
 
-type studyKey struct {
+// chipKey identifies one Monte-Carlo chip of the family's population
+// evaluated at one operating point.
+type chipKey struct {
 	tech     string
 	vdd      float64
 	scenario string
-	chips    int
 	backend  string
-	// mapFree keys a study built without retention maps (figures).
+	// mapFree keys a chip evaluated without its retention map (figures).
 	mapFree bool
+	chip    int
 }
 
 // DefaultParams returns the full-size experiment configuration.
@@ -209,7 +217,7 @@ func (p *Params) WithTech(t circuit.Tech) *Params {
 }
 
 // WithBackend derives a Params running a different cell backend: a
-// value copy sharing the receiver's compute rig (study memo keys embed
+// value copy sharing the receiver's compute rig (chip memo keys embed
 // the backend name, so derivations never collide). Like WithTech, a
 // derivation must drive the pool from the same coordinator as its
 // parent.
@@ -429,44 +437,76 @@ func (p *Params) baseline(w *sweep.Worker, bench string, sets, ways int) runResu
 	return p.run(w, cacheSpec{Scheme: core.NoRefreshLRU, Sets: sets, Ways: ways}, retentionID{}, bench)
 }
 
-// study returns (memoized) a Monte-Carlo chip study with retention
-// maps. It hands the shared pool to the Monte-Carlo engine, so it must
-// only be called from the top level of an experiment, never from inside
-// a sweep job.
+// study returns a Monte-Carlo study of the first chips chips with
+// retention maps, assembled from the chip memo. It hands the shared
+// pool to the Monte-Carlo engine, so it must only be called from the
+// top level of an experiment, never from inside a sweep job.
 func (p *Params) study(sc variation.Scenario, chips int) *montecarlo.Study {
-	return p.memoStudy(sc, chips, false)
+	return p.studies([]circuit.Tech{p.Tech}, sc, chips, false)[0]
 }
 
-// figures returns (memoized) a map-free Monte-Carlo study, for
-// experiments that read only the per-tile figures (Freq1X, Freq2X,
-// Leak6T1X, Leak3T1D, Unstable1X). Like study, it must only be called
-// from an experiment's top level.
+// figures returns a map-free Monte-Carlo study, for experiments that
+// read only the per-tile figures (Freq1X, Freq2X, Leak6T1X, Leak3T1D,
+// Unstable1X). Like study, it must only be called from an experiment's
+// top level.
 func (p *Params) figures(sc variation.Scenario, chips int) *montecarlo.Study {
-	return p.memoStudy(sc, chips, true)
+	return p.studies([]circuit.Tech{p.Tech}, sc, chips, true)[0]
 }
 
-func (p *Params) studyKey(sc variation.Scenario, chips int, mapFree bool) studyKey {
-	return studyKey{p.Tech.Name, p.Tech.Vdd, sc.Name, chips, p.backend().Name(), mapFree}
+// chipKey keys chip i at operating point t.
+func (p *Params) chipKey(t circuit.Tech, sc variation.Scenario, mapFree bool, i int) chipKey {
+	return chipKey{t.Name, t.Vdd, sc.Name, p.backend().Name(), mapFree, i}
 }
 
-func (p *Params) memoStudy(sc variation.Scenario, chips int, mapFree bool) *montecarlo.Study {
-	backend := p.backend()
-	key := p.studyKey(sc, chips, mapFree)
-	memo := &p.ensureRig().memos.study
-	if st, ok := memo.Lookup(key); ok {
-		return st
+// studies returns, for each operating point of techs, the study of the
+// population's first chips chips under sc, equal to the montecarlo.New
+// study at that point. Chips come from the chip memo; each chip's
+// points no caller has requested yet are evaluated together, in one
+// montecarlo.Evaluate call, so a multi-point experiment that asks for
+// all its points at once scans each chip's cells once. Like study, it
+// must only be called from an experiment's top level.
+func (p *Params) studies(techs []circuit.Tech, sc variation.Scenario, chips int, mapFree bool) []*montecarlo.Study {
+	o := montecarlo.Options{Scenario: sc, Seed: p.Seed ^ 0xc41b, Backend: p.backend(), MapFree: mapFree}
+	memo := &p.ensureRig().memos.chip
+	// keys[i*nt+k] and vals[i*nt+k] belong to chip i at techs[k]. The
+	// keys are built before the pool runs, so the jobs read only
+	// immutable state (chipKey resolves the backend through p).
+	nt := len(techs)
+	keys := make([]chipKey, chips*nt)
+	for i := 0; i < chips; i++ {
+		for k, t := range techs {
+			keys[i*nt+k] = p.chipKey(t, sc, mapFree, i)
+		}
 	}
-	// The pool is resolved before the kernel so the memoized closure
-	// captures only immutable state (Pool() lazily builds the rig's pool,
-	// which would otherwise be a captured-receiver mutation; the backend
-	// is a pre-bound immutable registry value).
-	pool := p.Pool()
-	return memo.Do(key, func() *montecarlo.Study {
-		return montecarlo.New(montecarlo.Options{
-			Tech: p.Tech, Scenario: sc, Seed: p.Seed ^ 0xc41b, Chips: chips,
-			Backend: backend, Pool: pool, MapFree: mapFree,
+	vals := make([]montecarlo.Chip, chips*nt)
+	p.Pool().Run(chips, func(i int, _ *sweep.Worker) {
+		v := vals[i*nt : (i+1)*nt]
+		memo.DoMany(keys[i*nt:(i+1)*nt], v, func(missing []int) {
+			ts := techs
+			if len(missing) < nt {
+				ts = make([]circuit.Tech, len(missing))
+				for j, k := range missing {
+					ts[j] = techs[k]
+				}
+			}
+			for j, c := range montecarlo.Evaluate(o, i, ts) {
+				v[missing[j]] = c
+			}
 		})
 	})
+	out := make([]*montecarlo.Study, nt)
+	for k, t := range techs {
+		col := vals // a single point's column is vals itself
+		if nt > 1 {
+			col = make([]montecarlo.Chip, chips)
+			for i := range col {
+				col[i] = vals[i*nt+k]
+			}
+		}
+		o.Tech = t
+		out[k] = montecarlo.Assemble(o, col)
+	}
+	return out
 }
 
 // suite runs every selected benchmark against a cache spec and returns

@@ -3,6 +3,7 @@ package experiments
 import (
 	"tdcache/internal/artifact"
 	"tdcache/internal/circuit"
+	"tdcache/internal/montecarlo"
 	"tdcache/internal/stats"
 	"tdcache/internal/variation"
 )
@@ -52,12 +53,35 @@ func Fig12PointsRun(p *Params) *artifact.Table {
 	for si := range perf {
 		perf[si] = make([]float64, n)
 	}
+	// Each scenario's points are requested together, so each chip's
+	// missing points come from one scan of its cells.
+	techs := make([]circuit.Tech, n)
+	studies := make([]*montecarlo.Study, n)
+	for i, pt := range points {
+		techs[i] = pt.Tech.AtVdd(pt.Vdd)
+	}
+	for i, pt := range points {
+		if studies[i] != nil {
+			continue
+		}
+		var idx []int
+		var ts []circuit.Tech
+		for j := i; j < n; j++ {
+			if points[j].Scenario.Name == pt.Scenario.Name {
+				idx = append(idx, j)
+				ts = append(ts, techs[j])
+			}
+		}
+		for j, s := range p.studies(ts, pt.Scenario, chips, false) {
+			studies[idx[j]] = s
+		}
+	}
 	for i, pt := range points {
 		// Each point gets a WithTech derivation at its derated operating
 		// point; the caller's Params is never mutated, so concurrent
 		// Digest or provenance reads stay race-free.
-		pp := p.WithTech(pt.Tech.AtVdd(pt.Vdd))
-		study := pp.study(pt.Scenario, chips)
+		pp := p.WithTech(techs[i])
+		study := studies[i]
 		_, medianIdx, _ := study.GoodMedianBad()
 		chip := &study.Chips[medianIdx]
 

@@ -46,6 +46,9 @@ func Table3(p *Params) *artifact.Table {
 	tdLeak := col("td_leak", artifact.UnitMilliwatts)
 	var powerSaving float64
 
+	// Every node's median chip comes from the same typical population:
+	// requesting all three nodes at once scans each chip's cells once.
+	studies := p.studies(circuit.Nodes, variation.Typical, p.DistChips, false)
 	for i, tech := range circuit.Nodes {
 		// The caller's Params stays untouched: each node gets a WithTech
 		// derivation (same rig, new Tech value), so concurrent Digest or
@@ -75,7 +78,7 @@ func Table3(p *Params) *artifact.Table {
 		idealLeak[i] = tech.LeakagePower6T * circuit.WattsToMilli
 
 		// Median typical-variation chip.
-		study := pn.study(variation.Typical, pn.DistChips)
+		study := studies[i]
 		_, median, _ := study.GoodMedianBad()
 		chip := &study.Chips[median]
 

@@ -8,6 +8,11 @@
 // A map-free study (Options.MapFree) samples the same chips and fills
 // only the per-tile figures (frequency, leakage, stability), skipping
 // the per-line retention maps that dominate a full study's cost.
+//
+// The chip is the unit of evaluation: chip i depends only on the seed
+// and i, and Evaluate evaluates it at any list of operating points
+// from one retention scan. New runs Evaluate at one point per chip;
+// callers that keep chips across studies assemble theirs with Assemble.
 package montecarlo
 
 import (
@@ -15,7 +20,6 @@ import (
 
 	"tdcache/internal/circuit"
 	"tdcache/internal/core"
-	"tdcache/internal/stats"
 	"tdcache/internal/sweep"
 	"tdcache/internal/variation"
 )
@@ -97,7 +101,55 @@ type Options struct {
 // of parallelism.
 func New(o Options) *Study {
 	o = o.withDefaults()
-	s := &Study{
+	chips := make([]Chip, o.Chips)
+	pool := o.Pool
+	if pool == nil {
+		pool = sweep.New(0)
+	}
+	// Each chip is a pure function of (seed, index) and lands in its own
+	// pre-indexed slot, so the study is identical for any pool width.
+	techs := []circuit.Tech{o.Tech}
+	pool.Run(len(chips), func(i int, _ *sweep.Worker) {
+		chips[i] = Evaluate(o, i, techs)[0]
+	})
+	return Assemble(o, chips)
+}
+
+// Evaluate samples chip idx of the population o describes (Seed,
+// Scenario) and evaluates it at each operating point of techs (o.Tech
+// and o.Chips are not read): the k-th chip equals Chips[idx] of New(o)
+// at Tech techs[k], bit for bit. The backend produces every point's
+// retention map from one RetentionMaps call, so the 3T1D kernel hashes
+// each of the chip's cells once for all points.
+func Evaluate(o Options, idx int, techs []circuit.Tech) []Chip {
+	o = o.withDefaults()
+	ch := variation.PopulationChip(o.Seed, idx, o.Scenario, circuit.L1D.TileCols, circuit.L1D.TileRows)
+	e := circuit.NewChipEval(o.Tech, circuit.L1D, ch)
+	e.Backend = o.Backend
+	var maps [][]float64
+	if !o.MapFree {
+		maps = e.RetentionMaps(techs)
+	}
+	out := make([]Chip, len(techs))
+	for k, t := range techs {
+		e.Tech, o.Tech = t, t
+		c := &out[k]
+		c.Index = idx
+		tileFigures(c, e)
+		if !o.MapFree {
+			c.SetRetention(maps[k], o)
+		}
+	}
+	return out
+}
+
+// Assemble returns the study New(o) returns, given its chips: chips[i]
+// must be chip i of the population at o.Tech, as Evaluate returns it
+// (o.Chips is not read). Callers that keep chips across studies build
+// their studies through it.
+func Assemble(o Options, chips []Chip) *Study {
+	o = o.withDefaults()
+	return &Study{
 		Tech:        o.Tech,
 		Scenario:    o.Scenario,
 		Seed:        o.Seed,
@@ -105,20 +157,8 @@ func New(o Options) *Study {
 		CounterStep: o.CounterStep,
 		CounterBits: o.CounterBits,
 		MapFree:     o.MapFree,
-		Chips:       make([]Chip, o.Chips),
+		Chips:       chips,
 	}
-	chips := variation.Population(o.Seed, o.Chips, o.Scenario, circuit.L1D.TileCols, circuit.L1D.TileRows)
-	pool := o.Pool
-	if pool == nil {
-		pool = sweep.New(0)
-	}
-	// Each chip is a pure function of its sampled variation map and
-	// lands in its own pre-indexed slot, so the study is identical for
-	// any pool width.
-	pool.Run(len(chips), func(i int, _ *sweep.Worker) {
-		s.Chips[i] = evaluate(o, i, chips[i])
-	})
-	return s
 }
 
 // withDefaults resolves the zero CounterBits and the nil Backend.
@@ -130,17 +170,6 @@ func (o Options) withDefaults() Options {
 		o.Backend = circuit.Backend3T1D
 	}
 	return o
-}
-
-func evaluate(o Options, idx int, ch *variation.Chip) Chip {
-	e := circuit.NewChipEval(o.Tech, circuit.L1D, ch)
-	e.Backend = o.Backend
-	c := Chip{Index: idx}
-	tileFigures(&c, e)
-	if !o.MapFree {
-		c.SetRetention(e.RetentionMap(), o)
-	}
-	return c
 }
 
 // tileFigures fills the figures computed per variation tile: both 6T
@@ -243,9 +272,4 @@ func (s *Study) Column(f func(*Chip) float64) []float64 {
 		out[i] = f(&s.Chips[i])
 	}
 	return out
-}
-
-// Summary describes one metric across the population.
-func (s *Study) Summary(f func(*Chip) float64) stats.Summary {
-	return stats.Describe(s.Column(f))
 }

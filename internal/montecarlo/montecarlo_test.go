@@ -142,15 +142,11 @@ func TestNoVariationStudyIsIdeal(t *testing.T) {
 	}
 }
 
-func TestColumnAndSummary(t *testing.T) {
+func TestColumn(t *testing.T) {
 	s := smallStudy(t, variation.Typical, 4)
 	col := s.Column(func(c *Chip) float64 { return c.Freq1X })
 	if len(col) != 4 {
 		t.Fatalf("column length %d", len(col))
-	}
-	sum := s.Summary(func(c *Chip) float64 { return c.Freq1X })
-	if sum.N != 4 || sum.Min > sum.Max {
-		t.Errorf("summary %+v", sum)
 	}
 }
 
@@ -200,6 +196,53 @@ func TestMapFreeMatchesFull(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// evalPoints are four operating points of one population: three nodes
+// at their nominal Vdd and one derated node, as Fig. 12's design points
+// and Table 3 ask for them.
+var evalPoints = []circuit.Tech{circuit.Node65, circuit.Node45, circuit.Node32, circuit.Node32.AtVdd(0.9)}
+
+// TestEvaluateMatchesNew checks that one Evaluate call over several
+// operating points gives, at each point, the chip a New study at that
+// point holds, bit for bit, for the 3T1D backend with and without maps
+// and for the STT-RAM backend; and that a New study of n chips holds
+// the first n chips of a larger one.
+func TestEvaluateMatchesNew(t *testing.T) {
+	const chips = 3
+	for _, c := range []struct {
+		name    string
+		backend circuit.CellBackend
+		mapFree bool
+	}{
+		{"3t1d", circuit.Backend3T1D, false},
+		{"mapfree", circuit.Backend3T1D, true},
+		{"sttram", circuit.STTRAMBackend, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			o := Options{Scenario: variation.Severe, Seed: 99, Chips: chips, Backend: c.backend, MapFree: c.mapFree}
+			studies := make([]*Study, len(evalPoints))
+			for k, tech := range evalPoints {
+				o.Tech = tech
+				studies[k] = New(o)
+			}
+			for i := 0; i < chips; i++ {
+				for k, got := range Evaluate(o, i, evalPoints) {
+					if g, w := fmt.Sprintf("%+v", got), fmt.Sprintf("%+v", studies[k].Chips[i]); g != w {
+						t.Fatalf("chip %d at %s %v V: Evaluate %s, New %s", i, evalPoints[k].Name, evalPoints[k].Vdd, g, w)
+					}
+				}
+			}
+			o.Chips = chips + 2
+			larger := New(o)
+			last := studies[len(studies)-1]
+			for i := range last.Chips {
+				if g, w := fmt.Sprintf("%+v", last.Chips[i]), fmt.Sprintf("%+v", larger.Chips[i]); g != w {
+					t.Fatalf("chip %d of %d differs from chip %d of %d", i, chips, i, o.Chips)
+				}
+			}
+		})
 	}
 }
 

@@ -8,9 +8,23 @@ import "math"
 // per-cell device parameters for half a million cells without storing
 // them (random access by cell index).
 func HashUniform(seed, index uint64) float64 {
+	return BitsUniform(HashBits(seed, index))
+}
+
+// HashBits is the 64-bit hash of (seed, index) that HashUniform turns
+// into a uniform. The uniform is the hash's top 53 bits over 2^53, so
+// HashBits(seed, index)>>(64-k) is the index of the one of 2^k equal
+// buckets of [0, 1) that holds HashUniform(seed, index), for k ≤ 53:
+// a kernel that only buckets most draws can skip the conversion.
+func HashBits(seed, index uint64) uint64 {
 	x := seed ^ (index+0x9e3779b97f4a7c15)*0xbf58476d1ce4e5b9
-	v := splitMix64(&x)
-	return float64(v>>11) / (1 << 53)
+	return splitMix64(&x)
+}
+
+// BitsUniform is the uniform in [0, 1) HashUniform makes of a HashBits
+// value.
+func BitsUniform(h uint64) float64 {
+	return float64(h>>11) / (1 << 53)
 }
 
 // HashGaussian returns a deterministic standard-normal value for the pair

@@ -47,6 +47,43 @@ func (m *Memo[K, V]) Do(key K, compute func() V) V {
 	return e.val
 }
 
+// DoMany is Do for several keys at once. compute runs at most once, for
+// the keys no caller has requested yet: it receives their positions in
+// keys (ascending, one per distinct key) and must fill those positions
+// of vals. DoMany then fills every other position with its key's
+// memoized value, waiting for values other callers are still
+// computing. Like Do, compute must not request its own keys.
+func (m *Memo[K, V]) DoMany(keys []K, vals []V, compute func(missing []int)) {
+	entries := make([]*memoEntry[V], len(keys))
+	var missing []int
+	m.mu.Lock()
+	if m.m == nil {
+		m.m = make(map[K]*memoEntry[V])
+	}
+	for i, key := range keys {
+		e, ok := m.m[key]
+		if !ok {
+			e = &memoEntry[V]{done: make(chan struct{})}
+			m.m[key] = e
+			m.computes++
+			missing = append(missing, i)
+		}
+		entries[i] = e
+	}
+	m.mu.Unlock()
+	if len(missing) > 0 {
+		compute(missing)
+		for _, i := range missing {
+			entries[i].val = vals[i]
+			close(entries[i].done)
+		}
+	}
+	for i, e := range entries {
+		<-e.done
+		vals[i] = e.val
+	}
+}
+
 // Lookup returns the memoized value for key without computing anything.
 // A caller that already holds the key's value in the map avoids building
 // the compute closure Do would need; like Do, it blocks until an

@@ -134,6 +134,45 @@ func TestMemoDistinctKeys(t *testing.T) {
 	}
 }
 
+// TestMemoDoManyComputesEachKeyOnce runs overlapping key sets through
+// DoMany and Do from many goroutines: each key is computed by exactly
+// one caller, every caller reads every key's value, and a key repeated
+// within one call is computed once.
+func TestMemoDoManyComputesEachKeyOnce(t *testing.T) {
+	var m Memo[int, int]
+	var computed [16]atomic.Int32
+	p := New(8)
+	p.Run(64, func(job int, _ *Worker) {
+		if job%5 == 0 {
+			if v := m.Do(job%16, func() int { computed[job%16].Add(1); return 3 * (job % 16) }); v != 3*(job%16) {
+				t.Errorf("Do(%d) = %d", job%16, v)
+			}
+			return
+		}
+		keys := []int{job % 16, (job + 3) % 16, (job * 7) % 16, job % 16}
+		vals := make([]int, len(keys))
+		m.DoMany(keys, vals, func(missing []int) {
+			for _, i := range missing {
+				computed[keys[i]].Add(1)
+				vals[i] = 3 * keys[i]
+			}
+		})
+		for i, k := range keys {
+			if vals[i] != 3*k {
+				t.Errorf("job %d: key %d read %d", job, k, vals[i])
+			}
+		}
+	})
+	for k := range computed {
+		if n := computed[k].Load(); n != 1 {
+			t.Errorf("key %d computed %d times, want 1", k, n)
+		}
+	}
+	if m.Computes() != 16 || m.Len() != 16 {
+		t.Errorf("Computes = %d, Len = %d, want 16/16", m.Computes(), m.Len())
+	}
+}
+
 // TestMemoForget pins the eviction contract: a forgotten key is
 // recomputed by the next Do, while untouched keys keep their values.
 func TestMemoForget(t *testing.T) {
@@ -160,8 +199,8 @@ func TestMemoForget(t *testing.T) {
 // semantics the experiment harness relies on: when many workers miss
 // the same key at once, every caller must receive the one pointer the
 // single compute produced — not a value copied per caller and not a
-// second computation's result. (The experiments' study memo holds
-// *montecarlo.Study values; aliasing is what makes the memo cheap.)
+// second computation's result. (The experiments' trace memo holds
+// *workload.Trace values; aliasing is what makes the memo cheap.)
 func TestMemoConcurrentSameKeySharesPointer(t *testing.T) {
 	type result struct{ ipc float64 }
 	var m Memo[string, *result]

@@ -71,10 +71,15 @@ func (c *Chip) DeltaVth(cell uint64, transistor uint8) float64 {
 // which lets experiments grow a population without perturbing earlier
 // chips.
 func Population(seed uint64, n int, sc Scenario, subW, subH int) []*Chip {
-	root := stats.NewRNG(seed)
 	chips := make([]*Chip, n)
 	for i := range chips {
-		chips[i] = NewChip(root.SplitLabeled(uint64(i)), i, sc, subW, subH)
+		chips[i] = PopulationChip(seed, i, sc, subW, subH)
 	}
 	return chips
+}
+
+// PopulationChip samples chip i of Population(seed, n, ...) for any
+// n > i, without sampling the others.
+func PopulationChip(seed uint64, i int, sc Scenario, subW, subH int) *Chip {
+	return NewChip(stats.NewRNG(seed).SplitLabeled(uint64(i)), i, sc, subW, subH)
 }
